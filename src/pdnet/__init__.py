@@ -15,8 +15,6 @@ Library layout:
 from .backprop import Gradients, backward, compare_gradients, finite_diff_gradients, loss
 from .data import (
     Dataset,
-    Image,
-    Raster,
     degrade,
     degrade_set,
     extract_patches,
@@ -42,13 +40,13 @@ from .network import (
     serialize,
 )
 from .operators import (
+    Decimation,
+    IdentityOperator,
+    UniformBlur,
     fuse_analysis,
     make_block_sparse_analysis,
-    make_decimation,
     make_dense_analysis,
     make_first_difference,
-    make_identity,
-    make_uniform_blur,
     operator_norm,
 )
 from .pdhg import SolveReport, StepSizes, check_stepsizes, constraint_distance, pdhg_solve

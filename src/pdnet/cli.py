@@ -51,77 +51,92 @@ class ConfigError(ValueError):
 # Config schema
 # ---------------------------------------------------------------------------
 
+# The one config model.  Each leaf is (type or set of allowed values,
+# default); a ``float`` leaf takes any JSON number.  A default of None means
+# "not given": the command that needs the key says so when it is missing.
+# ``null`` in a config also reads as "not given".
 _SCHEMA = {
-    "task": {"deblur", "sr"},
-    "seed": int,
-    "output_dir": str,
+    "task": ({"deblur", "sr"}, None),
+    "seed": (int, None),
+    "output_dir": (str, None),
     "degradation": {
-        "kind": {"uniform-blur", "decimation", "identity"},
-        "size": int,
-        "factor": int,
-        "alpha": (int, float),
+        "kind": ({"uniform-blur", "decimation", "identity"}, None),
+        "size": (int, None),
+        "factor": (int, None),
+        "alpha": (float, 0.0),
     },
     "data": {
-        "source": {"synthetic", "idx", "pgm-dir", "degraded-dir"},
-        "count": int,
-        "image_side": int,
-        "images": str,
-        "labels": str,
-        "path": str,
-        "limit": int,
-        "patch_size": int,
-        "patches_per_image": int,
-        "train_frac": (int, float),
-        "val_frac": (int, float),
+        "source": ({"synthetic", "idx", "pgm-dir", "degraded-dir"}, None),
+        "count": (int, 100),
+        # the default depends on the command: 28 for synthetic data, 4 for
+        # gradcheck (whose finite differences need a small instance)
+        "image_side": (int, None),
+        "images": (str, None),
+        "labels": (str, None),
+        "path": (str, None),
+        "limit": (int, None),
+        "patch_size": (int, None),
+        "patches_per_image": (int, 16),
+        "train_frac": (float, 0.8),
+        "val_frac": (float, 0.2),
     },
     "network": {
-        "K": int,
-        "mode": {"full", "partial"},
-        "L": list,
-        "init_stddev": (int, float),
+        "K": (int, None),
+        "mode": ({"full", "partial"}, "full"),
+        "L": (list, None),
+        "init_stddev": (float, 1e-2),
     },
     "train": {
-        "gamma": (int, float),
-        "batch_size": int,
-        "max_iter": int,
-        "val_cadence": int,
-        "lr_decay_every": int,
-        "lr_decay_factor": (int, float),
+        "gamma": (float, 1e-9),
+        "batch_size": (int, 50),
+        "max_iter": (int, 1000),
+        "val_cadence": (int, 100),
+        "lr_decay_every": (int, None),
+        "lr_decay_factor": (float, 0.5),
     },
     "solve": {
-        "prior": {"identity", "first-diff"},
-        "lambda": (int, float),
-        "tau": (int, float),
-        "sigma": (int, float),
-        "tol": (int, float),
-        "max_iter": int,
+        "prior": ({"identity", "first-diff"}, "first-diff"),
+        "lambda": (float, 1.0),
+        "tau": (float, 1.0),
+        # None: 0.9 times the largest sigma the step-size condition allows
+        "sigma": (float, None),
+        "tol": (float, 1e-5),
+        "max_iter": (int, 10_000),
     },
 }
+
+# An entry of network.L: a spec string, or an object with these keys.
+_L_ENTRY = {"spec": (str, None), "site_rule": ({"fit", "interior"}, "fit")}
 
 _REQUIRED = {"seed", "output_dir"}
 
 
-def _check_section(name: str, value, schema) -> None:
-    if isinstance(schema, set):
-        if value not in schema:
-            raise ConfigError(f"{name}: {value!r} not in {sorted(schema)}")
-    elif isinstance(schema, dict):
-        if not isinstance(value, dict):
-            raise ConfigError(f"{name}: expected an object")
-        for key, sub in value.items():
-            if key not in schema:
-                raise ConfigError(f"{name}.{key}: unknown key")
-            if sub is not None:
-                _check_section(f"{name}.{key}", sub, schema[key])
-    elif schema is list:
-        if not isinstance(value, list):
-            raise ConfigError(f"{name}: expected a list")
-    else:
-        if isinstance(value, bool) or not isinstance(value, schema):
-            raise ConfigError(f"{name}: expected {schema}, got {type(value).__name__}")
+def _check_value(name: str, value, kind):
+    """``value`` checked against a leaf's type or allowed values."""
+    if isinstance(kind, set):
+        if not isinstance(value, str) or value not in kind:
+            raise ConfigError(f"{name}: {value!r} not in {sorted(kind)}")
+        return value
+    numeric = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, numeric):
+        raise ConfigError(f"{name}: expected {kind.__name__}, got {type(value).__name__}")
+    return float(value) if kind is float else value
+
+
+def _fill_section(name: str, value, schema: dict) -> dict:
+    """A section checked key by key, with the defaults of keys not given."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name}: expected an object")
+    for key in value:
+        if key not in schema:
+            raise ConfigError(f"{name}.{key}: unknown key")
+    return {key: default if value.get(key) is None
+            else _check_value(f"{name}.{key}", value[key], kind)
+            for key, (kind, default) in schema.items()}
 
 
 def load_config(path: str, seed_override=None, output_override=None) -> dict:
+    """The config at ``path``: each present section with its defaults filled in."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             cfg = json.load(f)
@@ -132,6 +147,7 @@ def load_config(path: str, seed_override=None, output_override=None) -> dict:
     for key in cfg:
         if key not in _SCHEMA:
             raise ConfigError(f"unknown top-level key {key!r}")
+    cfg = {key: value for key, value in cfg.items() if value is not None}
     if seed_override is not None:
         cfg["seed"] = int(seed_override)
     if output_override is not None:
@@ -139,9 +155,15 @@ def load_config(path: str, seed_override=None, output_override=None) -> dict:
     for key in _REQUIRED:
         if key not in cfg:
             raise ConfigError(f"missing required config key {key!r}")
-    for key, value in cfg.items():
-        _check_section(key, value, _SCHEMA[key])
-    return cfg
+    return {key: _fill_section(key, value, _SCHEMA[key]) if isinstance(_SCHEMA[key], dict)
+            else _check_value(key, value, _SCHEMA[key][0])
+            for key, value in cfg.items()}
+
+
+def _section(cfg: dict, name: str) -> dict:
+    if name not in cfg:
+        raise ConfigError(f"config needs a {name!r} section")
+    return cfg[name]
 
 
 _LSPEC_RE = re.compile(r"^f(\d+)s(\d+)n(\d+)$")
@@ -149,17 +171,11 @@ _LSPEC_RE = re.compile(r"^f(\d+)s(\d+)n(\d+)$")
 
 def parse_l_spec(entry) -> DenseSpec | BlockSpec:
     """L entries: "dense:P", "fQsSnF" strings, or {"spec":..., "site_rule":...}."""
-    site_rule = "fit"
-    if isinstance(entry, dict):
-        extra = set(entry) - {"spec", "site_rule"}
-        if extra:
-            raise ConfigError(f"unknown L spec keys {sorted(extra)}")
-        site_rule = entry.get("site_rule", "fit")
-        if site_rule not in ("fit", "interior"):
-            raise ConfigError(f"bad site_rule {site_rule!r}")
-        entry = entry.get("spec")
-    if not isinstance(entry, str):
-        raise ConfigError(f"bad L spec {entry!r}")
+    fields = _fill_section("network.L entry",
+                           {"spec": entry} if isinstance(entry, str) else entry, _L_ENTRY)
+    entry, site_rule = fields["spec"], fields["site_rule"]
+    if entry is None:
+        raise ConfigError("network.L entry needs a 'spec'")
     if entry.startswith("dense:"):
         try:
             p = int(entry.split(":", 1)[1])
@@ -183,21 +199,15 @@ def parse_l_spec(entry) -> DenseSpec | BlockSpec:
 
 
 def _build_degradation(cfg: dict, side: int):
-    d = cfg.get("degradation")
-    if d is None:
-        raise ConfigError("config needs a 'degradation' section")
-    kind = d.get("kind")
-    alpha = float(d.get("alpha", 0.0))
+    d = _section(cfg, "degradation")
+    kind, alpha = d["kind"], d["alpha"]
     if alpha < 0:
         raise ConfigError("alpha must be nonnegative")
-    if kind == "uniform-blur":
-        if "size" not in d:
-            raise ConfigError("uniform-blur needs 'size'")
-        spec = {"kind": kind, "size_or_factor": int(d["size"]), "image_side": side}
-    elif kind == "decimation":
-        if "factor" not in d:
-            raise ConfigError("decimation needs 'factor'")
-        spec = {"kind": kind, "size_or_factor": int(d["factor"]), "image_side": side}
+    if kind in ("uniform-blur", "decimation"):
+        key = "size" if kind == "uniform-blur" else "factor"
+        if d[key] is None:
+            raise ConfigError(f"{kind} needs {key!r}")
+        spec = {"kind": kind, "size_or_factor": d[key], "image_side": side}
     elif kind == "identity":
         # for identity the field holds the vector dimension
         spec = {"kind": kind, "size_or_factor": 1, "image_side": side * side}
@@ -210,54 +220,40 @@ def _build_degradation(cfg: dict, side: int):
 
 
 def _load_clean_images(cfg: dict):
-    """Clean image stack (n, side*side) plus side, from the config source."""
-    d = cfg.get("data")
-    if d is None:
-        raise ConfigError("config needs a 'data' section")
-    source = d.get("source")
-    limit = d.get("limit")
+    """Clean image stack (n, side*side) plus side, from a raw image source."""
+    d = _section(cfg, "data")
+    source, limit = d["source"], d["limit"] or None
     if source == "synthetic":
-        side = int(d.get("image_side", 28))
-        count = int(d.get("count", 100))
+        side = 28 if d["image_side"] is None else d["image_side"]
         if side < 7:
             raise ConfigError("synthetic images need image_side >= 7")
-        return datamod.synthetic_digits(count, side=side, seed=derive(cfg["seed"], 1)), side
+        return datamod.synthetic_digits(d["count"], side=side,
+                                        seed=derive(cfg["seed"], 1)), side
     if source == "idx":
-        if "images" not in d:
+        if d["images"] is None:
             raise ConfigError("idx source needs 'images'")
-        images = datamod.load_idx(d["images"], d.get("labels"))
-        if limit:
-            images = images[:limit]
-        if not images:
+        images = datamod.load_idx(d["images"], d["labels"])[:limit]
+        if not len(images):
             raise ConfigError("idx source produced no images")
-        side = images[0].side
-        return np.stack([im.pixels for im in images]), side
+        return images.reshape(len(images), -1), images.shape[1]
     if source == "pgm-dir":
-        if "path" not in d or "patch_size" not in d:
+        if d["path"] is None or d["patch_size"] is None:
             raise ConfigError("pgm-dir source needs 'path' and 'patch_size'")
-        q = int(d["patch_size"])
-        per = int(d.get("patches_per_image", 16))
-        files = sorted(f for f in os.listdir(d["path"]) if f.endswith(".pgm"))
-        if limit:
-            files = files[:limit]
+        q = d["patch_size"]
+        files = sorted(f for f in os.listdir(d["path"]) if f.endswith(".pgm"))[:limit]
         if not files:
             raise ConfigError(f"no .pgm files under {d['path']}")
-        patches = []
-        for i, fname in enumerate(files):
-            raster = datamod.load_pgm(os.path.join(d["path"], fname))
-            patches.extend(datamod.extract_patches(
-                raster, q, per, derive(cfg["seed"], 2, i)))
-        return np.stack([p.pixels for p in patches]), q
-    if source == "degraded-dir":
-        raise ConfigError("'degraded-dir' carries measurements; use _load_dataset")
+        return np.concatenate([
+            datamod.extract_patches(datamod.load_pgm(os.path.join(d["path"], fname)),
+                                    q, d["patches_per_image"], derive(cfg["seed"], 2, i))
+            for i, fname in enumerate(files)]), q
     raise ConfigError(f"unknown data source {source!r}")
 
 
 def _load_dataset(cfg: dict) -> datamod.Dataset:
     """Full dataset (clean + degraded) from either raw sources or a degrade dir."""
-    d = cfg.get("data") or {}
-    if d.get("source") == "degraded-dir":
-        root = d.get("path")
+    if "data" in cfg and cfg["data"]["source"] == "degraded-dir":
+        root = cfg["data"]["path"]
         if not root:
             raise ConfigError("degraded-dir source needs 'path'")
         try:
@@ -278,16 +274,17 @@ def _load_dataset(cfg: dict) -> datamod.Dataset:
 
 
 def _split_dataset(cfg: dict, dataset: datamod.Dataset):
-    d = cfg.get("data") or {}
-    train_frac = float(d.get("train_frac", 0.8))
-    val_frac = float(d.get("val_frac", 0.2))
-    return datamod.split(dataset, train_frac, val_frac, derive(cfg["seed"], 4))
+    d = cfg["data"]
+    try:
+        return datamod.split(dataset, d["train_frac"], d["val_frac"],
+                             derive(cfg["seed"], 4))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _eval_subset(cfg: dict, dataset: datamod.Dataset) -> datamod.Dataset:
     """Evaluation rows: the test split when nonempty, else val, else all."""
-    d = cfg.get("data") or {}
-    if float(d.get("train_frac", 0.8)) + float(d.get("val_frac", 0.2)) == 0:
+    if cfg["data"]["train_frac"] + cfg["data"]["val_frac"] == 0:
         return dataset
     tr, va, te = _split_dataset(cfg, dataset)
     if len(te):
@@ -319,19 +316,17 @@ def _fmt(x: float) -> str:
 
 
 def cmd_degrade(cfg: dict, config_path: str, verbose: bool) -> int:
-    clean, side = _load_clean_images(cfg)
-    a_op, alpha = _build_degradation(cfg, side)
-    dataset = datamod.degrade_set(clean, side, a_op, alpha, derive(cfg["seed"], 3))
+    dataset = _load_dataset(cfg)
     out = _prepare_output(cfg, config_path)
     np.save(os.path.join(out, "clean.npy"), dataset.clean)
     np.save(os.path.join(out, "degraded.npy"), dataset.degraded)
     manifest = {
-        "side": side,
+        "side": dataset.side,
         "count": len(dataset),
-        "alpha": alpha,
+        "alpha": dataset.noise_alpha,
         "seed": dataset.seed,
         "degradation": dataset.degradation,
-        "norm_a": a_op.cached_norm,
+        "norm_a": degradation_from_spec(dataset.degradation).cached_norm,
         "files": {
             "clean.npy": _sha256(os.path.join(out, "clean.npy")),
             "degraded.npy": _sha256(os.path.join(out, "degraded.npy")),
@@ -345,41 +340,26 @@ def cmd_degrade(cfg: dict, config_path: str, verbose: bool) -> int:
     return 0
 
 
-def _build_network(cfg: dict, a_op, seed: int):
-    net = cfg.get("network")
-    if net is None:
-        raise ConfigError("config needs a 'network' section")
-    if "K" not in net or "L" not in net or not net["L"]:
+def _build_network(cfg: dict, a_op):
+    net = _section(cfg, "network")
+    if net["K"] is None or not net["L"]:
         raise ConfigError("network section needs 'K' and a nonempty 'L' list")
     specs = [parse_l_spec(e) for e in net["L"]]
     side = getattr(a_op, "side", None)
     for s in specs:
         if isinstance(s, BlockSpec) and side is not None and s.q > side:
             raise ConfigError(f"L window {s.q} exceeds image side {side}")
-    mode = net.get("mode", "full")
-    stddev = float(net.get("init_stddev", 1e-2))
     try:
-        return netmod.init_network(a_op, int(net["K"]), specs, mode,
-                                   derive(seed, 5), stddev=stddev)
+        return netmod.init_network(a_op, net["K"], specs, net["mode"],
+                                   derive(cfg["seed"], 5), stddev=net["init_stddev"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _train_config(cfg: dict, mode: str) -> TrainConfig:
-    t = cfg.get("train")
-    if t is None:
-        raise ConfigError("config needs a 'train' section")
     try:
-        return TrainConfig(
-            gamma=float(t.get("gamma", 1e-9)),
-            batch_size=int(t.get("batch_size", 50)),
-            max_iter=int(t.get("max_iter", 1000)),
-            mode=mode,
-            seed=derive(cfg["seed"], 6),
-            val_cadence=int(t.get("val_cadence", 100)),
-            lr_decay_every=t.get("lr_decay_every"),
-            lr_decay_factor=float(t.get("lr_decay_factor", 0.5)),
-        )
+        return TrainConfig(**_section(cfg, "train"), mode=mode,
+                           seed=derive(cfg["seed"], 6))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -425,7 +405,7 @@ def cmd_train(cfg: dict, config_path: str, verbose: bool) -> int:
     if len(train_set) == 0 or len(val_set) == 0:
         raise ConfigError("train and val splits must both be nonempty")
     a_op = degradation_from_spec(dataset.degradation)
-    params = _build_network(cfg, a_op, cfg["seed"])
+    params = _build_network(cfg, a_op)
     tconf = _train_config(cfg, params.mode)
     out = _prepare_output(cfg, config_path)
     result = train(params, train_set.clean, train_set.degraded,
@@ -483,35 +463,34 @@ def cmd_eval(cfg: dict, config_path: str, model_path: str, betas: list[float],
 
 
 def cmd_solve(cfg: dict, config_path: str, verbose: bool) -> int:
-    s = cfg.get("solve")
-    if s is None:
-        raise ConfigError("config needs a 'solve' section")
+    s = _section(cfg, "solve")
     dataset = _load_dataset(cfg)
     subset = _eval_subset(cfg, dataset)
     a_op = degradation_from_spec(dataset.degradation)
-    lam = float(s.get("lambda", 1.0))
+    lam, tau, max_iter = s["lambda"], s["tau"], s["max_iter"]
     if lam <= 0:
         raise ConfigError("lambda must be positive")
-    prior = s.get("prior", "first-diff")
-    if prior == "identity":
+    if s["prior"] == "identity":
         l_op = make_scaled_identity_analysis(a_op.in_dim, lam)
     else:
         l_op = make_first_difference(dataset.side, scale=lam)
-    tau = float(s.get("tau", 1.0))
+    if tau <= 0:
+        raise ConfigError("tau must be positive")
     norm_a = a_op.cached_norm
     if 1.0 / tau <= norm_a**2 / 2.0:
         raise ConfigError("tau too large: 1/tau must exceed ||A||^2 / 2")
-    sigma = s.get("sigma")
+    sigma = s["sigma"]
     if sigma is None:
         sigma = 0.9 * (1.0 / tau - norm_a**2 / 2.0) / l_op.norm() ** 2
-    steps = StepSizes(tau=tau, sigma=float(sigma))
-    tol = float(s.get("tol", 1e-5))
-    max_iter = int(s.get("max_iter", 10_000))
+    try:
+        steps = StepSizes(tau=tau, sigma=sigma)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out = _prepare_output(cfg, config_path)
     report_rows = []
     for i in range(len(subset)):
         rep = pdhg_solve(a_op, l_op, subset.degraded[i], steps,
-                         tol=tol, max_iter=max_iter)
+                         tol=s["tol"], max_iter=max_iter)
         datamod.save_pgm(os.path.join(out, f"restored_{i:04d}.pgm"),
                          rep.x_hat.reshape(subset.side, subset.side))
         report_rows.append((i, rep.iterations, rep.final_residual, rep.converged,
@@ -528,9 +507,12 @@ def cmd_solve(cfg: dict, config_path: str, verbose: bool) -> int:
     return 0
 
 
-def gradcheck_errors(params, clean, degraded, epsilon: float = 1e-6,
+def gradcheck_errors(params, clean, degraded, epsilon: float = 1e-4,
                      flip_output_sign: bool = False) -> dict:
     """Max relative gradient errors per parameter group.
+
+    The default finite-difference step suits pixels on [0, 255]: at 1e-6
+    round-off dominates the reference, at 1e-3 steps cross the clip's kinks.
 
     ``flip_output_sign`` negates the output-layer error before the backward
     pass (a deliberate-mutation hook used to prove the check can fail).
@@ -546,12 +528,12 @@ def gradcheck_errors(params, clean, degraded, epsilon: float = 1e-6,
 
 def cmd_gradcheck(cfg: dict, config_path: str, verbose: bool,
                   flip_output_sign: bool = False) -> int:
-    d = cfg.get("data") or {}
-    side = int(d.get("image_side", 4))
+    given = cfg["data"]["image_side"] if "data" in cfg else None
+    side = 4 if given is None else given
     if side * side > 64:
         raise ConfigError("gradcheck needs a small instance (image_side^2 <= 64)")
     a_op, alpha = _build_degradation(cfg, side)
-    params = _build_network(cfg, a_op, cfg["seed"])
+    params = _build_network(cfg, a_op)
     stream = Stream(derive(cfg["seed"], 8))
     clean = (stream.uniform(3 * side * side) * 255.0).reshape(3, side * side)
     degraded = np.stack([
@@ -627,7 +609,10 @@ def main(argv=None) -> int:
         if args.command == "train":
             return cmd_train(cfg, args.config, args.verbose)
         if args.command == "eval":
-            betas = [float(b) for b in args.beta.split(",")] if args.beta else []
+            try:
+                betas = [float(b) for b in args.beta.split(",")] if args.beta else []
+            except ValueError as exc:
+                raise ConfigError(f"--beta takes comma-separated numbers: {exc}") from exc
             return cmd_eval(cfg, args.config, args.model, betas, args.verbose)
         if args.command == "solve":
             return cmd_solve(cfg, args.config, args.verbose)

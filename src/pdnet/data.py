@@ -8,7 +8,7 @@ images are clipped only when exported to files.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,38 +28,6 @@ class IdxParseError(ValueError):
 
 class PgmParseError(ValueError):
     """Structured failure while reading a binary PGM file."""
-
-
-@dataclass
-class Image:
-    """Square grayscale raster stored as a flat float vector."""
-
-    side: int
-    pixels: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.float64).ravel()
-        if self.side < 1 or self.pixels.size != self.side * self.side:
-            raise ValueError(
-                f"pixel count {self.pixels.size} does not match side {self.side}"
-            )
-        if not np.all(np.isfinite(self.pixels)):
-            raise ValueError("image pixels must be finite")
-
-    def as_2d(self) -> np.ndarray:
-        return self.pixels.reshape(self.side, self.side)
-
-
-@dataclass
-class Raster:
-    """Possibly non-square grayscale raster (e.g. a loaded PGM)."""
-
-    rows: int
-    cols: int
-    pixels: np.ndarray = field(repr=False)
-
-    def as_2d(self) -> np.ndarray:
-        return self.pixels.reshape(self.rows, self.cols)
 
 
 @dataclass
@@ -91,8 +59,9 @@ def _read_exact(data: bytes, offset: int, count: int, what: str) -> bytes:
     return data[offset:offset + count]
 
 
-def load_idx(images_path: str, labels_path: str | None = None) -> list[Image]:
-    """Parse big-endian IDX image data (magic 0x00000803) into Images.
+def load_idx(images_path: str, labels_path: str | None = None) -> np.ndarray:
+    """Parse big-endian IDX image data (magic 0x00000803) into a float
+    ``(count, rows, cols)`` array.
 
     When ``labels_path`` is given, its magic (0x00000801) and item count are
     validated against the image count; label values are not returned since
@@ -124,11 +93,7 @@ def load_idx(images_path: str, labels_path: str | None = None) -> list[Image]:
         (lcount,) = struct.unpack(">I", _read_exact(ldata, 4, 4, "label count"))
         if lcount != count:
             raise IdxParseError(f"label count {lcount} != image count {count}")
-    if count == 0:
-        return []
-    arr = np.frombuffer(payload, dtype=np.uint8).astype(np.float64)
-    return [Image(int(rows), arr[i * rows * cols:(i + 1) * rows * cols])
-            for i in range(count)]
+    return np.frombuffer(payload, dtype=np.uint8).astype(np.float64).reshape(count, rows, cols)
 
 
 def _pgm_tokens(data: bytes):
@@ -153,8 +118,8 @@ def _pgm_tokens(data: bytes):
     return tokens, i + 1  # single whitespace byte terminates the header
 
 
-def load_pgm(path: str) -> Raster:
-    """Read a binary (P5) PGM with maxval 255."""
+def load_pgm(path: str) -> np.ndarray:
+    """Read a binary (P5) PGM with maxval 255 into a float 2-D array."""
     with open(path, "rb") as f:
         data = f.read()
     tokens, start = _pgm_tokens(data)
@@ -174,8 +139,7 @@ def load_pgm(path: str) -> Raster:
         raise PgmParseError(
             f"truncated PGM payload: expected {need} bytes, found {len(body)}"
         )
-    pixels = np.frombuffer(body, dtype=np.uint8).astype(np.float64)
-    return Raster(rows=rows, cols=cols, pixels=pixels)
+    return np.frombuffer(body, dtype=np.uint8).astype(np.float64).reshape(rows, cols)
 
 
 def save_pgm(path: str, raster_2d: np.ndarray) -> None:
@@ -194,19 +158,17 @@ def save_pgm(path: str, raster_2d: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 
-def extract_patches(source: Image | Raster, q: int, count: int, seed: int) -> list[Image]:
-    """``count`` random Q x Q crops at seeded uniform positions."""
-    if isinstance(source, Image):
-        rows = cols = source.side
-    else:
-        rows, cols = source.rows, source.cols
+def extract_patches(source: np.ndarray, q: int, count: int, seed: int) -> np.ndarray:
+    """``count`` random Q x Q crops of a 2-D raster at seeded uniform
+    positions, one flattened crop per row of a ``(count, q*q)`` array."""
+    rows, cols = source.shape
     if q < 1 or q > rows or q > cols:
         raise ValueError(f"patch size {q} does not fit a {rows}x{cols} raster")
-    grid = source.as_2d()
     stream = Stream(derive(seed, _TAG_PATCH))
     rr = stream.integers(count, rows - q + 1)
     cc = stream.integers(count, cols - q + 1)
-    return [Image(q, grid[r:r + q, c:c + q].copy()) for r, c in zip(rr, cc)]
+    return np.array([source[r:r + q, c:c + q].ravel() for r, c in zip(rr, cc)],
+                    dtype=np.float64).reshape(count, q * q)
 
 
 def degrade(clean: np.ndarray, a_op: LinearOperator, alpha: float,
@@ -270,10 +232,6 @@ def psnr(x_hat: np.ndarray, x_ref: np.ndarray) -> float:
     if mse == 0.0:
         return float("inf")
     return float(10.0 * np.log10(_PEAK * _PEAK / mse))
-
-
-def psnr_to_mse(value_db: float) -> float:
-    return _PEAK * _PEAK * 10.0 ** (-value_db / 10.0)
 
 
 def _gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
@@ -421,9 +379,9 @@ def synthetic_strokes(count: int, side: int = 28, seed: int = 0) -> np.ndarray:
     Returns a (count, side*side) array with values in [0, 255].  Useful as a
     self-contained stand-in for digit datasets in desk-scale experiments.
     """
-    from .operators import make_uniform_blur
+    from .operators import UniformBlur
 
-    blur = make_uniform_blur(3, side)
+    blur = UniformBlur(3, side)
     images = np.zeros((count, side * side))
     for s in range(count):
         stream = Stream(derive(seed, _TAG_SYNTH, s))

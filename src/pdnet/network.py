@@ -28,7 +28,6 @@ from .operators import (
     make_block_sparse_analysis,
     make_dense_analysis,
 )
-from .prox import prox_conj_l1
 from .rng import derive
 
 MODEL_VERSION = "1"
@@ -129,8 +128,7 @@ class LayerTrace:
 
 
 def init_network(degradation: LinearOperator, depth: int, l_specs: list,
-                 mode: str, seed: int, stddev: float = 1e-2,
-                 norm_tol: float = 1e-9) -> NetworkParams:
+                 mode: str, seed: int, stddev: float = 1e-2) -> NetworkParams:
     """Build a network with tau = 1, Normal(0, stddev^2) analysis weights, and
     sigma saturating the step-size condition from the measured ||L||.
 
@@ -162,7 +160,7 @@ def init_network(degradation: LinearOperator, depth: int, l_specs: list,
                 raise ValueError(f"unknown L spec: {spec!r}")
         analysis = fuse_analysis(parts)
         tau = 1.0
-        norm_l = analysis.norm(tol=norm_tol)
+        norm_l = analysis.norm()
         if norm_l == 0.0:
             raise ValueError(
                 "||L|| is zero at initialization; use a nonzero weight stddev"
@@ -204,18 +202,11 @@ def forward(params: NetworkParams, z: np.ndarray, keep_trace: bool = False):
     return result, LayerTrace(xs=xs, ys=ys, c_duals=c_duals, grams=grams, w=w)
 
 
-def replay_activation(trace: LayerTrace, k: int):
-    """Recompute u^{k+2} from the stored pre-activations of layer k+1."""
-    if k < len(trace.c_duals):
-        return trace.xs[k + 1], prox_conj_l1(trace.c_duals[k], 1.0)
-    return trace.xs[k + 1], None
-
-
-def distance_report(params: NetworkParams, norm_tol: float = 1e-9) -> np.ndarray:
+def distance_report(params: NetworkParams) -> np.ndarray:
     """Per-layer squared-hinge distance to the step-size condition."""
     norm_a = params.degradation.cached_norm
     return np.array([
-        pdhg.constraint_distance(lp.tau, lp.sigma, norm_a, lp.analysis.norm(tol=norm_tol))
+        pdhg.constraint_distance(lp.tau, lp.sigma, norm_a, lp.analysis.norm())
         for lp in params.layers
     ])
 

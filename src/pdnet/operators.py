@@ -30,9 +30,6 @@ __all__ = [
     "MaskedRowAnalysis",
     "FusedAnalysis",
     "PowerIterationError",
-    "make_identity",
-    "make_uniform_blur",
-    "make_decimation",
     "make_dense_analysis",
     "make_block_sparse_analysis",
     "make_first_difference",
@@ -47,6 +44,10 @@ __all__ = [
 # Fixed seed for power-iteration start vectors: estimates are then a pure,
 # reproducible function of the operator weights.
 _NORM_SEED = 0x9D2C5680
+
+# Power iteration stops once the eigenvalue estimate changes by at most this
+# much, relative; every norm the library takes uses it.
+NORM_TOL = 1e-9
 
 
 class _MacCounter:
@@ -212,18 +213,6 @@ class Decimation(LinearOperator):
         return {"kind": self.kind, "size_or_factor": self.factor, "image_side": self.side}
 
 
-def make_identity(dim: int) -> IdentityOperator:
-    return IdentityOperator(dim)
-
-
-def make_uniform_blur(size: int, image_side: int) -> UniformBlur:
-    return UniformBlur(size, image_side)
-
-
-def make_decimation(factor: int, image_side: int) -> Decimation:
-    return Decimation(factor, image_side)
-
-
 def degradation_from_spec(d: dict) -> LinearOperator:
     """Rebuild a degradation operator from its serialized spec dict."""
     kind = d.get("kind")
@@ -301,7 +290,7 @@ class AnalysisOperator(LinearOperator):
             if p is not self:
                 p._norm_cache = None
 
-    def norm(self, tol: float = 1e-9, max_iter: int = 200_000) -> float:
+    def norm(self, tol: float = NORM_TOL, max_iter: int = 200_000) -> float:
         """Spectral norm, cached until the next weight update."""
         if self._norm_cache is None:
             start = self._norm_vec
@@ -667,7 +656,7 @@ def _power_iteration(op: LinearOperator, tol: float, max_iter: int,
     )
 
 
-def operator_norm(op: LinearOperator, tol: float = 1e-9,
+def operator_norm(op: LinearOperator, tol: float = NORM_TOL,
                   max_iter: int = 50_000) -> float:
     """Spectral norm of any operator, deterministic given the fixed start seed."""
     if tol <= 0:

@@ -88,7 +88,7 @@ def pd_step(a_op: LinearOperator, l_op: AnalysisOperator, tau: float, sigma: flo
     gram_x = a_op.gram(x)
     x_new = pd_primal(a_op, l_op, tau, w, x, y, gram_x)
     c_dual = y + sigma * l_op.apply(2.0 * x_new - x)
-    return x_new, prox_conj_l1(c_dual, sigma), c_dual, gram_x
+    return x_new, prox_conj_l1(c_dual), c_dual, gram_x
 
 
 def objective(a_op: LinearOperator, l_op: AnalysisOperator, z: np.ndarray,
@@ -100,7 +100,7 @@ def objective(a_op: LinearOperator, l_op: AnalysisOperator, z: np.ndarray,
 
 def pdhg_solve(a_op: LinearOperator, l_op: AnalysisOperator, z: np.ndarray,
                steps: StepSizes, tol: float = 1e-5, max_iter: int = 10_000,
-               warn_only: bool = False, norm_tol: float = 1e-9) -> SolveReport:
+               warn_only: bool = False) -> SolveReport:
     """Iterate to convergence from (A* z, 0).
 
     Stops when the relative primal change ||x+ - x|| / max(1, ||x||) drops
@@ -113,8 +113,7 @@ def pdhg_solve(a_op: LinearOperator, l_op: AnalysisOperator, z: np.ndarray,
         raise ValueError(f"measurement must be a vector of length {a_op.out_dim}")
     if l_op.in_dim != a_op.in_dim:
         raise ValueError("analysis and degradation operators disagree on N")
-    margin = check_stepsizes(steps.tau, steps.sigma, a_op.cached_norm,
-                             l_op.norm(tol=norm_tol))
+    margin = check_stepsizes(steps.tau, steps.sigma, a_op.cached_norm, l_op.norm())
     if margin <= 0:
         msg = (f"step sizes violate the convergence condition "
                f"(margin {margin:.3e}); iterates may not converge")

@@ -1,7 +1,7 @@
 """Proximal calculus for the l1 penalty and its convex conjugate.
 
 The conjugate prox is the projection onto the unit l-infinity ball, so it
-does not depend on the step parameter; its diagonal (sub)gradient is the
+takes no step parameter; its diagonal (sub)gradient is the
 indicator of the open unit interval, with ties at |c| = 1 resolved to 0.
 """
 
@@ -18,14 +18,9 @@ def prox_l1(v: np.ndarray, t: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
-def prox_conj_l1(v: np.ndarray, sigma: float) -> np.ndarray:
-    """Prox of the conjugate of the l1 norm: componentwise clip to [-1, 1].
-
-    Independent of ``sigma`` (projection onto the l-inf ball); the argument
-    is validated to keep the step-size contract explicit.
-    """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+def prox_conj_l1(v: np.ndarray) -> np.ndarray:
+    """Prox of the conjugate of the l1 norm, for any step sigma > 0:
+    componentwise clip to [-1, 1] (projection onto the l-inf ball)."""
     return np.clip(np.asarray(v, dtype=np.float64), -1.0, 1.0)
 
 

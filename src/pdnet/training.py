@@ -51,7 +51,6 @@ class TrainConfig:
     val_cadence: int = 100
     lr_decay_every: int | None = None
     lr_decay_factor: float = 0.5
-    norm_tol: float = 1e-9
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -102,7 +101,7 @@ class TrainResult:
 
 
 def sgd_step(params: NetworkParams, grads: Gradients, gamma: float,
-             mode: str, norm_tol: float = 1e-9) -> None:
+             mode: str) -> None:
     """One in-place gradient step; rejects non-finite gradients."""
     if not grads.all_finite():
         raise NonFiniteGradientError(
@@ -115,7 +114,7 @@ def sgd_step(params: NetworkParams, grads: Gradients, gamma: float,
             lp.sigma = max(lp.sigma - gamma * grads.d_sigma[k], _POSITIVITY_FLOOR)
         lp.analysis.update_weights(grads.d_weights[k], -gamma)
         if mode == "partial":
-            norm_l = lp.analysis.norm(tol=norm_tol)
+            norm_l = lp.analysis.norm()
             if norm_l == 0.0:
                 raise NonFiniteGradientError("||L|| collapsed to zero in partial mode")
             if (1.0 / lp.tau - norm_a**2 / 2.0) / norm_l**2 < _POSITIVITY_FLOOR:
@@ -166,7 +165,7 @@ def train(params: NetworkParams, train_clean: np.ndarray, train_degraded: np.nda
         nonlocal best_psnr, best_params, best_iter
         vp, vs = _validation_scores(params, val_clean, val_degraded, side)
         dc = [constraint_distance(lp.tau, lp.sigma, params.degradation.cached_norm,
-                                  lp.analysis.norm(tol=config.norm_tol))
+                                  lp.analysis.norm())
               for lp in params.layers]
         records.append({"iter": it, "loss": batch_loss, "val_psnr": vp,
                         "val_ssim": vs, "dc": dc})
@@ -205,7 +204,7 @@ def train(params: NetworkParams, train_clean: np.ndarray, train_degraded: np.nda
             diverged_streak = 0
 
         grads = backward(params, xb, trace)
-        sgd_step(params, grads, gamma, config.mode, norm_tol=config.norm_tol)
+        sgd_step(params, grads, gamma, config.mode)
 
         if config.lr_decay_every and (it + 1) % config.lr_decay_every == 0:
             gamma *= config.lr_decay_factor

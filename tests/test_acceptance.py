@@ -38,7 +38,7 @@ def _report(criterion: int, ok: bool, detail: str):
 
 @pytest.fixture(scope="session")
 def desk_data():
-    a_op = ops.make_uniform_blur(3, SIDE)
+    a_op = ops.UniformBlur(3, SIDE)
     clean = dm.synthetic_digits(600, side=SIDE, seed=derive(DESK_SEED, 1))
     ds = dm.degrade_set(clean, SIDE, a_op, 20.0, derive(DESK_SEED, 2))
     split = {
@@ -88,7 +88,7 @@ def test_criterion_1_gradient_oracle():
         n = side * side
         p = 4 if t % 3 else 8
         blur = t % 3 != 2
-        a_op = ops.make_uniform_blur(3, side) if blur else ops.make_identity(n)
+        a_op = ops.UniformBlur(3, side) if blur else ops.IdentityOperator(n)
         if t % 4 == 1:
             sites = 1 if side == 3 else 4  # 2x2 windows at stride 2
             spec = [net.BlockSpec(2, 2, max(1, p // sites))]
@@ -119,7 +119,7 @@ def test_criterion_1_gradient_oracle():
 @pytest.mark.filterwarnings("ignore:step sizes violate")
 def test_criterion_2_unrolled_equivalence():
     side = 8
-    a_op = ops.make_uniform_blur(3, side)
+    a_op = ops.UniformBlur(3, side)
     worst = 0.0
     for depth in (1, 2, 6):
         base = net.init_network(a_op, 1, [net.DenseSpec(6)], "full",
@@ -147,7 +147,7 @@ def test_criterion_2_unrolled_equivalence():
 
 def test_criterion_3_closed_form_oracle():
     n = 16
-    ident = ops.make_identity(n)
+    ident = ops.IdentityOperator(n)
     worst = 0.0
     for lam in (0.1, 1.0, 5.0):
         l_op = ops.make_scaled_identity_analysis(n, lam)
@@ -262,7 +262,7 @@ def test_criterion_9_property_suites(tmp_path):
     checks = []
 
     # adjoint identities, 100 pairs over mixed operator kinds
-    kinds = [ops.make_uniform_blur(3, 8), ops.make_decimation(2, 8),
+    kinds = [ops.UniformBlur(3, 8), ops.Decimation(2, 8),
              ops.make_dense_analysis(7, 64, seed=1),
              ops.make_block_sparse_analysis(3, 2, 3, 8, seed=2),
              ops.fuse_analysis([ops.make_dense_analysis(3, 64, seed=3),
@@ -282,12 +282,12 @@ def test_criterion_9_property_suites(tmp_path):
         x = Stream(derive(0x93, t)).normal(40) * 4
         for sigma in (0.1, 1.0, 10.0):
             via = x - sigma * prox_l1(x / sigma, 1.0 / sigma)
-            moreau = max(moreau, float(np.abs(prox_conj_l1(x, sigma) - via).max()))
+            moreau = max(moreau, float(np.abs(prox_conj_l1(x) - via).max()))
     checks.append(("moreau", moreau <= 1e-12))
 
     # nonexpansiveness
     nonexp = all(
-        np.linalg.norm(prox_conj_l1(u, 1.0) - prox_conj_l1(v, 1.0))
+        np.linalg.norm(prox_conj_l1(u) - prox_conj_l1(v))
         <= np.linalg.norm(u - v) + 1e-15
         for u, v in ((Stream(derive(0x94, t)).normal(32) * 5,
                       Stream(derive(0x95, t)).normal(32) * 5)
@@ -305,7 +305,7 @@ def test_criterion_9_property_suites(tmp_path):
     checks.append(("norm-vs-svd", svd_ok))
 
     # mask invariance under a few SGD steps
-    a_op = ops.make_uniform_blur(3, 8)
+    a_op = ops.UniformBlur(3, 8)
     params = net.init_network(a_op, 2, [net.BlockSpec(3, 3, 2)], "full", seed=5)
     mask = [lp.analysis.mask_dense() for lp in params.layers]
     clean = dm.synthetic_strokes(8, side=8, seed=6)

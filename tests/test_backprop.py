@@ -11,7 +11,7 @@ from pdnet.rng import Stream, derive
 def small_instance(seed, depth=2, side=4, p=4, block=False, blur=True, batch=2):
     """Seeded small problem with partially saturated duals."""
     n = side * side
-    a_op = ops.make_uniform_blur(3, side) if blur else ops.make_identity(n)
+    a_op = ops.UniformBlur(3, side) if blur else ops.IdentityOperator(n)
     if block:
         # side 3 has one 2x2 window site at stride 2, side 4 has four
         sites = 1 if side == 3 else 4
@@ -148,7 +148,7 @@ def test_masked_entries_never_perturbed_and_zero():
 
 def test_gradients_on_fused_operator():
     side, n = 4, 16
-    a_op = ops.make_uniform_blur(3, side)
+    a_op = ops.UniformBlur(3, side)
     params = net.init_network(
         a_op, 2, [net.DenseSpec(3), net.BlockSpec(2, 2, 1)], "full",
         seed=31, stddev=0.5)
@@ -162,7 +162,7 @@ def test_gradients_on_fused_operator():
 
 def test_gradcheck_on_decimation():
     side, n = 4, 16
-    a_op = ops.make_decimation(2, side)
+    a_op = ops.Decimation(2, side)
     params = net.init_network(a_op, 2, [net.DenseSpec(4)], "full", seed=41,
                               stddev=0.5)
     clean = (Stream(42).uniform(2 * n) * 8.0).reshape(2, n)

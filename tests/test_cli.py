@@ -157,6 +157,17 @@ def test_gradcheck_passes_and_fails_when_flipped(tmp_path):
     assert cli.main(["gradcheck", "--config", path, "--flip-output-sign"]) == 3
 
 
+def test_gradcheck_passes_at_config_seed_0(tmp_path):
+    # a seed where a finite-difference step of 1e-6 fails correct gradients
+    path, _ = write_config(
+        tmp_path, seed=0,
+        data={"source": "synthetic", "image_side": 4},
+        network={"K": 2, "mode": "full", "L": ["dense:4"],
+                 "init_stddev": 0.5},
+    )
+    assert cli.main(["gradcheck", "--config", path]) == 0
+
+
 def test_gradcheck_rejects_large_instance(tmp_path):
     path, _ = write_config(tmp_path, data={"source": "synthetic",
                                            "image_side": 16})
@@ -179,17 +190,17 @@ def test_filter_grid_tile_shapes(tmp_path):
     from pdnet import operators as ops
     from pdnet.data import load_pgm
 
-    a_op = ops.make_uniform_blur(3, 28)
+    a_op = ops.UniformBlur(3, 28)
     params = net.init_network(
         a_op, 2, [net.DenseSpec(100), net.BlockSpec(9, 9, 10)], "full", seed=3)
     written = cli.export_filter_grids(params, str(tmp_path))
     assert len(written) == 2
     dense_grid = load_pgm(written[0])
     # 100 tiles of 28x28 in a 10x10 grid with 1px separators
-    assert (dense_grid.rows, dense_grid.cols) == (10 * 29 + 1, 10 * 29 + 1)
+    assert dense_grid.shape == (10 * 29 + 1, 10 * 29 + 1)
     block_grid = load_pgm(written[1])
     # 90 tiles of 9x9 in a 10-column grid (9 rows)
-    assert (block_grid.rows, block_grid.cols) == (9 * 10 + 1, 10 * 10 + 1)
+    assert block_grid.shape == (9 * 10 + 1, 10 * 10 + 1)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -218,3 +229,34 @@ def test_degraded_dir_source_feeds_training(tmp_path):
     )
     assert cli.main(["train", "--config", path2]) == 0
     assert os.path.exists(os.path.join(str(tmp_path / "stage2"), "model_final.json"))
+
+
+@pytest.mark.parametrize("command,edit,code", [
+    # bad values: exit 1 with one line on stderr
+    ("eval", {}, 1),  # --beta 2,x
+    ("solve", {"solve": {"tau": 0}}, 1),
+    ("solve", {"solve": {"sigma": 0}}, 1),
+    ("train", {"data": {"train_frac": 2}}, 1),
+    # null reads as "not given": the default, or an error naming the key
+    ("train", {"network": {"K": None}}, 1),
+    ("train", {"train": {"gamma": None}}, 0),
+    ("degrade", {"degradation": {"size": None}}, 1),
+    ("degrade", {"data": {"count": None}}, 0),
+    ("degrade", {"data": {"image_side": None}}, 0),
+    ("solve", {"solve": {"lambda": None}}, 0),
+], ids=["beta-not-a-number", "tau-0", "sigma-0", "train_frac-2", "K-null",
+        "gamma-null", "size-null", "count-null", "image_side-null", "lambda-null"])
+def test_config_values_exit_cleanly(tmp_path, capsys, command, edit, code):
+    path, cfg = write_config(tmp_path, **edit)
+    argv = [command, "--config", path]
+    if command == "eval":
+        assert cli.main(["train", "--config", path]) == 0
+        argv += ["--model", os.path.join(cfg["output_dir"], "model_final.json"),
+                 "--beta", "2,x"]
+    capsys.readouterr()
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    if code:
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    else:
+        assert err == ""

@@ -25,15 +25,15 @@ def test_idx_round_trip_hand_built(tmp_path):
     path.write_bytes(idx_bytes(imgs, 2, 2))
     loaded = dm.load_idx(str(path))
     assert len(loaded) == 2
-    assert loaded[0].side == 2
-    assert np.array_equal(loaded[0].pixels, [0.0, 17.0, 255.0, 3.0])
-    assert np.array_equal(loaded[1].pixels, [200.0, 199.0, 1.0, 0.0])
+    assert loaded.shape[1] == 2
+    assert np.array_equal(loaded[0].ravel(), [0.0, 17.0, 255.0, 3.0])
+    assert np.array_equal(loaded[1].ravel(), [200.0, 199.0, 1.0, 0.0])
 
 
 def test_idx_zero_images(tmp_path):
     path = tmp_path / "zero.idx"
     path.write_bytes(idx_bytes([], 28, 28))
-    assert dm.load_idx(str(path)) == []
+    assert len(dm.load_idx(str(path))) == 0
 
 
 def test_idx_truncation_reports_counts(tmp_path):
@@ -82,15 +82,15 @@ def test_pgm_round_trip(tmp_path):
     path = tmp_path / "a.pgm"
     dm.save_pgm(str(path), grid)
     loaded = dm.load_pgm(str(path))
-    assert (loaded.rows, loaded.cols) == (5, 7)
-    assert np.array_equal(loaded.as_2d(), np.rint(grid))
+    assert loaded.shape == (5, 7)
+    assert np.array_equal(loaded, np.rint(grid))
 
 
 def test_pgm_comments_in_header(tmp_path):
     path = tmp_path / "c.pgm"
     path.write_bytes(b"P5 # comment\n# another\n2 2\n255\n\x00\x01\x02\x03")
     loaded = dm.load_pgm(str(path))
-    assert np.array_equal(loaded.pixels, [0, 1, 2, 3])
+    assert np.array_equal(loaded.ravel(), [0, 1, 2, 3])
 
 
 @pytest.mark.parametrize("blob,match", [
@@ -123,35 +123,35 @@ def test_pgm_fuzz_never_crashes(tmp_path):
 
 
 def test_patches_whole_image():
-    img = dm.Image(4, Stream(2).uniform(16) * 255)
+    img = (Stream(2).uniform(16) * 255).reshape(4, 4)
     patches = dm.extract_patches(img, 4, 3, seed=1)
     assert len(patches) == 3
     for p in patches:
-        assert np.array_equal(p.pixels, img.pixels)
+        assert np.array_equal(p, img.ravel())
 
 
 def test_patches_zero_count():
-    img = dm.Image(4, np.zeros(16))
-    assert dm.extract_patches(img, 2, 0, seed=1) == []
+    img = np.zeros((4, 4))
+    assert len(dm.extract_patches(img, 2, 0, seed=1)) == 0
 
 
 def test_patches_stay_in_bounds_and_deterministic():
-    raster = dm.Raster(9, 13, Stream(3).uniform(117) * 255)
+    raster = (Stream(3).uniform(117) * 255).reshape(9, 13)
     a = dm.extract_patches(raster, 5, 40, seed=9)
     b = dm.extract_patches(raster, 5, 40, seed=9)
     for pa, pb in zip(a, b):
-        assert np.array_equal(pa.pixels, pb.pixels)
-        assert pa.side == 5 and np.all(np.isfinite(pa.pixels))
+        assert np.array_equal(pa, pb)
+        assert pa.size == 5 * 5 and np.all(np.isfinite(pa))
 
 
 def test_degrade_identity_zero_noise():
-    ident = ops.make_identity(10)
+    ident = ops.IdentityOperator(10)
     x = Stream(5).uniform(10) * 255
     assert np.array_equal(dm.degrade(x, ident, 0.0, seed=1), x)
 
 
 def test_degrade_deterministic():
-    a = ops.make_uniform_blur(3, 4)
+    a = ops.UniformBlur(3, 4)
     x = Stream(6).uniform(16) * 255
     z1 = dm.degrade(x, a, 20.0, seed=44)
     z2 = dm.degrade(x, a, 20.0, seed=44)
@@ -160,7 +160,7 @@ def test_degrade_deterministic():
 
 
 def test_degrade_noise_variance():
-    ident = ops.make_identity(1_000_000)
+    ident = ops.IdentityOperator(1_000_000)
     x = np.zeros(1_000_000)
     z = dm.degrade(x, ident, 20.0, seed=7)
     var = z.var()
@@ -169,7 +169,7 @@ def test_degrade_noise_variance():
 
 
 def test_degrade_set_reproducible():
-    a = ops.make_uniform_blur(3, 4)
+    a = ops.UniformBlur(3, 4)
     clean = (Stream(8).uniform(5 * 16) * 255).reshape(5, 16)
     d1 = dm.degrade_set(clean, 4, a, 20.0, seed=3)
     d2 = dm.degrade_set(clean, 4, a, 20.0, seed=3)
@@ -179,14 +179,14 @@ def test_degrade_set_reproducible():
 
 
 def test_split_all_train():
-    ds = dm.degrade_set(np.ones((6, 16)), 4, ops.make_identity(16), 0.0, seed=1)
+    ds = dm.degrade_set(np.ones((6, 16)), 4, ops.IdentityOperator(16), 0.0, seed=1)
     tr, va, te = dm.split(ds, 1.0, 0.0, seed=2)
     assert len(tr) == 6 and len(va) == 0 and len(te) == 0
 
 
 def test_split_disjoint_exhaustive_deterministic():
     clean = (Stream(9).uniform(10 * 4) * 255).reshape(10, 4)
-    ds = dm.degrade_set(clean, 2, ops.make_identity(4), 5.0, seed=1)
+    ds = dm.degrade_set(clean, 2, ops.IdentityOperator(4), 5.0, seed=1)
     tr1, va1, te1 = dm.split(ds, 0.5, 0.3, seed=5)
     tr2, va2, te2 = dm.split(ds, 0.5, 0.3, seed=5)
     assert np.array_equal(tr1.clean, tr2.clean)
@@ -196,7 +196,7 @@ def test_split_disjoint_exhaustive_deterministic():
 
 
 def test_split_rejects_bad_fractions():
-    ds = dm.degrade_set(np.ones((4, 4)), 2, ops.make_identity(4), 0.0, seed=1)
+    ds = dm.degrade_set(np.ones((4, 4)), 2, ops.IdentityOperator(4), 0.0, seed=1)
     with pytest.raises(ValueError):
         dm.split(ds, 0.8, 0.4, seed=1)
 
@@ -222,14 +222,6 @@ def test_psnr_symmetric_and_identical_sentinel():
     y = x + Stream(5).normal(64)
     assert dm.psnr(x, y) == dm.psnr(y, x)
     assert dm.psnr(x, x) == float("inf")
-
-
-def test_psnr_mse_round_trip():
-    x = Stream(6).uniform(64) * 255
-    y = x + Stream(7).normal(64) * 3
-    mse = float(np.mean((x - y) ** 2))
-    db = dm.psnr(x, y)
-    assert dm.psnr_to_mse(db) == pytest.approx(mse, rel=1e-12)
 
 
 def test_ssim_identical_is_one():
@@ -274,7 +266,7 @@ def test_ssim_range():
 
 def _trained_stub():
     side = 8
-    a = ops.make_uniform_blur(3, side)
+    a = ops.UniformBlur(3, side)
     params = net.init_network(a, 2, [net.DenseSpec(6)], "full", seed=3)
     clean = dm.synthetic_strokes(6, side=side, seed=21)
     return params, dm.degrade_set(clean, side, a, 10.0, seed=22)
@@ -304,10 +296,3 @@ def test_synthetic_strokes_deterministic_and_in_range():
     assert a.max() > 100.0  # strokes actually drawn
     # distinct images
     assert not np.array_equal(a[0], a[1])
-
-
-def test_image_validates():
-    with pytest.raises(ValueError):
-        dm.Image(3, np.zeros(8))
-    with pytest.raises(ValueError):
-        dm.Image(2, np.array([1.0, np.nan, 0.0, 2.0]))

@@ -6,6 +6,7 @@ import pytest
 from pdnet import network as net
 from pdnet import operators as ops
 from pdnet import pdhg
+from pdnet.prox import prox_conj_l1
 from pdnet.rng import Stream, derive
 
 
@@ -21,7 +22,7 @@ def _shared_params(a_op, depth, p=5, seed=77, mode="full"):
 
 
 def test_init_tau_is_one_and_margin_zero():
-    a = ops.make_uniform_blur(3, 6)
+    a = ops.UniformBlur(3, 6)
     params = net.init_network(a, 4, [net.DenseSpec(10)], "full", seed=3)
     for lp in params.layers:
         assert lp.tau == 1.0
@@ -31,7 +32,7 @@ def test_init_tau_is_one_and_margin_zero():
 
 
 def test_init_deterministic_models():
-    a = ops.make_uniform_blur(3, 6)
+    a = ops.UniformBlur(3, 6)
     p1 = net.init_network(a, 3, [net.DenseSpec(8)], "full", seed=11)
     p2 = net.init_network(a, 3, [net.DenseSpec(8)], "full", seed=11)
     for l1, l2 in zip(p1.layers, p2.layers):
@@ -40,14 +41,14 @@ def test_init_deterministic_models():
 
 
 def test_init_layers_draw_different_weights():
-    a = ops.make_uniform_blur(3, 6)
+    a = ops.UniformBlur(3, 6)
     p = net.init_network(a, 2, [net.DenseSpec(8)], "full", seed=11)
     assert not np.array_equal(p.layers[0].analysis.to_dense(),
                               p.layers[1].analysis.to_dense())
 
 
 def test_init_rejects_zero_stddev():
-    a = ops.make_identity(9)
+    a = ops.IdentityOperator(9)
     with pytest.raises(ValueError, match="stddev"):
         net.init_network(a, 2, [net.DenseSpec(4)], "full", seed=1, stddev=0.0)
 
@@ -56,7 +57,7 @@ def test_init_rejects_zero_stddev():
 @pytest.mark.parametrize("side", [4, 8])
 @pytest.mark.parametrize("depth", [1, 2, 6])
 def test_unrolled_equivalence(side, depth):
-    a = ops.make_uniform_blur(3, side)
+    a = ops.UniformBlur(3, side)
     params = _shared_params(a, depth, p=6, seed=13)
     z = Stream(derive(0xE0, side, depth)).uniform(side * side) * 255
     out, _ = net.forward(params, z)
@@ -68,7 +69,7 @@ def test_unrolled_equivalence(side, depth):
 
 def test_forward_zero_analysis_is_gradient_descent():
     side = 4
-    a = ops.make_uniform_blur(3, side)
+    a = ops.UniformBlur(3, side)
     layers = [net.LayerParams(0.7, 0.3, ops.DenseAnalysis(np.zeros((3, 16))))
               for _ in range(2)]
     params = net.NetworkParams(a, layers, mode="full")
@@ -81,7 +82,7 @@ def test_forward_zero_analysis_is_gradient_descent():
 
 
 def test_forward_zero_tau_returns_measurement():
-    ident = ops.make_identity(9)
+    ident = ops.IdentityOperator(9)
     layers = [net.LayerParams(0.0, 0.5, ops.make_dense_analysis(4, 9, seed=2))
               for _ in range(3)]
     params = net.NetworkParams(ident, layers, mode="full")
@@ -91,7 +92,7 @@ def test_forward_zero_tau_returns_measurement():
 
 
 def test_forward_batch_matches_single():
-    a = ops.make_uniform_blur(3, 6)
+    a = ops.UniformBlur(3, 6)
     params = net.init_network(a, 3, [net.DenseSpec(7)], "full", seed=5)
     zb = Stream(8).uniform(4 * 36).reshape(4, 36) * 255
     batch_out, _ = net.forward(params, zb)
@@ -101,15 +102,13 @@ def test_forward_batch_matches_single():
 
 
 def test_trace_consistency():
-    a = ops.make_uniform_blur(3, 6)
+    a = ops.UniformBlur(3, 6)
     params = net.init_network(a, 4, [net.DenseSpec(7)], "full", seed=5, stddev=0.5)
     zb = Stream(8).uniform(2 * 36).reshape(2, 36) * 255
     out, trace = net.forward(params, zb, keep_trace=True)
     assert np.array_equal(trace.xs[-1], out)
     for k in range(params.depth - 1):
-        x_next, y_next = net.replay_activation(trace, k)
-        assert np.array_equal(x_next, trace.xs[k + 1])
-        assert np.array_equal(y_next, trace.ys[k + 1])
+        assert np.array_equal(trace.ys[k + 1], prox_conj_l1(trace.c_duals[k]))
     # pre-activation primal equals stored next primal by construction;
     # dual activations replay exactly through the clip
     assert len(trace.c_duals) == params.depth - 1
@@ -117,14 +116,14 @@ def test_trace_consistency():
 
 
 def test_distance_report_zero_at_init_and_partial():
-    a = ops.make_uniform_blur(3, 6)
+    a = ops.UniformBlur(3, 6)
     for mode in ("full", "partial"):
         params = net.init_network(a, 3, [net.DenseSpec(5)], mode, seed=9)
         assert np.all(net.distance_report(params) <= 1e-18)
 
 
 def test_distance_report_after_doubling_sigma():
-    a = ops.make_uniform_blur(3, 6)
+    a = ops.UniformBlur(3, 6)
     params = net.init_network(a, 3, [net.DenseSpec(5)], "full", seed=9)
     lp = params.layers[-1]
     sigma0 = lp.sigma
@@ -136,7 +135,7 @@ def test_distance_report_after_doubling_sigma():
 
 
 def test_forward_cost_linear_in_nnz_and_depth():
-    a = ops.make_uniform_blur(3, 12)
+    a = ops.UniformBlur(3, 12)
     z = Stream(4).uniform(144) * 255
 
     def macs(depth, filters):
@@ -164,7 +163,7 @@ def test_forward_cost_linear_in_nnz_and_depth():
 
 
 def _mixed_params():
-    a = ops.make_uniform_blur(3, 6)
+    a = ops.UniformBlur(3, 6)
     specs = [net.DenseSpec(4), net.BlockSpec(3, 3, 2)]
     return net.init_network(a, 2, specs, "partial", seed=17)
 
@@ -227,7 +226,7 @@ def test_deserialize_rejects_garbage(tmp_path):
 
 
 def test_network_validates_layer_dims():
-    a = ops.make_identity(9)
+    a = ops.IdentityOperator(9)
     good = net.LayerParams(1.0, 1.0, ops.make_dense_analysis(4, 9, seed=1))
     bad_n = net.LayerParams(1.0, 1.0, ops.make_dense_analysis(4, 8, seed=1))
     bad_p = net.LayerParams(1.0, 1.0, ops.make_dense_analysis(5, 9, seed=1))

@@ -15,26 +15,26 @@ def rand(n, tag=0, scale=1.0):
 
 
 def test_blur_size_one_is_identity():
-    a = ops.make_uniform_blur(1, 6)
+    a = ops.UniformBlur(1, 6)
     v = rand(36)
     assert np.allclose(a.apply(v), v, atol=1e-13)
     assert abs(a.cached_norm - 1.0) < 1e-12
 
 
 def test_blur_constant_image_unchanged():
-    a = ops.make_uniform_blur(3, 8)
+    a = ops.UniformBlur(3, 8)
     v = np.full(64, 7.0)
     assert np.abs(a.apply(v) - 7.0).max() < 1e-13
 
 
 def test_blur_norm_is_one():
-    a = ops.make_uniform_blur(3, 28)
+    a = ops.UniformBlur(3, 28)
     assert abs(a.cached_norm - 1.0) <= 1e-9
 
 
 def test_blur_delta_spreads_uniformly_with_wrap():
     side = 8
-    a = ops.make_uniform_blur(3, side)
+    a = ops.UniformBlur(3, side)
     d = np.zeros(side * side)
     d[0] = 1.0  # corner: the window must wrap periodically
     out = a.apply(d).reshape(side, side)
@@ -47,24 +47,24 @@ def test_blur_delta_spreads_uniformly_with_wrap():
 
 def test_blur_construction_errors():
     with pytest.raises(ValueError):
-        ops.make_uniform_blur(4, 8)
+        ops.UniformBlur(4, 8)
     with pytest.raises(ValueError):
-        ops.make_uniform_blur(9, 8)
+        ops.UniformBlur(9, 8)
 
 
 def test_decimation_identity_when_factor_one():
-    a = ops.make_decimation(1, 4)
+    a = ops.Decimation(1, 4)
     v = rand(16)
     assert np.array_equal(a.apply(v), v)
 
 
 def test_decimation_of_ones():
-    a = ops.make_decimation(2, 4)
+    a = ops.Decimation(2, 4)
     assert np.array_equal(a.apply(np.ones(16)), np.ones(4))
 
 
 def test_decimation_adjoint_zero_fills():
-    a = ops.make_decimation(2, 4)
+    a = ops.Decimation(2, 4)
     up = a.apply_adjoint(np.ones(4)).reshape(4, 4)
     assert up.sum() == 4
     assert np.array_equal(up[::2, ::2], np.ones((2, 2)))
@@ -73,11 +73,11 @@ def test_decimation_adjoint_zero_fills():
 
 def test_decimation_requires_divisor():
     with pytest.raises(ValueError):
-        ops.make_decimation(3, 8)
+        ops.Decimation(3, 8)
 
 
 def test_dimension_mismatch_raises():
-    a = ops.make_uniform_blur(3, 4)
+    a = ops.UniformBlur(3, 4)
     with pytest.raises(ValueError):
         a.apply(np.ones(15))
     with pytest.raises(ValueError):
@@ -99,11 +99,11 @@ def _adjoint_gap(op, tag):
 
 
 @pytest.mark.parametrize("op", [
-    ops.make_identity(30),
-    ops.make_uniform_blur(3, 8),
-    ops.make_uniform_blur(5, 12),
-    ops.make_decimation(2, 8),
-    ops.make_decimation(4, 8),
+    ops.IdentityOperator(30),
+    ops.UniformBlur(3, 8),
+    ops.UniformBlur(5, 12),
+    ops.Decimation(2, 8),
+    ops.Decimation(4, 8),
     ops.make_dense_analysis(11, 25, seed=1),
     ops.make_block_sparse_analysis(3, 2, 4, 7, seed=2),
     ops.make_first_difference(6),
@@ -123,7 +123,7 @@ def test_adjoint_identity_100_pairs(op):
 
 
 def test_norm_identity():
-    assert ops.operator_norm(ops.make_identity(5)) == pytest.approx(1.0, abs=1e-9)
+    assert ops.operator_norm(ops.IdentityOperator(5)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_norm_diagonal():
@@ -149,7 +149,7 @@ def test_norm_matches_svd_random_6x4():
 
 
 def test_norm_of_blur_matches_cached():
-    a = ops.make_uniform_blur(3, 12)
+    a = ops.UniformBlur(3, 12)
     assert ops.operator_norm(a, tol=1e-10) == pytest.approx(a.cached_norm, rel=1e-4)
 
 

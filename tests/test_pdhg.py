@@ -38,7 +38,7 @@ def test_stepsizes_validate():
 
 
 def test_solve_identity_no_prior_returns_measurement():
-    ident = ops.make_identity(9)
+    ident = ops.IdentityOperator(9)
     l_zero = ops.DenseAnalysis(np.zeros((4, 9)))
     z = Stream(5).normal(9) * 10
     rep = pdhg.pdhg_solve(ident, l_zero, z, pdhg.StepSizes(1.0, 0.3), tol=1e-9)
@@ -48,7 +48,7 @@ def test_solve_identity_no_prior_returns_measurement():
 
 
 def test_solve_denoising_matches_soft_threshold():
-    ident = ops.make_identity(3)
+    ident = ops.IdentityOperator(3)
     l_id = ops.make_scaled_identity_analysis(3, 1.0)
     z = np.array([3.0, -0.5, 0.2])
     rep = pdhg.pdhg_solve(ident, l_id, z, pdhg.StepSizes(1.0, 0.45),
@@ -59,7 +59,7 @@ def test_solve_denoising_matches_soft_threshold():
 
 @pytest.mark.parametrize("lam", [0.1, 1.0, 5.0])
 def test_denoising_oracle_over_lambda(lam):
-    ident = ops.make_identity(25)
+    ident = ops.IdentityOperator(25)
     l_id = ops.make_scaled_identity_analysis(25, lam)
     worst = 0.0
     for t in range(20):
@@ -81,7 +81,7 @@ def _piecewise_image():
 
 
 def test_blur_first_difference_fixed_point():
-    a = ops.make_uniform_blur(3, 8)
+    a = ops.UniformBlur(3, 8)
     l_fd = ops.make_first_difference(8, scale=2.0)
     z = a.apply(_piecewise_image()) + Stream(3).normal(64) * 5
     sigma = 0.9 * (1.0 - 0.5) / l_fd.norm() ** 2
@@ -98,7 +98,7 @@ def test_blur_first_difference_fixed_point():
 
 
 def test_solver_flags_non_convergence():
-    a = ops.make_uniform_blur(3, 8)
+    a = ops.UniformBlur(3, 8)
     l_fd = ops.make_first_difference(8)
     z = a.apply(_piecewise_image())
     rep = pdhg.pdhg_solve(a, l_fd, z, pdhg.StepSizes(1.0, 0.4 / l_fd.norm() ** 2),
@@ -108,7 +108,7 @@ def test_solver_flags_non_convergence():
 
 
 def test_solver_rejects_bad_stepsizes_unless_warned():
-    ident = ops.make_identity(4)
+    ident = ops.IdentityOperator(4)
     l_id = ops.make_scaled_identity_analysis(4, 1.0)
     bad = pdhg.StepSizes(1.0, 10.0)
     with pytest.raises(ValueError):
@@ -118,7 +118,7 @@ def test_solver_rejects_bad_stepsizes_unless_warned():
 
 
 def test_tightening_tol_changes_objective_little():
-    a = ops.make_uniform_blur(3, 8)
+    a = ops.UniformBlur(3, 8)
     l_fd = ops.make_first_difference(8, scale=1.5)
     z = a.apply(_piecewise_image()) + Stream(9).normal(64) * 3
     sigma = 0.9 * 0.5 / l_fd.norm() ** 2

@@ -23,23 +23,11 @@ def test_soft_threshold_rejects_nonpositive_t():
 
 def test_conj_prox_inside_ball_unchanged():
     v = np.array([0.5, -0.2])
-    assert np.array_equal(prox_conj_l1(v, 1.0), v)
+    assert np.array_equal(prox_conj_l1(v), v)
 
 
 def test_conj_prox_clips():
-    assert np.array_equal(prox_conj_l1(np.array([2.0, -3.0]), 0.7), [1.0, -1.0])
-
-
-def test_conj_prox_rejects_nonpositive_sigma():
-    with pytest.raises(ValueError):
-        prox_conj_l1(np.zeros(2), 0.0)
-
-
-def test_conj_prox_sigma_independent_exactly():
-    v = Stream(2).normal(100) * 3
-    outs = [prox_conj_l1(v, s) for s in (0.1, 1.0, 10.0)]
-    assert np.array_equal(outs[0], outs[1])
-    assert np.array_equal(outs[0], outs[2])
+    assert np.array_equal(prox_conj_l1(np.array([2.0, -3.0])), [1.0, -1.0])
 
 
 def test_moreau_identity():
@@ -47,14 +35,14 @@ def test_moreau_identity():
         x = Stream(derive(0x30, t)).normal(64) * 4
         for sigma in (0.1, 1.0, 10.0):
             via_identity = x - sigma * prox_l1(x / sigma, 1.0 / sigma)
-            assert np.abs(prox_conj_l1(x, sigma) - via_identity).max() <= 1e-12
+            assert np.abs(prox_conj_l1(x) - via_identity).max() <= 1e-12
 
 
 def test_nonexpansiveness_100_pairs():
     for t in range(100):
         u = Stream(derive(0x31, t)).normal(32) * 5
         v = Stream(derive(0x32, t)).normal(32) * 5
-        lhs = np.linalg.norm(prox_conj_l1(u, 1.0) - prox_conj_l1(v, 1.0))
+        lhs = np.linalg.norm(prox_conj_l1(u) - prox_conj_l1(v))
         assert lhs <= np.linalg.norm(u - v) + 1e-15
 
 
@@ -68,5 +56,5 @@ def test_jacobian_matches_finite_differences():
     # measure-zero guard: keep entries away from the kink
     c = c[np.abs(np.abs(c) - 1.0) > 1e-6][:150]
     eps = 1e-7
-    fd = (prox_conj_l1(c + eps, 1.0) - prox_conj_l1(c - eps, 1.0)) / (2 * eps)
+    fd = (prox_conj_l1(c + eps) - prox_conj_l1(c - eps)) / (2 * eps)
     assert np.abs(fd - prox_conj_l1_diag_jacobian(c)).max() <= 1e-7

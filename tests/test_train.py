@@ -15,7 +15,7 @@ N = SIDE * SIDE
 
 
 def tiny_setup(mode="full", depth=2, p=6, n_train=24, n_val=8, seed=101):
-    a_op = ops.make_uniform_blur(3, SIDE)
+    a_op = ops.UniformBlur(3, SIDE)
     clean = synthetic_strokes(n_train + n_val, side=SIDE, seed=derive(seed, 1))
     ds = degrade_set(clean, SIDE, a_op, 10.0, derive(seed, 2))
     params = net.init_network(a_op, depth, [net.DenseSpec(p)], mode,
@@ -84,7 +84,7 @@ def test_partial_mode_margin_zero_after_steps():
 
 
 def test_mask_invariance_under_training():
-    a_op = ops.make_uniform_blur(3, SIDE)
+    a_op = ops.UniformBlur(3, SIDE)
     params = net.init_network(a_op, 2, [net.BlockSpec(3, 3, 2)], "full", seed=5)
     masks = [lp.analysis.mask_dense() for lp in params.layers]
     clean = synthetic_strokes(16, side=SIDE, seed=1)
