@@ -7,7 +7,7 @@ override, and verbosity.  Subcommands:
     degrade         synthesize a degraded dataset + manifest
     train           fit a network; writes models, history CSV, filter grids
     eval            PSNR/SSIM tables, optional robustness sweep over beta
-    solve           unsupervised primal-dual restoration per image
+    solve           unsupervised primal-dual restoration, one batch
     gradcheck       analytic vs finite-difference gradients on a small instance
     export-filters  PGM grid of the last layer's analysis rows
 
@@ -52,9 +52,10 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 # The one config model.  Each leaf is (type or set of allowed values,
-# default); a ``float`` leaf takes any JSON number.  A default of None means
-# "not given": the command that needs the key says so when it is missing.
-# ``null`` in a config also reads as "not given".
+# default), or (int, default, least value); a ``float`` leaf takes any JSON
+# number.  A default of None means "not given": the command that needs the
+# key says so when it is missing.  ``null`` in a config also reads as "not
+# given".
 _SCHEMA = {
     "task": ({"deblur", "sr"}, None),
     "seed": (int, None),
@@ -67,16 +68,16 @@ _SCHEMA = {
     },
     "data": {
         "source": ({"synthetic", "idx", "pgm-dir", "degraded-dir"}, None),
-        "count": (int, 100),
+        "count": (int, 100, 1),
         # the default depends on the command: 28 for synthetic data, 4 for
         # gradcheck (whose finite differences need a small instance)
         "image_side": (int, None),
         "images": (str, None),
         "labels": (str, None),
         "path": (str, None),
-        "limit": (int, None),
+        "limit": (int, None, 0),  # 0: every file or image
         "patch_size": (int, None),
-        "patches_per_image": (int, 16),
+        "patches_per_image": (int, 16, 1),
         "train_frac": (float, 0.8),
         "val_frac": (float, 0.2),
     },
@@ -101,7 +102,7 @@ _SCHEMA = {
         # None: 0.9 times the largest sigma the step-size condition allows
         "sigma": (float, None),
         "tol": (float, 1e-5),
-        "max_iter": (int, 10_000),
+        "max_iter": (int, 10_000, 1),
     },
 }
 
@@ -111,8 +112,8 @@ _L_ENTRY = {"spec": (str, None), "site_rule": ({"fit", "interior"}, "fit")}
 _REQUIRED = {"seed", "output_dir"}
 
 
-def _check_value(name: str, value, kind):
-    """``value`` checked against a leaf's type or allowed values."""
+def _check_value(name: str, value, kind, least=None):
+    """``value`` checked against a leaf's type or allowed values and range."""
     if isinstance(kind, set):
         if not isinstance(value, str) or value not in kind:
             raise ConfigError(f"{name}: {value!r} not in {sorted(kind)}")
@@ -120,6 +121,8 @@ def _check_value(name: str, value, kind):
     numeric = (int, float) if kind is float else kind
     if isinstance(value, bool) or not isinstance(value, numeric):
         raise ConfigError(f"{name}: expected {kind.__name__}, got {type(value).__name__}")
+    if least is not None and value < least:
+        raise ConfigError(f"{name}: must be >= {least}, got {value}")
     return float(value) if kind is float else value
 
 
@@ -131,8 +134,8 @@ def _fill_section(name: str, value, schema: dict) -> dict:
         if key not in schema:
             raise ConfigError(f"{name}.{key}: unknown key")
     return {key: default if value.get(key) is None
-            else _check_value(f"{name}.{key}", value[key], kind)
-            for key, (kind, default) in schema.items()}
+            else _check_value(f"{name}.{key}", value[key], kind, *least)
+            for key, (kind, default, *least) in schema.items()}
 
 
 def load_config(path: str, seed_override=None, output_override=None) -> dict:
@@ -487,10 +490,10 @@ def cmd_solve(cfg: dict, config_path: str, verbose: bool) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     out = _prepare_output(cfg, config_path)
+    reports = pdhg_solve(a_op, l_op, subset.degraded, steps, tol=s["tol"],
+                         max_iter=max_iter)
     report_rows = []
-    for i in range(len(subset)):
-        rep = pdhg_solve(a_op, l_op, subset.degraded[i], steps,
-                         tol=s["tol"], max_iter=max_iter)
+    for i, rep in enumerate(reports):
         datamod.save_pgm(os.path.join(out, f"restored_{i:04d}.pgm"),
                          rep.x_hat.reshape(subset.side, subset.side))
         report_rows.append((i, rep.iterations, rep.final_residual, rep.converged,

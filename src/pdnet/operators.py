@@ -385,6 +385,8 @@ class MaskedRowAnalysis(AnalysisOperator):
         )
         # keep the learnable buffer authoritative even if scipy copied it
         self._vals = self._csr.data.reshape(p, k)
+        # the CSC transpose shares that buffer, so weight updates reach it too
+        self._csr_t = self._csr.T
 
     @property
     def nnz(self) -> int:
@@ -403,8 +405,8 @@ class MaskedRowAnalysis(AnalysisOperator):
         w = _check_dim(w, self.out_dim, "analysis adjoint")
         ANALYSIS_MACS.add(self.nnz * max(1, w.size // self.out_dim))
         if w.ndim == 1:
-            return self._csr.T @ w
-        return (self._csr.T @ w.reshape(-1, self.out_dim).T).T.reshape(
+            return self._csr_t @ w
+        return (self._csr_t @ w.reshape(-1, self.out_dim).T).T.reshape(
             w.shape[:-1] + (self.in_dim,)
         )
 

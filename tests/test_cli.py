@@ -231,22 +231,28 @@ def test_degraded_dir_source_feeds_training(tmp_path):
     assert os.path.exists(os.path.join(str(tmp_path / "stage2"), "model_final.json"))
 
 
-@pytest.mark.parametrize("command,edit,code", [
+@pytest.mark.parametrize("command,edit,code,named", [
     # bad values: exit 1 with one line on stderr
-    ("eval", {}, 1),  # --beta 2,x
-    ("solve", {"solve": {"tau": 0}}, 1),
-    ("solve", {"solve": {"sigma": 0}}, 1),
-    ("train", {"data": {"train_frac": 2}}, 1),
+    ("eval", {}, 1, ""),  # --beta 2,x
+    ("solve", {"solve": {"tau": 0}}, 1, ""),
+    ("solve", {"solve": {"sigma": 0}}, 1, ""),
+    ("train", {"data": {"train_frac": 2}}, 1, ""),
     # null reads as "not given": the default, or an error naming the key
-    ("train", {"network": {"K": None}}, 1),
-    ("train", {"train": {"gamma": None}}, 0),
-    ("degrade", {"degradation": {"size": None}}, 1),
-    ("degrade", {"data": {"count": None}}, 0),
-    ("degrade", {"data": {"image_side": None}}, 0),
-    ("solve", {"solve": {"lambda": None}}, 0),
+    ("train", {"network": {"K": None}}, 1, "K"),
+    ("train", {"train": {"gamma": None}}, 0, ""),
+    ("degrade", {"degradation": {"size": None}}, 1, "size"),
+    ("degrade", {"data": {"count": None}}, 0, ""),
+    ("degrade", {"data": {"image_side": None}}, 0, ""),
+    ("solve", {"solve": {"lambda": None}}, 0, ""),
+    # out of range: exit 1 naming the key
+    ("degrade", {"data": {"count": 0}}, 1, "data.count: must be >= 1"),
+    ("degrade", {"data": {"patches_per_image": 0}}, 1, "data.patches_per_image: must be >= 1"),
+    ("degrade", {"data": {"limit": -1}}, 1, "data.limit: must be >= 0"),
+    ("solve", {"solve": {"max_iter": 0}}, 1, "solve.max_iter: must be >= 1"),
 ], ids=["beta-not-a-number", "tau-0", "sigma-0", "train_frac-2", "K-null",
-        "gamma-null", "size-null", "count-null", "image_side-null", "lambda-null"])
-def test_config_values_exit_cleanly(tmp_path, capsys, command, edit, code):
+        "gamma-null", "size-null", "count-null", "image_side-null", "lambda-null",
+        "count-0", "patches_per_image-0", "limit-negative", "max_iter-0"])
+def test_config_values_exit_cleanly(tmp_path, capsys, command, edit, code, named):
     path, cfg = write_config(tmp_path, **edit)
     argv = [command, "--config", path]
     if command == "eval":
@@ -258,5 +264,31 @@ def test_config_values_exit_cleanly(tmp_path, capsys, command, edit, code):
     err = capsys.readouterr().err
     if code:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert named in err
     else:
         assert err == ""
+
+
+def test_solve_matches_per_image_solves(tmp_path):
+    from pdnet import data as datamod
+    from pdnet import operators as ops
+    from pdnet.pdhg import StepSizes, pdhg_solve
+
+    path, cfg = write_config(tmp_path)
+    assert cli.main(["solve", "--config", path]) == 0
+    out = cfg["output_dir"]
+    loaded = cli.load_config(path)
+    subset = cli._eval_subset(loaded, cli._load_dataset(loaded))
+    a_op = ops.degradation_from_spec(subset.degradation)
+    l_op = ops.make_first_difference(subset.side, scale=1.5)
+    steps = StepSizes(1.0, 0.9 * (1.0 - a_op.cached_norm**2 / 2.0) / l_op.norm() ** 2)
+    lines = ["image,iterations,final_residual,converged,psnr"]
+    expected = str(tmp_path / "expected.pgm")
+    for i in range(len(subset)):
+        rep = pdhg_solve(a_op, l_op, subset.degraded[i], steps, tol=1e-6, max_iter=20000)
+        lines.append(f"{i},{rep.iterations},{rep.final_residual!r},{int(rep.converged)},"
+                     f"{datamod.psnr(rep.x_hat, subset.clean[i])!r}")
+        datamod.save_pgm(expected, rep.x_hat.reshape(subset.side, subset.side))
+        assert sha(expected) == sha(os.path.join(out, f"restored_{i:04d}.pgm"))
+    assert len({line.split(",")[1] for line in lines[1:]}) > 1
+    assert open(os.path.join(out, "solve_report.csv")).read() == "\n".join(lines) + "\n"

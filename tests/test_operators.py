@@ -307,6 +307,16 @@ def test_mask_preserved_under_updates():
     assert not op.to_dense()[mask == 0].any()
 
 
+def test_adjoint_follows_weight_updates():
+    # integer weights and inputs: every sum is exact, so equality is exact
+    op = ops.make_first_difference(6)
+    w = np.arange(3 * op.rows, dtype=np.float64).reshape(3, op.rows) % 7 - 3
+    op.apply_adjoint(w)
+    op.update_weights([np.arange(op.nnz, dtype=np.float64).reshape(op.rows, 2) % 5], 1.0)
+    assert np.array_equal(op.apply_adjoint(w), w @ op.to_dense())
+    assert np.array_equal(op.apply_adjoint(w[0]), w[0] @ op.to_dense())
+
+
 def test_grad_outer_matches_dense_masked_product():
     op = ops.make_block_sparse_analysis(3, 2, 2, 5, seed=3)
     b, p, n = 4, op.rows, op.in_dim

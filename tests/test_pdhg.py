@@ -30,6 +30,19 @@ def test_constraint_distance_monotone_in_sigma():
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("tau", [3.0, 2.0])
+def test_saturating_sigma_rejects_tau_without_positive_sigma(tau):
+    # 1/tau <= ||A||^2 / 2: sigma would be negative (tau 3) or zero (tau 2)
+    with pytest.raises(ValueError, match="no positive sigma"):
+        pdhg.saturating_sigma(tau, 1.0, 1.0)
+
+
+def test_saturating_sigma_raises_when_ulp_steps_run_out(monkeypatch):
+    monkeypatch.setattr(pdhg, "check_stepsizes", lambda *args: -1e-300)
+    with pytest.raises(ValueError, match="8 ulp steps"):
+        pdhg.saturating_sigma(1.0, 1.0, 1.0)
+
+
 def test_stepsizes_validate():
     with pytest.raises(ValueError):
         pdhg.StepSizes(0.0, 1.0)
@@ -44,7 +57,7 @@ def test_solve_identity_no_prior_returns_measurement():
     rep = pdhg.pdhg_solve(ident, l_zero, z, pdhg.StepSizes(1.0, 0.3), tol=1e-9)
     assert rep.converged
     assert np.abs(rep.x_hat - z).max() < 1e-12
-    assert rep.objective_trace[-1] == pytest.approx(0.0, abs=1e-20)
+    assert rep.objective == pytest.approx(0.0, abs=1e-20)
 
 
 def test_solve_denoising_matches_soft_threshold():
@@ -89,7 +102,7 @@ def test_blur_first_difference_fixed_point():
     rep = pdhg.pdhg_solve(a, l_fd, z, steps, tol=1e-10, max_iter=int(2e5))
     assert rep.converged
     # objective settled
-    assert abs(rep.objective_trace[-1] - rep.objective_trace[-2]) <= 1e-8 * abs(rep.objective_trace[-1])
+    assert abs(rep.objective - rep.previous_objective) <= 1e-8 * abs(rep.objective)
     # one extra iteration moves the solution by at most 10*tol
     w = a.apply_adjoint(rep.x_hat[None, :])  # reuse internal formulation
     x = rep.x_hat[None, :]
@@ -126,5 +139,67 @@ def test_tightening_tol_changes_objective_little():
                             max_iter=int(2e5))
     tight = pdhg.pdhg_solve(a, l_fd, z, pdhg.StepSizes(1.0, sigma), tol=1e-8,
                             max_iter=int(2e5))
-    rel = abs(loose.objective_trace[-1] - tight.objective_trace[-1]) / abs(tight.objective_trace[-1])
+    rel = abs(loose.objective - tight.objective) / abs(tight.objective)
     assert rel <= 1e-6
+
+
+def _blurred_batch(count=6):
+    a = ops.UniformBlur(3, 8)
+    l_fd = ops.make_first_difference(8, scale=1.5)
+    z = np.stack([a.apply(_piecewise_image() * (0.5 + 0.2 * t))
+                  + Stream(derive(0xBA7C, t)).normal(64) * (1 + 2 * t)
+                  for t in range(count)])
+    return a, l_fd, z, pdhg.StepSizes(1.0, 0.9 * 0.5 / l_fd.norm() ** 2)
+
+
+def _assert_reports_equal(batched, single):
+    assert np.array_equal(batched.x_hat, single.x_hat)
+    assert batched.iterations == single.iterations
+    assert batched.converged == single.converged
+    assert batched.final_residual == single.final_residual
+    assert batched.objective == single.objective
+    assert batched.previous_objective == single.previous_objective
+
+
+def test_row_norms_match_single_vector_norms():
+    # np.linalg.norm(d, axis=1) differs in the last bits on some of these rows
+    d = Stream(0x40A5).normal(40 * 64).reshape(40, 64) * 100
+    assert [float(v) for v in pdhg._row_norms(d)] == [float(np.linalg.norm(r)) for r in d]
+
+
+def test_batched_solve_matches_row_by_row():
+    a, l_fd, z, steps = _blurred_batch()
+    reports = pdhg.pdhg_solve(a, l_fd, z, steps, tol=1e-8, max_iter=int(2e5))
+    assert len(reports) == len(z)
+    assert all(rep.converged for rep in reports)
+    assert len({rep.iterations for rep in reports}) > 1  # rows leave at different times
+    for row, rep in zip(z, reports):
+        _assert_reports_equal(rep, pdhg.pdhg_solve(a, l_fd, row, steps, tol=1e-8,
+                                                   max_iter=int(2e5)))
+
+
+def test_batched_solve_cut_off_by_max_iter():
+    a, l_fd, z, steps = _blurred_batch()
+    counts = sorted(rep.iterations for rep in
+                    pdhg.pdhg_solve(a, l_fd, z, steps, tol=1e-8, max_iter=int(2e5)))
+    max_iter = counts[len(counts) // 2]
+    reports = pdhg.pdhg_solve(a, l_fd, z, steps, tol=1e-8, max_iter=max_iter)
+    assert {rep.converged for rep in reports} == {True, False}
+    for row, rep in zip(z, reports):
+        assert rep.iterations <= max_iter
+        _assert_reports_equal(rep, pdhg.pdhg_solve(a, l_fd, row, steps, tol=1e-8,
+                                                   max_iter=max_iter))
+
+
+def test_solve_return_shapes_and_max_iter_check():
+    a, l_fd, z, steps = _blurred_batch(2)
+    assert isinstance(pdhg.pdhg_solve(a, l_fd, z[0], steps, max_iter=3), pdhg.SolveReport)
+    assert len(pdhg.pdhg_solve(a, l_fd, z[:1], steps, max_iter=3)) == 1
+    assert pdhg.pdhg_solve(a, l_fd, z[:0], steps, max_iter=3) == []
+    # one iteration: the previous objective is that of the start x = A* z
+    rep = pdhg.pdhg_solve(a, l_fd, z[0], steps, max_iter=1)
+    assert rep.previous_objective == pdhg.objective(a, l_fd, z[0], a.apply_adjoint(z[0]))
+    with pytest.raises(ValueError, match="max_iter"):
+        pdhg.pdhg_solve(a, l_fd, z, steps, max_iter=0)
+    with pytest.raises(ValueError, match="measurement"):
+        pdhg.pdhg_solve(a, l_fd, z[None], steps)
