@@ -26,7 +26,6 @@ from .data import (
     split,
     ssim,
     synthetic_digits,
-    synthetic_strokes,
 )
 from .network import (
     BlockSpec,
@@ -50,7 +49,7 @@ from .operators import (
     operator_norm,
 )
 from .pdhg import SolveReport, StepSizes, check_stepsizes, constraint_distance, pdhg_solve
-from .prox import prox_conj_l1, prox_conj_l1_diag_jacobian, prox_l1
+from .prox import prox_conj_l1, prox_conj_l1_diag_jacobian
 from .training import TrainConfig, TrainResult, sgd_step, train
 
 __version__ = "0.1.0"

@@ -44,16 +44,6 @@ class Gradients:
     d_sigma: np.ndarray
     d_weights: list = field(repr=False)
 
-    def dense_d_l(self, params: NetworkParams, k: int) -> np.ndarray:
-        """Materialize layer k's weight gradient as a dense (P, N) matrix."""
-        out = []
-        for part, grad in zip(params.layers[k].analysis.parts(), self.d_weights[k]):
-            dense = np.zeros((part.out_dim, part.in_dim))
-            mask = part.mask_dense()
-            dense[mask == 1.0] = grad.ravel()
-            out.append(dense)
-        return np.vstack(out)
-
     def all_finite(self) -> bool:
         ok = np.all(np.isfinite(self.d_tau)) and np.all(np.isfinite(self.d_sigma))
         return bool(ok) and all(
@@ -88,7 +78,6 @@ def backward(params: NetworkParams, clean: np.ndarray,
     clean = np.atleast_2d(np.asarray(clean, dtype=np.float64))
     depth = params.depth
     a_op = params.degradation
-    w = trace.w
     batch = clean.shape[0]
     if trace.xs[-1].shape != clean.shape:
         raise ValueError("trace and clean batch shapes disagree")
@@ -103,7 +92,7 @@ def backward(params: NetworkParams, clean: np.ndarray,
         lp = params.layers[k]
         l_op = lp.analysis
         x_in, y_in = trace.xs[k], trace.ys[k]
-        gram_x = trace.grams[k]
+        v = trace.vs[k]
         e1 = gx
         if gy is None:  # last layer: identity activation, no dual row
             e2 = None
@@ -111,8 +100,6 @@ def backward(params: NetworkParams, clean: np.ndarray,
         else:
             e2 = gy * prox_conj_l1_diag_jacobian(trace.c_duals[k])
             lt_e2 = l_op.apply_adjoint(e2)
-        lt_u2 = l_op.apply_adjoint(y_in) if k > 0 else 0.0
-        v = w - gram_x - lt_u2
         s2 = e1 if e2 is None else e1 + (2.0 * lp.sigma) * lt_e2
         d_tau[k] = float(np.vdot(s2, v))
         if e2 is not None:

@@ -471,8 +471,10 @@ def cmd_solve(cfg: dict, config_path: str, verbose: bool) -> int:
     subset = _eval_subset(cfg, dataset)
     a_op = degradation_from_spec(dataset.degradation)
     lam, tau, max_iter = s["lambda"], s["tau"], s["max_iter"]
-    if lam <= 0:
+    if not lam > 0:  # NaN fails this test too
         raise ConfigError("lambda must be positive")
+    if not s["tol"] > 0:
+        raise ConfigError("tol must be positive")
     if s["prior"] == "identity":
         l_op = make_scaled_identity_analysis(a_op.in_dim, lam)
     else:

@@ -371,36 +371,3 @@ def synthetic_digits(count: int, side: int = 28, seed: int = 0,
                 vseg(x0 + w - t, midy, y0 + h)
         out[s] = img.ravel()
     return out
-
-
-def synthetic_strokes(count: int, side: int = 28, seed: int = 0) -> np.ndarray:
-    """Handwriting-like test images: bright random strokes on black.
-
-    Returns a (count, side*side) array with values in [0, 255].  Useful as a
-    self-contained stand-in for digit datasets in desk-scale experiments.
-    """
-    from .operators import UniformBlur
-
-    blur = UniformBlur(3, side)
-    images = np.zeros((count, side * side))
-    for s in range(count):
-        stream = Stream(derive(seed, _TAG_SYNTH, s))
-        img = np.zeros((side, side))
-        n_strokes = 1 + int(stream.uniform(1)[0] * 3)
-        for _ in range(n_strokes):
-            u = stream.uniform(4)
-            r = 3.0 + u[0] * (side - 6)
-            c = 3.0 + u[1] * (side - 6)
-            ang = 2.0 * np.pi * u[2]
-            steps = int(side * (0.5 + u[3]))
-            turns = stream.uniform(steps)
-            level = 180.0 + stream.uniform(1)[0] * 75.0
-            for t in range(steps):
-                ri, ci = int(round(r)), int(round(c))
-                if 0 <= ri < side and 0 <= ci < side:
-                    img[max(0, ri - 1):ri + 1, max(0, ci - 1):ci + 1] = level
-                ang += (turns[t] - 0.5) * 0.9
-                r = min(max(r + np.sin(ang), 1.0), side - 2.0)
-                c = min(max(c + np.cos(ang), 1.0), side - 2.0)
-        images[s] = blur.apply(img.ravel())
-    return np.clip(images, 0.0, 255.0)

@@ -22,6 +22,7 @@ from . import pdhg
 from .pdhg import saturating_sigma
 from .operators import (
     AnalysisOperator,
+    DenseAnalysis,
     LinearOperator,
     degradation_from_spec,
     fuse_analysis,
@@ -31,6 +32,7 @@ from .operators import (
 from .rng import derive
 
 MODEL_VERSION = "1"
+_SEPARATORS = (",", ":")
 
 
 class ModelFormatError(ValueError):
@@ -116,15 +118,15 @@ class LayerTrace:
 
     xs[k] / ys[k] are the primal/dual inputs of layer k+1 (ys[0] is zero);
     xs[depth] is the network output.  c_duals[k] is the dual pre-activation
-    of layer k+1 (absent for the last layer), grams[k] is A*A applied to
-    xs[k], and w is the backprojected input A* z shared by every bias.
+    of layer k+1 (absent for the last layer), vs[k] is
+    V = w - A*A xs[k] - L_{k+1}* ys[k] as the forward pass formed it, with
+    w = A* z the backprojected input.
     """
 
     xs: list = field(repr=False)
     ys: list = field(repr=False)
     c_duals: list = field(repr=False)
-    grams: list = field(repr=False)
-    w: np.ndarray = field(repr=False)
+    vs: list = field(repr=False)
 
 
 def init_network(degradation: LinearOperator, depth: int, l_specs: list,
@@ -173,7 +175,8 @@ def forward(params: NetworkParams, z: np.ndarray, keep_trace: bool = False):
     """Run the unrolled network on one measurement or a batch of them.
 
     ``z`` is (M,) or (B, M); the restored image(s) come back with matching
-    shape.  With ``keep_trace`` the per-layer activations are returned too.
+    shape.  With ``keep_trace`` the per-layer activations are returned too;
+    without it the pass keeps no per-layer arrays and the trace is None.
     """
     z = np.asarray(z, dtype=np.float64)
     single = z.ndim == 1
@@ -184,22 +187,22 @@ def forward(params: NetworkParams, z: np.ndarray, keep_trace: bool = False):
     w = a_op.apply_adjoint(zb)
     x = w
     y = np.zeros((zb.shape[0], params.feature_dim))
-    xs, ys, c_duals, grams = [x], [y], [], []
+    trace = LayerTrace(xs=[x], ys=[y], c_duals=[], vs=[]) if keep_trace else None
     for lp in params.layers[:-1]:
-        x, y, c_dual, gram_x = pdhg.pd_step(a_op, lp.analysis, lp.tau, lp.sigma, w, x, y)
-        xs.append(x)
-        ys.append(y)
-        c_duals.append(c_dual)
-        grams.append(gram_x)
+        x, y, c_dual, gram_x, lt_y = pdhg.pd_step(a_op, lp.analysis, lp.tau, lp.sigma,
+                                                  w, x, y)
+        if trace is not None:
+            trace.xs.append(x)
+            trace.ys.append(y)
+            trace.c_duals.append(c_dual)
+            trace.vs.append(w - gram_x - lt_y)
     last = params.layers[-1]
     gram_x = a_op.gram(x)
-    out = pdhg.pd_primal(a_op, last.analysis, last.tau, w, x, y, gram_x)
-    xs.append(out)
-    grams.append(gram_x)
-    result = out[0] if single else out
-    if not keep_trace:
-        return result, None
-    return result, LayerTrace(xs=xs, ys=ys, c_duals=c_duals, grams=grams, w=w)
+    out, lt_y = pdhg.pd_primal(a_op, last.analysis, last.tau, w, x, y, gram_x)
+    if trace is not None:
+        trace.xs.append(out)
+        trace.vs.append(w - gram_x - lt_y)
+    return (out[0] if single else out), trace
 
 
 def distance_report(params: NetworkParams) -> np.ndarray:
@@ -225,19 +228,27 @@ def _layer_record(lp: LayerParams) -> dict:
 
 
 def serialize(params: NetworkParams, path: str) -> None:
-    """Write the model file; see README for the exact schema."""
-    doc = {
+    """Write the model file; see README for the exact schema.
+
+    The bytes are those of ``json.dumps(doc, separators=(",", ":")) + "\\n"``
+    for the whole document, but each layer record is encoded (by the C
+    encoder) and written on its own, so at most one layer's text is held.
+    """
+    head = json.dumps({
         "version": MODEL_VERSION,
         "degradation": params.degradation.spec(),
         "K": params.depth,
         "mode": params.mode,
         "g": params.g,
-        "layers": [_layer_record(lp) for lp in params.layers],
-    }
+    }, separators=_SEPARATORS)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="ascii") as f:
-        json.dump(doc, f, separators=(",", ":"))
-        f.write("\n")
+        f.write(head[:-1] + ',"layers":[')
+        for k, lp in enumerate(params.layers):
+            if k:
+                f.write(",")
+            f.write(json.dumps(_layer_record(lp), separators=_SEPARATORS))
+        f.write("]}\n")
     os.replace(tmp, path)
 
 
@@ -246,72 +257,102 @@ def _require(cond: bool, message: str) -> None:
         raise ModelFormatError(message)
 
 
+def _int(value, what: str) -> int:
+    _require(isinstance(value, int) and not isinstance(value, bool),
+             f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _float(value, what: str) -> float:
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
+             f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _weights(rec: dict, count: int, what: str) -> np.ndarray:
+    w = np.asarray(rec["weights"])
+    _require(w.ndim == 1 and w.dtype.kind in "if",
+             f"{what} weights must be a flat list of numbers")
+    _require(w.size == count, f"{what} needs {count} weights, found {w.size}")
+    w = w.astype(np.float64, copy=False)
+    _require(bool(np.isfinite(w).all()), f"{what} weights must be finite")
+    return w
+
+
 def _part_from_record(rec: dict, n: int) -> AnalysisOperator:
     _require(isinstance(rec, dict), "layer part must be an object")
     kind = rec.get("kind")
     if kind == "dense":
         _require(set(rec) == {"kind", "rows", "cols", "weights"},
                  f"unexpected dense part fields: {sorted(rec)}")
-        rows, cols = int(rec["rows"]), int(rec["cols"])
+        rows, cols = _int(rec["rows"], "dense rows"), _int(rec["cols"], "dense cols")
         _require(cols == n, f"dense part expects {n} columns, file says {cols}")
-        w = np.asarray(rec["weights"], dtype=np.float64)
-        _require(w.size == rows * cols,
-                 f"dense part needs {rows * cols} weights, found {w.size}")
-        from .operators import DenseAnalysis
+        w = _weights(rec, rows * cols, "dense part")
         return DenseAnalysis(w.reshape(rows, cols))
     if kind == "block-sparse":
         _require(set(rec) == {"kind", "q", "stride", "filters_per_site",
                               "image_side", "sites", "weights"},
                  f"unexpected block-sparse part fields: {sorted(rec)}")
-        q = int(rec["q"])
-        side = int(rec["image_side"])
+        q = _int(rec["q"], "block q")
+        side = _int(rec["image_side"], "block image_side")
+        filters = _int(rec["filters_per_site"], "block filters_per_site")
         _require(side * side == n, f"block part side {side} inconsistent with N={n}")
-        sites = [tuple(map(int, s)) for s in rec["sites"]]
-        rows = len(sites) * int(rec["filters_per_site"])
-        w = np.asarray(rec["weights"], dtype=np.float64)
-        _require(w.size == rows * q * q,
-                 f"block part needs {rows * q * q} weights, found {w.size}")
-        op = make_block_sparse_analysis(q, int(rec["stride"]),
-                                        int(rec["filters_per_site"]), side,
-                                        seed=0, stddev=0.0, sites=sites)
+        sites = rec["sites"]
+        _require(isinstance(sites, list) and all(
+            isinstance(s, list) and len(s) == 2 for s in sites),
+            "block sites must be a list of [row, col] pairs")
+        sites = [tuple(_int(v, "site coordinate") for v in s) for s in sites]
+        rows = len(sites) * filters
+        w = _weights(rec, rows * q * q, "block part")
+        op = make_block_sparse_analysis(q, _int(rec["stride"], "block stride"),
+                                        filters, side, seed=0, stddev=0.0, sites=sites)
         op.weight_arrays()[0][...] = w.reshape(rows, q * q)
         return op
     raise ModelFormatError(f"unknown part kind: {kind!r}")
 
 
-def deserialize(path: str) -> NetworkParams:
-    """Load and validate a model file written by :func:`serialize`."""
-    try:
-        with open(path, "r", encoding="ascii") as f:
-            doc = json.load(f)
-    except (OSError, ValueError) as exc:
-        raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
+def _params_from_doc(doc) -> NetworkParams:
     _require(isinstance(doc, dict), "model document must be an object")
     version = doc.get("version")
     _require(version == MODEL_VERSION,
              f"unsupported model version {version!r} (expected {MODEL_VERSION!r})")
     _require(set(doc) == {"version", "degradation", "K", "mode", "g", "layers"},
              f"unexpected model fields: {sorted(doc)}")
+    _require(isinstance(doc["degradation"], dict), "degradation must be an object")
     try:
         a_op = degradation_from_spec(doc["degradation"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"bad degradation spec: {exc}") from exc
     layers_doc = doc["layers"]
     _require(isinstance(layers_doc, list) and layers_doc, "layers must be nonempty")
-    _require(int(doc["K"]) == len(layers_doc),
+    _require(_int(doc["K"], "K") == len(layers_doc),
              f"K={doc['K']} but {len(layers_doc)} layer records present")
     n = a_op.in_dim
     layers = []
     for rec in layers_doc:
         _require(isinstance(rec, dict) and set(rec) == {"tau", "sigma", "parts"},
                  "layer record must carry exactly tau, sigma, parts")
+        _require(isinstance(rec["parts"], list) and rec["parts"],
+                 "layer parts must be a nonempty list")
         parts = [_part_from_record(p, n) for p in rec["parts"]]
-        try:
-            layers.append(LayerParams(float(rec["tau"]), float(rec["sigma"]),
-                                      fuse_analysis(parts)))
-        except ValueError as exc:
-            raise ModelFormatError(str(exc)) from exc
+        layers.append(LayerParams(_float(rec["tau"], "tau"),
+                                  _float(rec["sigma"], "sigma"), fuse_analysis(parts)))
+    return NetworkParams(a_op, layers, mode=doc["mode"], g=doc["g"])
+
+
+def deserialize(path: str) -> NetworkParams:
+    """Load and validate a model file written by :func:`serialize`.
+
+    Every malformed document raises :class:`ModelFormatError`.
+    """
     try:
-        return NetworkParams(a_op, layers, mode=str(doc["mode"]), g=str(doc["g"]))
-    except ValueError as exc:
-        raise ModelFormatError(str(exc)) from exc
+        with open(path, "r", encoding="ascii") as f:
+            doc = json.load(f)
+    except (OSError, ValueError) as exc:
+        raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
+    try:
+        return _params_from_doc(doc)
+    except ModelFormatError:
+        raise
+    except ValueError as exc:  # a value the operator constructors refuse
+        raise ModelFormatError(f"malformed model file {path}: {exc}") from exc

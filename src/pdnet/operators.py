@@ -350,7 +350,7 @@ class DenseAnalysis(AnalysisOperator):
             "kind": "dense",
             "rows": self.out_dim,
             "cols": self.in_dim,
-            "weights": [float(x) for x in self._weights.ravel()],
+            "weights": self._weights.ravel().tolist(),
         }
 
 
@@ -448,7 +448,7 @@ class MaskedRowAnalysis(AnalysisOperator):
             "filters_per_site": bs["filters_per_site"],
             "image_side": bs["image_side"],
             "sites": [[int(r), int(c)] for r, c in bs["sites"]],
-            "weights": [float(x) for x in self._vals.ravel()],
+            "weights": self._vals.ravel().tolist(),
         }
 
 

@@ -87,22 +87,26 @@ def saturating_sigma(tau: float, norm_a: float, norm_l: float) -> float:
 
 def pd_primal(a_op: LinearOperator, l_op: AnalysisOperator, tau: float,
               w: np.ndarray, x: np.ndarray, y: np.ndarray,
-              gram_x: np.ndarray) -> np.ndarray:
-    """x - tau (A*A x - A*z) - tau L* y, with A*A x precomputed."""
-    return x - tau * (gram_x - w) - tau * l_op.apply_adjoint(y)
+              gram_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x - tau (A*A x - A*z) - tau L* y, with A*A x precomputed.
+
+    Returns (x_new, L* y) so a caller can reuse the adjoint product.
+    """
+    lt_y = l_op.apply_adjoint(y)
+    return x - tau * (gram_x - w) - tau * lt_y, lt_y
 
 
 def pd_step(a_op: LinearOperator, l_op: AnalysisOperator, tau: float, sigma: float,
             w: np.ndarray, x: np.ndarray, y: np.ndarray):
     """One full primal-dual iteration.
 
-    Returns (x_new, y_new, c_dual, gram_x) where c_dual is the dual
-    pre-activation (before the clip) and gram_x = A*A x.
+    Returns (x_new, y_new, c_dual, gram_x, lt_y) where c_dual is the dual
+    pre-activation (before the clip), gram_x = A*A x and lt_y = L* y.
     """
     gram_x = a_op.gram(x)
-    x_new = pd_primal(a_op, l_op, tau, w, x, y, gram_x)
+    x_new, lt_y = pd_primal(a_op, l_op, tau, w, x, y, gram_x)
     c_dual = y + sigma * l_op.apply(2.0 * x_new - x)
-    return x_new, prox_conj_l1(c_dual), c_dual, gram_x
+    return x_new, prox_conj_l1(c_dual), c_dual, gram_x, lt_y
 
 
 def objective(a_op: LinearOperator, l_op: AnalysisOperator, z: np.ndarray,
@@ -163,7 +167,7 @@ def pdhg_solve(a_op: LinearOperator, l_op: AnalysisOperator, z: np.ndarray,
     it = 0
     while len(rows):
         it += 1
-        x_new, y, _, _ = pd_step(a_op, l_op, steps.tau, steps.sigma, w, x, y)
+        x_new, y = pd_step(a_op, l_op, steps.tau, steps.sigma, w, x, y)[:2]
         rel = _row_norms(x_new - x) / np.maximum(1.0, _row_norms(x))
         # the first primal update from x = A*z is stationary while y is still
         # zero, so the change test only starts once the dual has acted

@@ -1,4 +1,4 @@
-"""Proximal calculus for the l1 penalty and its convex conjugate.
+"""Proximal calculus for the conjugate of the l1 penalty.
 
 The conjugate prox is the projection onto the unit l-infinity ball, so it
 takes no step parameter; its diagonal (sub)gradient is the
@@ -8,14 +8,6 @@ indicator of the open unit interval, with ties at |c| = 1 resolved to 0.
 from __future__ import annotations
 
 import numpy as np
-
-
-def prox_l1(v: np.ndarray, t: float) -> np.ndarray:
-    """Soft-thresholding: sign(v) * max(|v| - t, 0)."""
-    if t <= 0:
-        raise ValueError(f"threshold must be positive, got {t}")
-    v = np.asarray(v, dtype=np.float64)
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
 def prox_conj_l1(v: np.ndarray) -> np.ndarray:

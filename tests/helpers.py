@@ -1,0 +1,59 @@
+"""Helpers that only the tests use: an l1 prox oracle, stroke images and a
+dense view of weight gradients.  The library itself never calls them.
+"""
+
+import numpy as np
+
+from pdnet.data import _TAG_SYNTH
+from pdnet.operators import UniformBlur
+from pdnet.rng import Stream, derive
+
+
+def prox_l1(v: np.ndarray, t: float) -> np.ndarray:
+    """Soft-thresholding: sign(v) * max(|v| - t, 0)."""
+    if t <= 0:
+        raise ValueError(f"threshold must be positive, got {t}")
+    v = np.asarray(v, dtype=np.float64)
+    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
+def dense_d_l(grads, params, k: int) -> np.ndarray:
+    """Materialize layer k's weight gradient as a dense (P, N) matrix."""
+    out = []
+    for part, grad in zip(params.layers[k].analysis.parts(), grads.d_weights[k]):
+        dense = np.zeros((part.out_dim, part.in_dim))
+        mask = part.mask_dense()
+        dense[mask == 1.0] = grad.ravel()
+        out.append(dense)
+    return np.vstack(out)
+
+
+def synthetic_strokes(count: int, side: int = 28, seed: int = 0) -> np.ndarray:
+    """Handwriting-like test images: bright random strokes on black.
+
+    Returns a (count, side*side) array with values in [0, 255].  Useful as a
+    self-contained stand-in for digit datasets in desk-scale experiments.
+    """
+    blur = UniformBlur(3, side)
+    images = np.zeros((count, side * side))
+    for s in range(count):
+        stream = Stream(derive(seed, _TAG_SYNTH, s))
+        img = np.zeros((side, side))
+        n_strokes = 1 + int(stream.uniform(1)[0] * 3)
+        for _ in range(n_strokes):
+            u = stream.uniform(4)
+            r = 3.0 + u[0] * (side - 6)
+            c = 3.0 + u[1] * (side - 6)
+            ang = 2.0 * np.pi * u[2]
+            steps = int(side * (0.5 + u[3]))
+            turns = stream.uniform(steps)
+            level = 180.0 + stream.uniform(1)[0] * 75.0
+            for t in range(steps):
+                ri, ci = int(round(r)), int(round(c))
+                if 0 <= ri < side and 0 <= ci < side:
+                    img[max(0, ri - 1):ri + 1, max(0, ci - 1):ci + 1] = level
+                ang += (turns[t] - 0.5) * 0.9
+                r = min(max(r + np.sin(ang), 1.0), side - 2.0)
+                c = min(max(c + np.cos(ang), 1.0), side - 2.0)
+        images[s] = blur.apply(img.ravel())
+    return np.clip(images, 0.0, 255.0)

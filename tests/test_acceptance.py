@@ -17,8 +17,10 @@ from pdnet import network as net
 from pdnet import operators as ops
 from pdnet import pdhg
 from pdnet import training as tr
-from pdnet.prox import prox_conj_l1, prox_l1
+from pdnet.prox import prox_conj_l1
 from pdnet.rng import Stream, derive
+
+from helpers import prox_l1, synthetic_strokes
 
 DESK_SEED = 1001
 DESK_GAMMA = 4e-7
@@ -167,6 +169,7 @@ def test_criterion_3_closed_form_oracle():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_4_partial_mode_constraint(desk_partial):
     records = [r for r in desk_partial.history.records if r["iter"] <= 2000]
     assert len(records) >= 20
@@ -176,6 +179,7 @@ def test_criterion_4_partial_mode_constraint(desk_partial):
             f"max d_C = {worst:.3e} (bound 1e-18)")
 
 
+@pytest.mark.slow
 def test_criterion_5_desk_training_gain(desk_data, desk_full, desk_partial):
     base = desk_data["baseline_psnr"]
     full_psnr = desk_full.history.records[-1]["val_psnr"]
@@ -202,6 +206,7 @@ def _psnr_at(history, iteration):
     raise AssertionError(f"no record at iteration {iteration}")
 
 
+@pytest.mark.slow
 def test_criterion_6_depth_and_width_trends(desk_data, desk_full):
     allowance = 0.15
     k_curve = {}
@@ -225,6 +230,7 @@ def test_criterion_6_depth_and_width_trends(desk_data, desk_full):
             f"400:{p_curve[400]:.2f}}} (allowance {allowance} dB)")
 
 
+@pytest.mark.slow
 def test_criterion_7_determinism(desk_data, desk_full, tmp_path):
     rerun = _desk_run(desk_data, "full")
     paths = {}
@@ -240,6 +246,7 @@ def test_criterion_7_determinism(desk_data, desk_full, tmp_path):
                    f"({len(paths['a'][1])} bytes)")
 
 
+@pytest.mark.slow
 def test_criterion_8_robustness_protocol(desk_data, desk_full):
     rows = dm.robustness_eval(desk_full.final_params, desk_data["val_set"],
                               [2.0, 5.0, 10.0, 20.0], seed=derive(DESK_SEED, 9))
@@ -308,7 +315,7 @@ def test_criterion_9_property_suites(tmp_path):
     a_op = ops.UniformBlur(3, 8)
     params = net.init_network(a_op, 2, [net.BlockSpec(3, 3, 2)], "full", seed=5)
     mask = [lp.analysis.mask_dense() for lp in params.layers]
-    clean = dm.synthetic_strokes(8, side=8, seed=6)
+    clean = synthetic_strokes(8, side=8, seed=6)
     zb = np.stack([dm.degrade(clean[i], a_op, 10.0, derive(7, i)) for i in range(8)])
     for _ in range(5):
         out, trace = net.forward(params, zb, keep_trace=True)

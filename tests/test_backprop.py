@@ -7,6 +7,8 @@ from pdnet import operators as ops
 from pdnet.data import degrade
 from pdnet.rng import Stream, derive
 
+from helpers import dense_d_l
+
 
 def small_instance(seed, depth=2, side=4, p=4, block=False, blur=True, batch=2):
     """Seeded small problem with partially saturated duals."""
@@ -140,8 +142,8 @@ def test_masked_entries_never_perturbed_and_zero():
     analytic, reference = grad_pair(params, clean, degraded)
     for k in range(params.depth):
         mask = params.layers[k].analysis.mask_dense()
-        dense_a = analytic.dense_d_l(params, k)
-        dense_f = reference.dense_d_l(params, k)
+        dense_a = dense_d_l(analytic, params, k)
+        dense_f = dense_d_l(reference, params, k)
         assert not dense_a[mask == 0].any()
         assert not dense_f[mask == 0].any()
 

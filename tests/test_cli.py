@@ -174,6 +174,28 @@ def test_gradcheck_rejects_large_instance(tmp_path):
     assert cli.main(["gradcheck", "--config", path]) == 1
 
 
+@pytest.mark.parametrize("gamma,best_iter", [(1e-9, 8), (1e-4, 0)],
+                         ids=["best-is-final", "best-is-first"])
+def test_train_writes_the_best_checkpoint(tmp_path, monkeypatch, gamma, best_iter):
+    from pdnet import network as net
+
+    results, real_train = [], cli.train
+
+    def keep_result(*args, **kwargs):
+        results.append(real_train(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "train", keep_result)
+    path, cfg = write_config(tmp_path, train={"gamma": gamma})
+    assert cli.main(["train", "--config", path]) == 0
+    assert results[0].best_iter == best_iter
+    expected = str(tmp_path / "expected.json")
+    for params, name in ((results[0].final_params, "model_final.json"),
+                         (results[0].best_params, "model_best.json")):
+        net.serialize(params, expected)
+        assert sha(expected) == sha(os.path.join(cfg["output_dir"], name))
+
+
 def test_export_filters_from_model(tmp_path):
     path, cfg = write_config(
         tmp_path, network={"K": 2, "mode": "full", "L": ["dense:6", "f3s3n2"]})
@@ -183,6 +205,61 @@ def test_export_filters_from_model(tmp_path):
     assert cli.main(["export-filters", "--model", model, "--output", dest]) == 0
     assert os.path.exists(os.path.join(dest, "filters_part0.pgm"))
     assert os.path.exists(os.path.join(dest, "filters_part1.pgm"))
+
+
+def _set(path, value):
+    """A mutation that sets the entry at ``path`` in the model document."""
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return mutate
+
+
+def _weights_to_nan(doc):
+    doc["layers"][0]["parts"][1]["weights"][0] = float("nan")
+
+
+def _weights_to_text(numeric):
+    def mutate(doc):
+        weights = doc["layers"][0]["parts"][0]["weights"]
+        if numeric:
+            weights[:] = [repr(v) for v in weights]
+        else:
+            weights[0] = "not a number"
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    _set(["K"], None),
+    _set(["layers", 0, "parts", 0, "rows"], None),
+    _set(["layers", 0, "tau"], [1]),
+    _set(["layers", 0, "parts", 1, "sites"], 5),
+    _set(["degradation"], None),
+    _weights_to_text(numeric=False),
+    _weights_to_text(numeric=True),
+    _weights_to_nan,
+], ids=["K-null", "rows-null", "tau-list", "sites-number", "degradation-null",
+        "weights-strings", "weights-numeric-strings", "weights-nan"])
+def test_malformed_model_exits_cleanly(tmp_path, capsys, mutate):
+    from pdnet import network as net
+    from pdnet import operators as ops
+
+    params = net.init_network(ops.UniformBlur(3, 6), 2,
+                              [net.DenseSpec(4), net.BlockSpec(3, 3, 2)], "full", seed=3)
+    model = str(tmp_path / "model.json")
+    net.serialize(params, model)
+    doc = json.load(open(model))
+    mutate(doc)
+    json.dump(doc, open(model, "w"))
+    with pytest.raises(net.ModelFormatError):
+        net.deserialize(model)
+    capsys.readouterr()
+    assert cli.main(["export-filters", "--model", model,
+                     "--output", str(tmp_path / "filters")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_filter_grid_tile_shapes(tmp_path):
@@ -249,9 +326,15 @@ def test_degraded_dir_source_feeds_training(tmp_path):
     ("degrade", {"data": {"patches_per_image": 0}}, 1, "data.patches_per_image: must be >= 1"),
     ("degrade", {"data": {"limit": -1}}, 1, "data.limit: must be >= 0"),
     ("solve", {"solve": {"max_iter": 0}}, 1, "solve.max_iter: must be >= 1"),
+    # no row could pass a relative-change test below 0: every image ran to max_iter
+    ("solve", {"solve": {"tol": 0}}, 1, "tol must be positive"),
+    ("solve", {"solve": {"tol": -1}}, 1, "tol must be positive"),
+    ("solve", {"solve": {"tol": float("nan")}}, 1, "tol must be positive"),
+    ("solve", {"solve": {"lambda": float("nan")}}, 1, "lambda must be positive"),
 ], ids=["beta-not-a-number", "tau-0", "sigma-0", "train_frac-2", "K-null",
         "gamma-null", "size-null", "count-null", "image_side-null", "lambda-null",
-        "count-0", "patches_per_image-0", "limit-negative", "max_iter-0"])
+        "count-0", "patches_per_image-0", "limit-negative", "max_iter-0",
+        "tol-0", "tol-negative", "tol-nan", "lambda-nan"])
 def test_config_values_exit_cleanly(tmp_path, capsys, command, edit, code, named):
     path, cfg = write_config(tmp_path, **edit)
     argv = [command, "--config", path]

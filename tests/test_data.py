@@ -8,6 +8,8 @@ from pdnet import network as net
 from pdnet import operators as ops
 from pdnet.rng import Stream, derive
 
+from helpers import synthetic_strokes
+
 
 # ---------------------------------------------------------------------------
 # IDX parsing
@@ -268,7 +270,7 @@ def _trained_stub():
     side = 8
     a = ops.UniformBlur(3, side)
     params = net.init_network(a, 2, [net.DenseSpec(6)], "full", seed=3)
-    clean = dm.synthetic_strokes(6, side=side, seed=21)
+    clean = synthetic_strokes(6, side=side, seed=21)
     return params, dm.degrade_set(clean, side, a, 10.0, seed=22)
 
 
@@ -289,8 +291,8 @@ def test_robustness_deterministic():
 
 
 def test_synthetic_strokes_deterministic_and_in_range():
-    a = dm.synthetic_strokes(5, side=16, seed=77)
-    b = dm.synthetic_strokes(5, side=16, seed=77)
+    a = synthetic_strokes(5, side=16, seed=77)
+    b = synthetic_strokes(5, side=16, seed=77)
     assert np.array_equal(a, b)
     assert a.min() >= 0.0 and a.max() <= 255.0
     assert a.max() > 100.0  # strokes actually drawn

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -112,7 +113,30 @@ def test_trace_consistency():
     # pre-activation primal equals stored next primal by construction;
     # dual activations replay exactly through the clip
     assert len(trace.c_duals) == params.depth - 1
-    assert len(trace.grams) == params.depth
+    assert len(trace.vs) == params.depth
+
+
+def test_forward_without_trace_returns_none_and_the_same_output():
+    a = ops.UniformBlur(3, 6)
+    params = net.init_network(a, 4, [net.DenseSpec(7), net.BlockSpec(3, 3, 2)],
+                              "full", seed=5, stddev=0.5)
+    zb = Stream(8).uniform(2 * 36).reshape(2, 36) * 255
+    plain, none = net.forward(params, zb)
+    traced, trace = net.forward(params, zb, keep_trace=True)
+    assert none is None and trace is not None
+    assert np.array_equal(plain, traced)
+
+
+def test_trace_holds_the_forward_residual_direction():
+    a = ops.UniformBlur(3, 6)
+    params = net.init_network(a, 4, [net.DenseSpec(7), net.BlockSpec(3, 3, 2)],
+                              "full", seed=5, stddev=0.5)
+    zb = Stream(8).uniform(2 * 36).reshape(2, 36) * 255
+    _, trace = net.forward(params, zb, keep_trace=True)
+    w = a.apply_adjoint(zb)
+    for k, lp in enumerate(params.layers):
+        expected = w - a.gram(trace.xs[k]) - lp.analysis.apply_adjoint(trace.ys[k])
+        assert np.array_equal(trace.vs[k], expected)
 
 
 def test_distance_report_zero_at_init_and_partial():
@@ -184,6 +208,39 @@ def test_serialize_round_trip_bitwise(tmp_path):
     assert again.degradation.spec() == params.degradation.spec()
 
 
+def _whole_document_bytes(params):
+    """The model file as one json.dumps of the whole document."""
+    doc = {
+        "version": net.MODEL_VERSION,
+        "degradation": params.degradation.spec(),
+        "K": params.depth,
+        "mode": params.mode,
+        "g": params.g,
+        "layers": [{
+            "tau": float(lp.tau),
+            "sigma": float(lp.sigma),
+            "parts": [{**part.part_record(),
+                       "weights": [float(x) for x in part.weight_arrays()[0].ravel()]}
+                      for part in lp.analysis.parts()],
+        } for lp in params.layers],
+    }
+    return (json.dumps(doc, separators=(",", ":")) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("mode", ["full", "partial"])
+@pytest.mark.parametrize("specs", [
+    [net.DenseSpec(4)],
+    [net.BlockSpec(3, 3, 2)],
+    [net.DenseSpec(4), net.BlockSpec(3, 3, 2)],
+], ids=["dense", "block-sparse", "fused"])
+def test_serialize_writes_whole_document_bytes(tmp_path, specs, mode):
+    params = net.init_network(ops.UniformBlur(3, 6), 3, specs, mode, seed=17)
+    path = os.path.join(tmp_path, "m.json")
+    net.serialize(params, path)
+    with open(path, "rb") as f:
+        assert f.read() == _whole_document_bytes(params)
+
+
 def test_deserialize_rejects_bad_version(tmp_path):
     params = _mixed_params()
     path = os.path.join(tmp_path, "m.json")
@@ -198,7 +255,6 @@ def test_deserialize_rejects_weight_count_off_by_one(tmp_path):
     params = _mixed_params()
     path = os.path.join(tmp_path, "m.json")
     net.serialize(params, path)
-    import json
     doc = json.load(open(path))
     doc["layers"][0]["parts"][0]["weights"].append(0.0)
     json.dump(doc, open(path, "w"))
@@ -210,7 +266,6 @@ def test_deserialize_rejects_unknown_fields(tmp_path):
     params = _mixed_params()
     path = os.path.join(tmp_path, "m.json")
     net.serialize(params, path)
-    import json
     doc = json.load(open(path))
     doc["extra"] = 1
     json.dump(doc, open(path, "w"))

@@ -3,8 +3,9 @@ import pytest
 
 from pdnet import operators as ops
 from pdnet import pdhg
-from pdnet.prox import prox_l1
 from pdnet.rng import Stream, derive
+
+from helpers import prox_l1
 
 
 def test_margin_arithmetic():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from pdnet.prox import prox_conj_l1, prox_conj_l1_diag_jacobian, prox_l1
+from pdnet.prox import prox_conj_l1, prox_conj_l1_diag_jacobian
 from pdnet.rng import Stream, derive
+
+from helpers import prox_l1
 
 
 def test_soft_threshold_basic():

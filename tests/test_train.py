@@ -5,9 +5,11 @@ from pdnet import backprop as bp
 from pdnet import network as net
 from pdnet import operators as ops
 from pdnet import training as tr
-from pdnet.data import degrade_set, synthetic_strokes
+from pdnet.data import degrade_set
 from pdnet.pdhg import check_stepsizes
 from pdnet.rng import Stream, derive
+
+from helpers import synthetic_strokes
 
 
 SIDE = 8
