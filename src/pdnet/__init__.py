@@ -46,9 +46,8 @@ from .operators import (
     make_block_sparse_analysis,
     make_dense_analysis,
     make_first_difference,
-    operator_norm,
 )
-from .pdhg import SolveReport, StepSizes, check_stepsizes, constraint_distance, pdhg_solve
+from .pdhg import SolveReport, check_stepsizes, constraint_distance, pdhg_solve
 from .prox import prox_conj_l1, prox_conj_l1_diag_jacobian
 from .training import TrainConfig, TrainResult, sgd_step, train
 

@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
 import re
 import shutil
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -38,7 +40,7 @@ from .operators import (
     make_first_difference,
     make_scaled_identity_analysis,
 )
-from .pdhg import StepSizes, pdhg_solve
+from .pdhg import pdhg_solve
 from .rng import Stream, derive
 from .training import TrainConfig, TrainingDivergedError, train
 
@@ -253,24 +255,48 @@ def _load_clean_images(cfg: dict):
     raise ConfigError(f"unknown data source {source!r}")
 
 
+def _load_degraded_dir(root: str) -> datamod.Dataset:
+    """The dataset ``degrade`` wrote under ``root``, checked against its manifest."""
+    names = ("clean.npy", "degraded.npy")
+    try:
+        with open(os.path.join(root, "manifest.json"), "r", encoding="ascii") as f:
+            manifest = json.load(f)
+        blobs = [Path(root, name).read_bytes() for name in names]
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot load dataset dir {root}: {exc}") from exc
+
+    def field(key, kind):
+        value = manifest.get(key) if isinstance(manifest, dict) else None
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigError(f"manifest in {root}: {key!r} missing or of a wrong type")
+        return value
+
+    side, seed, files = field("side", int), field("seed", int), field("files", dict)
+    alpha, spec = field("alpha", (int, float)), field("degradation", dict)
+    for name, blob in zip(names, blobs):
+        if hashlib.sha256(blob).hexdigest() != files.get(name):
+            raise ConfigError(f"{name} in {root} does not match its manifest sha256")
+    try:
+        a_op = degradation_from_spec(spec)
+        clean, degraded = (np.load(io.BytesIO(blob)) for blob in blobs)
+    except (EOFError, TypeError, ValueError) as exc:
+        raise ConfigError(f"dataset dir {root}: {exc}") from exc
+    if not (side * side == a_op.in_dim and clean.ndim == 2
+            and clean.shape[1] == a_op.in_dim
+            and degraded.shape == (len(clean), a_op.out_dim)):
+        raise ConfigError(f"dataset dir {root}: clean {clean.shape} and degraded "
+                          f"{degraded.shape} do not fit side {side} and the "
+                          f"degradation ({a_op.in_dim} -> {a_op.out_dim} pixels)")
+    return datamod.Dataset(side=side, clean=clean, degraded=degraded, degradation=a_op,
+                           noise_alpha=float(alpha), seed=seed)
+
+
 def _load_dataset(cfg: dict) -> datamod.Dataset:
     """Full dataset (clean + degraded) from either raw sources or a degrade dir."""
     if "data" in cfg and cfg["data"]["source"] == "degraded-dir":
-        root = cfg["data"]["path"]
-        if not root:
+        if not cfg["data"]["path"]:
             raise ConfigError("degraded-dir source needs 'path'")
-        try:
-            with open(os.path.join(root, "manifest.json"), "r", encoding="ascii") as f:
-                manifest = json.load(f)
-            clean = np.load(os.path.join(root, "clean.npy"))
-            degraded = np.load(os.path.join(root, "degraded.npy"))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot load dataset dir {root}: {exc}") from exc
-        return datamod.Dataset(side=int(manifest["side"]), clean=clean,
-                               degraded=degraded,
-                               degradation=manifest["degradation"],
-                               noise_alpha=float(manifest["alpha"]),
-                               seed=int(manifest["seed"]))
+        return _load_degraded_dir(cfg["data"]["path"])
     clean, side = _load_clean_images(cfg)
     a_op, alpha = _build_degradation(cfg, side)
     return datamod.degrade_set(clean, side, a_op, alpha, derive(cfg["seed"], 3))
@@ -328,8 +354,8 @@ def cmd_degrade(cfg: dict, config_path: str, verbose: bool) -> int:
         "count": len(dataset),
         "alpha": dataset.noise_alpha,
         "seed": dataset.seed,
-        "degradation": dataset.degradation,
-        "norm_a": degradation_from_spec(dataset.degradation).cached_norm,
+        "degradation": dataset.degradation.spec(),
+        "norm_a": dataset.degradation.cached_norm,
         "files": {
             "clean.npy": _sha256(os.path.join(out, "clean.npy")),
             "degraded.npy": _sha256(os.path.join(out, "degraded.npy")),
@@ -359,10 +385,9 @@ def _build_network(cfg: dict, a_op):
         raise ConfigError(str(exc)) from exc
 
 
-def _train_config(cfg: dict, mode: str) -> TrainConfig:
+def _train_config(cfg: dict) -> TrainConfig:
     try:
-        return TrainConfig(**_section(cfg, "train"), mode=mode,
-                           seed=derive(cfg["seed"], 6))
+        return TrainConfig(**_section(cfg, "train"), seed=derive(cfg["seed"], 6))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -407,9 +432,8 @@ def cmd_train(cfg: dict, config_path: str, verbose: bool) -> int:
     train_set, val_set, _ = _split_dataset(cfg, dataset)
     if len(train_set) == 0 or len(val_set) == 0:
         raise ConfigError("train and val splits must both be nonempty")
-    a_op = degradation_from_spec(dataset.degradation)
-    params = _build_network(cfg, a_op)
-    tconf = _train_config(cfg, params.mode)
+    params = _build_network(cfg, dataset.degradation)
+    tconf = _train_config(cfg)
     out = _prepare_output(cfg, config_path)
     result = train(params, train_set.clean, train_set.degraded,
                    val_set.clean, val_set.degraded, tconf, side=dataset.side)
@@ -429,16 +453,14 @@ def cmd_eval(cfg: dict, config_path: str, model_path: str, betas: list[float],
              verbose: bool) -> int:
     params = netmod.deserialize(model_path)
     dataset = _load_dataset(cfg)
-    if dataset.degradation != params.degradation.spec():
+    if dataset.degradation.spec() != params.degradation.spec():
         raise ConfigError(
             f"model degradation {params.degradation.spec()} does not match "
-            f"dataset degradation {dataset.degradation}"
+            f"dataset degradation {dataset.degradation.spec()}"
         )
     subset = _eval_subset(cfg, dataset)
     out = _prepare_output(cfg, config_path)
-    from .network import forward
-
-    restored, _ = forward(params, subset.degraded)
+    restored, _ = netmod.forward(params, subset.degraded)
     rows = []
     for i in range(len(subset)):
         rows.append((i, datamod.psnr(restored[i], subset.clean[i]),
@@ -469,7 +491,7 @@ def cmd_solve(cfg: dict, config_path: str, verbose: bool) -> int:
     s = _section(cfg, "solve")
     dataset = _load_dataset(cfg)
     subset = _eval_subset(cfg, dataset)
-    a_op = degradation_from_spec(dataset.degradation)
+    a_op = dataset.degradation
     lam, tau, max_iter = s["lambda"], s["tau"], s["max_iter"]
     if not lam > 0:  # NaN fails this test too
         raise ConfigError("lambda must be positive")
@@ -479,7 +501,7 @@ def cmd_solve(cfg: dict, config_path: str, verbose: bool) -> int:
         l_op = make_scaled_identity_analysis(a_op.in_dim, lam)
     else:
         l_op = make_first_difference(dataset.side, scale=lam)
-    if tau <= 0:
+    if not tau > 0:  # NaN fails this test too
         raise ConfigError("tau must be positive")
     norm_a = a_op.cached_norm
     if 1.0 / tau <= norm_a**2 / 2.0:
@@ -487,12 +509,10 @@ def cmd_solve(cfg: dict, config_path: str, verbose: bool) -> int:
     sigma = s["sigma"]
     if sigma is None:
         sigma = 0.9 * (1.0 / tau - norm_a**2 / 2.0) / l_op.norm() ** 2
-    try:
-        steps = StepSizes(tau=tau, sigma=sigma)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if not 0 < sigma < math.inf:
+        raise ConfigError(f"sigma must be positive and finite, got {sigma!r}")
     out = _prepare_output(cfg, config_path)
-    reports = pdhg_solve(a_op, l_op, subset.degraded, steps, tol=s["tol"],
+    reports = pdhg_solve(a_op, l_op, subset.degraded, tau, sigma, tol=s["tol"],
                          max_iter=max_iter)
     report_rows = []
     for i, rep in enumerate(reports):
@@ -512,27 +532,12 @@ def cmd_solve(cfg: dict, config_path: str, verbose: bool) -> int:
     return 0
 
 
-def gradcheck_errors(params, clean, degraded, epsilon: float = 1e-4,
-                     flip_output_sign: bool = False) -> dict:
-    """Max relative gradient errors per parameter group.
-
-    The default finite-difference step suits pixels on [0, 255]: at 1e-6
-    round-off dominates the reference, at 1e-3 steps cross the clip's kinks.
-
-    ``flip_output_sign`` negates the output-layer error before the backward
-    pass (a deliberate-mutation hook used to prove the check can fail).
-    """
-    from .network import forward as net_forward
-
-    out, trace = net_forward(params, degraded, keep_trace=True)
-    target = (2.0 * out - clean) if flip_output_sign else clean
-    analytic = backward(params, target, trace)
-    reference = finite_diff_gradients(params, clean, degraded, epsilon=epsilon)
-    return compare_gradients(analytic, reference)
+# Finite-difference step of ``gradcheck``, suited to pixels on [0, 255]: at
+# 1e-6 round-off dominates the reference, at 1e-3 steps cross the clip's kinks.
+_GRADCHECK_EPSILON = 1e-4
 
 
-def cmd_gradcheck(cfg: dict, config_path: str, verbose: bool,
-                  flip_output_sign: bool = False) -> int:
+def cmd_gradcheck(cfg: dict, config_path: str, verbose: bool) -> int:
     given = cfg["data"]["image_side"] if "data" in cfg else None
     side = 4 if given is None else given
     if side * side > 64:
@@ -545,8 +550,10 @@ def cmd_gradcheck(cfg: dict, config_path: str, verbose: bool,
         datamod.degrade(clean[i], a_op, alpha, derive(cfg["seed"], 9, i))
         for i in range(3)
     ])
-    errors = gradcheck_errors(params, clean, degraded,
-                              flip_output_sign=flip_output_sign)
+    _, trace = netmod.forward(params, degraded, keep_trace=True)
+    errors = compare_gradients(
+        backward(params, clean, trace),
+        finite_diff_gradients(params, clean, degraded, epsilon=_GRADCHECK_EPSILON))
     ok = all(v <= 1e-5 for v in errors.values())
     for group, err in errors.items():
         print(f"gradcheck {group:8s} max relative error {err:.3e} "
@@ -592,9 +599,7 @@ def _parser() -> argparse.ArgumentParser:
     ev.add_argument("--beta", default=None,
                     help="comma-separated extra-noise levels, e.g. 2,5,10,20")
     add("solve")
-    gc = add("gradcheck")
-    gc.add_argument("--flip-output-sign", action="store_true",
-                    help=argparse.SUPPRESS)
+    add("gradcheck")
     ef = sub.add_parser("export-filters")
     ef.add_argument("--model", required=True)
     ef.add_argument("--output", required=True)
@@ -622,8 +627,7 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return cmd_solve(cfg, args.config, args.verbose)
         if args.command == "gradcheck":
-            return cmd_gradcheck(cfg, args.config, args.verbose,
-                                 flip_output_sign=args.flip_output_sign)
+            return cmd_gradcheck(cfg, args.config, args.verbose)
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, ModelFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

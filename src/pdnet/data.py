@@ -37,7 +37,7 @@ class Dataset:
     side: int
     clean: np.ndarray  # (n, N)
     degraded: np.ndarray  # (n, M)
-    degradation: dict
+    degradation: LinearOperator
     noise_alpha: float
     seed: int
 
@@ -191,7 +191,7 @@ def degrade_set(clean: np.ndarray, side: int, a_op: LinearOperator, alpha: float
     for s in range(clean.shape[0]):
         degraded[s] = degrade(clean[s], a_op, alpha, derive(seed, s))
     return Dataset(side=side, clean=clean, degraded=degraded,
-                   degradation=a_op.spec(), noise_alpha=float(alpha), seed=int(seed))
+                   degradation=a_op, noise_alpha=float(alpha), seed=int(seed))
 
 
 def split(dataset: Dataset, train_frac: float, val_frac: float,

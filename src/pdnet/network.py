@@ -32,6 +32,7 @@ from .operators import (
 from .rng import derive
 
 MODEL_VERSION = "1"
+MODEL_PENALTY = "l1"  # g; the clip to [-1, 1] of each layer is its conjugate's prox
 _SEPARATORS = (",", ":")
 
 
@@ -72,11 +73,9 @@ class NetworkParams:
     """Parameter container: degradation A, K per-layer (tau, sigma, L), mode."""
 
     def __init__(self, degradation: LinearOperator, layers: list[LayerParams],
-                 mode: str = "full", g: str = "l1"):
+                 mode: str = "full"):
         if mode not in ("full", "partial"):
             raise ValueError(f"mode must be 'full' or 'partial', got {mode!r}")
-        if g != "l1":
-            raise ValueError(f"only the l1 penalty is supported, got {g!r}")
         if len(layers) < 1:
             raise ValueError("network needs at least one layer")
         n = degradation.in_dim
@@ -89,7 +88,6 @@ class NetworkParams:
         self.degradation = degradation
         self.layers = layers
         self.mode = mode
-        self.g = g
 
     @property
     def depth(self) -> int:
@@ -108,7 +106,6 @@ class NetworkParams:
             self.degradation,
             [LayerParams(lp.tau, lp.sigma, lp.analysis.clone()) for lp in self.layers],
             mode=self.mode,
-            g=self.g,
         )
 
 
@@ -239,7 +236,7 @@ def serialize(params: NetworkParams, path: str) -> None:
         "degradation": params.degradation.spec(),
         "K": params.depth,
         "mode": params.mode,
-        "g": params.g,
+        "g": MODEL_PENALTY,
     }, separators=_SEPARATORS)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="ascii") as f:
@@ -302,10 +299,12 @@ def _part_from_record(rec: dict, n: int) -> AnalysisOperator:
             isinstance(s, list) and len(s) == 2 for s in sites),
             "block sites must be a list of [row, col] pairs")
         sites = [tuple(_int(v, "site coordinate") for v in s) for s in sites]
+        stride = _int(rec["stride"], "block stride")
+        _require(stride >= 1, f"block stride must be >= 1, got {stride}")
         rows = len(sites) * filters
         w = _weights(rec, rows * q * q, "block part")
-        op = make_block_sparse_analysis(q, _int(rec["stride"], "block stride"),
-                                        filters, side, seed=0, stddev=0.0, sites=sites)
+        op = make_block_sparse_analysis(q, stride, filters, side, seed=0, stddev=0.0,
+                                        sites=sites)
         op.weight_arrays()[0][...] = w.reshape(rows, q * q)
         return op
     raise ModelFormatError(f"unknown part kind: {kind!r}")
@@ -318,6 +317,8 @@ def _params_from_doc(doc) -> NetworkParams:
              f"unsupported model version {version!r} (expected {MODEL_VERSION!r})")
     _require(set(doc) == {"version", "degradation", "K", "mode", "g", "layers"},
              f"unexpected model fields: {sorted(doc)}")
+    _require(doc["g"] == MODEL_PENALTY,
+             f"only the {MODEL_PENALTY} penalty is supported, got {doc['g']!r}")
     _require(isinstance(doc["degradation"], dict), "degradation must be an object")
     try:
         a_op = degradation_from_spec(doc["degradation"])
@@ -337,7 +338,7 @@ def _params_from_doc(doc) -> NetworkParams:
         parts = [_part_from_record(p, n) for p in rec["parts"]]
         layers.append(LayerParams(_float(rec["tau"], "tau"),
                                   _float(rec["sigma"], "sigma"), fuse_analysis(parts)))
-    return NetworkParams(a_op, layers, mode=doc["mode"], g=doc["g"])
+    return NetworkParams(a_op, layers, mode=doc["mode"])
 
 
 def deserialize(path: str) -> NetworkParams:

@@ -36,7 +36,6 @@ __all__ = [
     "make_scaled_identity_analysis",
     "fuse_analysis",
     "block_sites",
-    "operator_norm",
     "degradation_from_spec",
     "ANALYSIS_MACS",
 ]
@@ -214,15 +213,18 @@ class Decimation(LinearOperator):
 
 
 def degradation_from_spec(d: dict) -> LinearOperator:
-    """Rebuild a degradation operator from its serialized spec dict."""
+    """Rebuild a degradation operator from its serialized spec dict; its sizes
+    must be JSON integers."""
     kind = d.get("kind")
-    if kind == "identity":
-        return IdentityOperator(int(d["image_side"]))
-    if kind == "uniform-blur":
-        return UniformBlur(int(d["size_or_factor"]), int(d["image_side"]))
-    if kind == "decimation":
-        return Decimation(int(d["size_or_factor"]), int(d["image_side"]))
-    raise ValueError(f"unknown degradation kind: {kind!r}")
+    make = {"identity": IdentityOperator, "uniform-blur": UniformBlur,
+            "decimation": Decimation}.get(kind)
+    if make is None:
+        raise ValueError(f"unknown degradation kind: {kind!r}")
+    keys = ("image_side",) if kind == "identity" else ("size_or_factor", "image_side")
+    for key in keys:
+        if isinstance(d.get(key), bool) or not isinstance(d.get(key), int):
+            raise ValueError(f"degradation {key} must be an integer, got {d.get(key)!r}")
+    return make(*(d[key] for key in keys))
 
 
 # ---------------------------------------------------------------------------
@@ -510,11 +512,6 @@ class FusedAnalysis(AnalysisOperator):
             p.grad_outer(acc[i:i + k], left[:, s:e], right, coeff)
             i += k
 
-    def invalidate_norm(self):
-        self._norm_cache = None
-        for p in self._parts:
-            p.invalidate_norm()
-
 
 # ---------------------------------------------------------------------------
 # Constructors
@@ -656,13 +653,3 @@ def _power_iteration(op: LinearOperator, tol: float, max_iter: int,
         f"(last estimate {np.sqrt(lam):.6e})",
         np.sqrt(lam),
     )
-
-
-def operator_norm(op: LinearOperator, tol: float = NORM_TOL,
-                  max_iter: int = 50_000) -> float:
-    """Spectral norm of any operator, deterministic given the fixed start seed."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    start = Stream(derive(_NORM_SEED, op.out_dim, op.in_dim)).normal(op.in_dim)
-    value, _ = _power_iteration(op, tol, max_iter, start)
-    return value

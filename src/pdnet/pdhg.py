@@ -26,18 +26,6 @@ from .prox import prox_conj_l1
 
 
 @dataclass
-class StepSizes:
-    tau: float
-    sigma: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.tau) and np.isfinite(self.sigma)):
-            raise ValueError("step sizes must be finite")
-        if self.tau <= 0 or self.sigma <= 0:
-            raise ValueError("step sizes must be positive")
-
-
-@dataclass
 class SolveReport:
     """One measurement's solve: the restored image and how the solver stopped.
 
@@ -127,7 +115,7 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
 
 
 def pdhg_solve(a_op: LinearOperator, l_op: AnalysisOperator, z: np.ndarray,
-               steps: StepSizes, tol: float = 1e-5, max_iter: int = 10_000,
+               tau: float, sigma: float, tol: float = 1e-5, max_iter: int = 10_000,
                warn_only: bool = False) -> SolveReport | list[SolveReport]:
     """Iterate to convergence from (A* z, 0), for one measurement or a batch.
 
@@ -136,8 +124,8 @@ def pdhg_solve(a_op: LinearOperator, l_op: AnalysisOperator, z: np.ndarray,
     ||x+ - x|| / max(1, ||x||) drops below ``tol``; hitting ``max_iter``
     flags its report as not converged instead of raising.  A stopped row
     leaves the batch, and each row's report is the one a solve of that row
-    alone gives, bit for bit.  A nonpositive step-size margin raises unless
-    ``warn_only`` is set.
+    alone gives, bit for bit.  Step sizes must be positive and finite; a
+    nonpositive step-size margin raises unless ``warn_only`` is set.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim not in (1, 2) or z.shape[-1] != a_op.out_dim:
@@ -147,7 +135,9 @@ def pdhg_solve(a_op: LinearOperator, l_op: AnalysisOperator, z: np.ndarray,
     max_iter = int(max_iter)
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    margin = check_stepsizes(steps.tau, steps.sigma, a_op.cached_norm, l_op.norm())
+    if not (0 < tau < np.inf and 0 < sigma < np.inf):  # NaN fails too
+        raise ValueError(f"step sizes must be positive and finite: {tau!r}, {sigma!r}")
+    margin = check_stepsizes(tau, sigma, a_op.cached_norm, l_op.norm())
     if margin <= 0:
         msg = (f"step sizes violate the convergence condition "
                f"(margin {margin:.3e}); iterates may not converge")
@@ -167,7 +157,7 @@ def pdhg_solve(a_op: LinearOperator, l_op: AnalysisOperator, z: np.ndarray,
     it = 0
     while len(rows):
         it += 1
-        x_new, y = pd_step(a_op, l_op, steps.tau, steps.sigma, w, x, y)[:2]
+        x_new, y = pd_step(a_op, l_op, tau, sigma, w, x, y)[:2]
         rel = _row_norms(x_new - x) / np.maximum(1.0, _row_norms(x))
         # the first primal update from x = A*z is stationary while y is still
         # zero, so the change test only starts once the dual has acted

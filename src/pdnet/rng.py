@@ -88,7 +88,3 @@ class Stream:
     def permutation(self, n: int) -> np.ndarray:
         """A uniformly random permutation of range(n)."""
         return np.argsort(self.u64(n), kind="stable")
-
-    def spawn(self, tag: int) -> "Stream":
-        """Independent child stream; see :func:`derive`."""
-        return Stream(derive(int(self._seed), tag))

@@ -19,8 +19,8 @@ import numpy as np
 
 from .backprop import Gradients, backward
 from .data import psnr, ssim
-from .network import NetworkParams, forward
-from .pdhg import constraint_distance, saturating_sigma
+from .network import NetworkParams, distance_report, forward
+from .pdhg import saturating_sigma
 from .rng import Stream, derive
 
 _POSITIVITY_FLOOR = 1e-8
@@ -46,7 +46,6 @@ class TrainConfig:
     gamma: float
     batch_size: int
     max_iter: int
-    mode: str = "full"
     seed: int = 0
     val_cadence: int = 100
     lr_decay_every: int | None = None
@@ -59,8 +58,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.mode not in ("full", "partial"):
-            raise ValueError(f"mode must be 'full' or 'partial', got {self.mode!r}")
         if self.val_cadence < 1:
             raise ValueError("val_cadence must be >= 1")
 
@@ -100,9 +97,8 @@ class TrainResult:
     seconds: float = 0.0
 
 
-def sgd_step(params: NetworkParams, grads: Gradients, gamma: float,
-             mode: str) -> None:
-    """One in-place gradient step; rejects non-finite gradients."""
+def sgd_step(params: NetworkParams, grads: Gradients, gamma: float) -> None:
+    """One in-place gradient step in ``params.mode``; rejects non-finite gradients."""
     if not grads.all_finite():
         raise NonFiniteGradientError(
             "non-finite gradient encountered; step rejected"
@@ -110,10 +106,10 @@ def sgd_step(params: NetworkParams, grads: Gradients, gamma: float,
     norm_a = params.degradation.cached_norm
     for k, lp in enumerate(params.layers):
         lp.tau = max(lp.tau - gamma * grads.d_tau[k], _POSITIVITY_FLOOR)
-        if mode == "full":
+        if params.mode == "full":
             lp.sigma = max(lp.sigma - gamma * grads.d_sigma[k], _POSITIVITY_FLOOR)
         lp.analysis.update_weights(grads.d_weights[k], -gamma)
-        if mode == "partial":
+        if params.mode == "partial":
             norm_l = lp.analysis.norm()
             if norm_l == 0.0:
                 raise NonFiniteGradientError("||L|| collapsed to zero in partial mode")
@@ -140,10 +136,6 @@ def train(params: NetworkParams, train_clean: np.ndarray, train_degraded: np.nda
     Aborts with :class:`TrainingDivergedError` when the loss exceeds 10x its
     initial value for 100 consecutive iterations.
     """
-    if config.mode != params.mode:
-        raise ValueError(
-            f"config mode {config.mode!r} != network mode {params.mode!r}"
-        )
     n_train = train_clean.shape[0]
     if n_train == 0 or val_clean.shape[0] == 0:
         raise ValueError("train and validation splits must be nonempty")
@@ -164,11 +156,8 @@ def train(params: NetworkParams, train_clean: np.ndarray, train_degraded: np.nda
     def record(it: int, batch_loss: float):
         nonlocal best_psnr, best_params, best_iter
         vp, vs = _validation_scores(params, val_clean, val_degraded, side)
-        dc = [constraint_distance(lp.tau, lp.sigma, params.degradation.cached_norm,
-                                  lp.analysis.norm())
-              for lp in params.layers]
         records.append({"iter": it, "loss": batch_loss, "val_psnr": vp,
-                        "val_ssim": vs, "dc": dc})
+                        "val_ssim": vs, "dc": distance_report(params).tolist()})
         if vp > best_psnr:
             best_psnr = vp
             best_params = params.clone()
@@ -204,7 +193,7 @@ def train(params: NetworkParams, train_clean: np.ndarray, train_degraded: np.nda
             diverged_streak = 0
 
         grads = backward(params, xb, trace)
-        sgd_step(params, grads, gamma, config.mode)
+        sgd_step(params, grads, gamma)
 
         if config.lr_decay_every and (it + 1) % config.lr_decay_every == 0:
             gamma *= config.lr_decay_factor

@@ -62,7 +62,7 @@ def _desk_run(desk_data, mode, depth=6, p=100, max_iter=3000):
     params = net.init_network(desk_data["a_op"], depth, [net.DenseSpec(p)],
                               mode, seed=derive(DESK_SEED, 3))
     config = tr.TrainConfig(gamma=DESK_GAMMA, batch_size=50, max_iter=max_iter,
-                            mode=mode, seed=derive(DESK_SEED, 4), val_cadence=100)
+                            seed=derive(DESK_SEED, 4), val_cadence=100)
     return tr.train(params, desk_data["train_clean"], desk_data["train_z"],
                     desk_data["val_clean"], desk_data["val_z"], config)
 
@@ -134,7 +134,7 @@ def test_criterion_2_unrolled_equivalence():
         z = Stream(derive(0xE02, depth, 1)).uniform(side * side) * 255
         out, _ = net.forward(shared, z)
         rep = pdhg.pdhg_solve(a_op, lp.analysis, z,
-                              pdhg.StepSizes(lp.tau, lp.sigma),
+                              lp.tau, lp.sigma,
                               tol=0.0, max_iter=depth, warn_only=True)
         worst = max(worst, float(np.abs(out - rep.x_hat).max()))
     _report(2, worst <= 1e-12,
@@ -156,7 +156,7 @@ def test_criterion_3_closed_form_oracle():
         sigma = 0.9 * 0.5 / lam**2
         for t in range(100):
             z = Stream(derive(0xC3, t)).normal(n) * 4.0
-            rep = pdhg.pdhg_solve(ident, l_op, z, pdhg.StepSizes(1.0, sigma),
+            rep = pdhg.pdhg_solve(ident, l_op, z, 1.0, sigma,
                                   tol=1e-10, max_iter=100_000)
             worst = max(worst, float(np.abs(rep.x_hat - prox_l1(z, lam)).max()))
     _report(3, worst <= 1e-6,
@@ -306,7 +306,7 @@ def test_criterion_9_property_suites(tmp_path):
     for t in range(10):
         p, n = 3 + t % 5, 2 + (3 * t) % 7
         w = Stream(derive(0x96, t)).normal(p * n).reshape(p, n)
-        est = ops.operator_norm(ops.DenseAnalysis(w), tol=1e-12, max_iter=200_000)
+        est = ops.DenseAnalysis(w).norm(tol=1e-12, max_iter=200_000)
         ref = np.linalg.svd(w, compute_uv=False)[0]
         svd_ok = svd_ok and abs(est - ref) <= 1e-6 * ref
     checks.append(("norm-vs-svd", svd_ok))
@@ -320,7 +320,7 @@ def test_criterion_9_property_suites(tmp_path):
     for _ in range(5):
         out, trace = net.forward(params, zb, keep_trace=True)
         grads = bp.backward(params, clean, trace)
-        tr.sgd_step(params, grads, 1e-7, "full")
+        tr.sgd_step(params, grads, 1e-7)
     mask_ok = all(not lp.analysis.to_dense()[m == 0].any()
                   for lp, m in zip(params.layers, mask))
     checks.append(("mask-invariance", mask_ok))

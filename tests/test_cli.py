@@ -146,7 +146,7 @@ def test_eval_rejects_mismatched_degradation(tmp_path):
     assert cli.main(["eval", "--config", path5, "--model", model]) == 1
 
 
-def test_gradcheck_passes_and_fails_when_flipped(tmp_path):
+def test_gradcheck_passes_and_fails_when_flipped(tmp_path, monkeypatch):
     path, _ = write_config(
         tmp_path,
         data={"source": "synthetic", "image_side": 4},
@@ -154,7 +154,11 @@ def test_gradcheck_passes_and_fails_when_flipped(tmp_path):
                  "init_stddev": 0.5},
     )
     assert cli.main(["gradcheck", "--config", path]) == 0
-    assert cli.main(["gradcheck", "--config", path, "--flip-output-sign"]) == 3
+    # negate the output-layer error: backward's target becomes 2*out - clean
+    real_backward = cli.backward
+    monkeypatch.setattr(cli, "backward", lambda params, clean, trace: real_backward(
+        params, 2.0 * trace.xs[-1] - clean, trace))
+    assert cli.main(["gradcheck", "--config", path]) == 3
 
 
 def test_gradcheck_passes_at_config_seed_0(tmp_path):
@@ -240,8 +244,12 @@ def _weights_to_text(numeric):
     _weights_to_text(numeric=False),
     _weights_to_text(numeric=True),
     _weights_to_nan,
+    _set(["layers", 0, "parts", 1, "stride"], 0),
+    _set(["degradation", "size_or_factor"], "3"),
+    _set(["g"], "l2"),
 ], ids=["K-null", "rows-null", "tau-list", "sites-number", "degradation-null",
-        "weights-strings", "weights-numeric-strings", "weights-nan"])
+        "weights-strings", "weights-numeric-strings", "weights-nan", "stride-0",
+        "size_or_factor-string", "g-l2"])
 def test_malformed_model_exits_cleanly(tmp_path, capsys, mutate):
     from pdnet import network as net
     from pdnet import operators as ops
@@ -308,6 +316,58 @@ def test_degraded_dir_source_feeds_training(tmp_path):
     assert os.path.exists(os.path.join(str(tmp_path / "stage2"), "model_final.json"))
 
 
+def _edit_manifest(**changes):
+    """A mutation of the manifest: keys set, or dropped where the value is None."""
+    def mutate(root, manifest):
+        for key, value in changes.items():
+            if value is None:
+                del manifest[key]
+            else:
+                manifest[key] = value
+    return mutate
+
+
+def _tamper_degraded(root, manifest):
+    degraded = np.load(os.path.join(root, "degraded.npy"))
+    np.save(os.path.join(root, "degraded.npy"), degraded + 1.0)
+
+
+def _short_rows(root, manifest):
+    """Rows one pixel short of the degradation's output, with a matching hash."""
+    path = os.path.join(root, "degraded.npy")
+    np.save(path, np.load(path)[:, :-1])
+    manifest["files"]["degraded.npy"] = sha(path)
+
+
+@pytest.mark.parametrize("mutate,named", [
+    (_tamper_degraded, "degraded.npy"),
+    (_edit_manifest(alpha=None), "'alpha'"),
+    (_edit_manifest(side=None), "'side'"),
+    (_short_rows, "do not fit"),
+    (_edit_manifest(degradation={"kind": "motion-blur"}), "motion-blur"),
+    (_edit_manifest(degradation={"kind": "uniform-blur", "size_or_factor": "3",
+                                 "image_side": 8}), "size_or_factor"),
+    (_edit_manifest(degradation={"kind": "uniform-blur", "size_or_factor": 3.7,
+                                 "image_side": 8}), "size_or_factor"),
+], ids=["degraded-hash-mismatch", "alpha-missing", "side-missing", "rows-too-short",
+        "degradation-unknown", "size_or_factor-string", "size_or_factor-float"])
+def test_degraded_dir_rejects_bad_datasets(tmp_path, capsys, mutate, named):
+    path, cfg = write_config(tmp_path, output_dir=str(tmp_path / "stage1"))
+    assert cli.main(["degrade", "--config", path]) == 0
+    root = cfg["output_dir"]
+    manifest = json.load(open(os.path.join(root, "manifest.json")))
+    mutate(root, manifest)
+    json.dump(manifest, open(os.path.join(root, "manifest.json"), "w"))
+    path2, _ = write_config(
+        tmp_path, name="c2.json", output_dir=str(tmp_path / "stage2"),
+        data={"source": "degraded-dir", "path": root}, degradation=None)
+    capsys.readouterr()
+    assert cli.main(["solve", "--config", path2]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert named in err
+
+
 @pytest.mark.parametrize("command,edit,code,named", [
     # bad values: exit 1 with one line on stderr
     ("eval", {}, 1, ""),  # --beta 2,x
@@ -331,10 +391,14 @@ def test_degraded_dir_source_feeds_training(tmp_path):
     ("solve", {"solve": {"tol": -1}}, 1, "tol must be positive"),
     ("solve", {"solve": {"tol": float("nan")}}, 1, "tol must be positive"),
     ("solve", {"solve": {"lambda": float("nan")}}, 1, "lambda must be positive"),
+    ("solve", {"solve": {"sigma": float("inf")}}, 1, "sigma must be positive and finite"),
+    ("solve", {"solve": {"sigma": -1}}, 1, "sigma must be positive and finite"),
+    ("solve", {"solve": {"tau": float("inf")}}, 1, "tau too large"),
 ], ids=["beta-not-a-number", "tau-0", "sigma-0", "train_frac-2", "K-null",
         "gamma-null", "size-null", "count-null", "image_side-null", "lambda-null",
         "count-0", "patches_per_image-0", "limit-negative", "max_iter-0",
-        "tol-0", "tol-negative", "tol-nan", "lambda-nan"])
+        "tol-0", "tol-negative", "tol-nan", "lambda-nan", "sigma-inf", "sigma-negative",
+        "tau-inf"])
 def test_config_values_exit_cleanly(tmp_path, capsys, command, edit, code, named):
     path, cfg = write_config(tmp_path, **edit)
     argv = [command, "--config", path]
@@ -355,20 +419,21 @@ def test_config_values_exit_cleanly(tmp_path, capsys, command, edit, code, named
 def test_solve_matches_per_image_solves(tmp_path):
     from pdnet import data as datamod
     from pdnet import operators as ops
-    from pdnet.pdhg import StepSizes, pdhg_solve
+    from pdnet.pdhg import pdhg_solve
 
     path, cfg = write_config(tmp_path)
     assert cli.main(["solve", "--config", path]) == 0
     out = cfg["output_dir"]
     loaded = cli.load_config(path)
     subset = cli._eval_subset(loaded, cli._load_dataset(loaded))
-    a_op = ops.degradation_from_spec(subset.degradation)
+    a_op = subset.degradation
     l_op = ops.make_first_difference(subset.side, scale=1.5)
-    steps = StepSizes(1.0, 0.9 * (1.0 - a_op.cached_norm**2 / 2.0) / l_op.norm() ** 2)
+    sigma = 0.9 * (1.0 - a_op.cached_norm**2 / 2.0) / l_op.norm() ** 2
     lines = ["image,iterations,final_residual,converged,psnr"]
     expected = str(tmp_path / "expected.pgm")
     for i in range(len(subset)):
-        rep = pdhg_solve(a_op, l_op, subset.degraded[i], steps, tol=1e-6, max_iter=20000)
+        rep = pdhg_solve(a_op, l_op, subset.degraded[i], 1.0, sigma, tol=1e-6,
+                         max_iter=20000)
         lines.append(f"{i},{rep.iterations},{rep.final_residual!r},{int(rep.converged)},"
                      f"{datamod.psnr(rep.x_hat, subset.clean[i])!r}")
         datamod.save_pgm(expected, rep.x_hat.reshape(subset.side, subset.side))

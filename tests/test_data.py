@@ -176,7 +176,7 @@ def test_degrade_set_reproducible():
     d1 = dm.degrade_set(clean, 4, a, 20.0, seed=3)
     d2 = dm.degrade_set(clean, 4, a, 20.0, seed=3)
     assert np.array_equal(d1.degraded, d2.degraded)
-    assert d1.degradation == {"kind": "uniform-blur", "size_or_factor": 3,
+    assert d1.degradation.spec() == {"kind": "uniform-blur", "size_or_factor": 3,
                               "image_side": 4}
 
 

@@ -63,7 +63,7 @@ def test_unrolled_equivalence(side, depth):
     z = Stream(derive(0xE0, side, depth)).uniform(side * side) * 255
     out, _ = net.forward(params, z)
     lp = params.layers[0]
-    rep = pdhg.pdhg_solve(a, lp.analysis, z, pdhg.StepSizes(lp.tau, lp.sigma),
+    rep = pdhg.pdhg_solve(a, lp.analysis, z, lp.tau, lp.sigma,
                           tol=0.0, max_iter=depth, warn_only=True)
     assert np.abs(out - rep.x_hat).max() <= 1e-12
 
@@ -215,7 +215,7 @@ def _whole_document_bytes(params):
         "degradation": params.degradation.spec(),
         "K": params.depth,
         "mode": params.mode,
-        "g": params.g,
+        "g": net.MODEL_PENALTY,
         "layers": [{
             "tau": float(lp.tau),
             "sigma": float(lp.sigma),

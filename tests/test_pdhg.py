@@ -44,18 +44,23 @@ def test_saturating_sigma_raises_when_ulp_steps_run_out(monkeypatch):
         pdhg.saturating_sigma(1.0, 1.0, 1.0)
 
 
-def test_stepsizes_validate():
-    with pytest.raises(ValueError):
-        pdhg.StepSizes(0.0, 1.0)
-    with pytest.raises(ValueError):
-        pdhg.StepSizes(1.0, -2.0)
+@pytest.mark.parametrize("tau,sigma", [
+    (0.0, 0.3), (-1.0, 0.3), (np.inf, 0.3), (np.nan, 0.3),
+    (1.0, 0.0), (1.0, -1.0), (1.0, np.inf), (1.0, np.nan),
+], ids=["tau-0", "tau-negative", "tau-inf", "tau-nan",
+        "sigma-0", "sigma-negative", "sigma-inf", "sigma-nan"])
+def test_solve_rejects_stepsizes_not_positive_and_finite(tau, sigma):
+    ident = ops.IdentityOperator(4)
+    l_id = ops.make_scaled_identity_analysis(4, 1.0)
+    with pytest.raises(ValueError, match="positive and finite"):
+        pdhg.pdhg_solve(ident, l_id, np.ones(4), tau, sigma, warn_only=True)
 
 
 def test_solve_identity_no_prior_returns_measurement():
     ident = ops.IdentityOperator(9)
     l_zero = ops.DenseAnalysis(np.zeros((4, 9)))
     z = Stream(5).normal(9) * 10
-    rep = pdhg.pdhg_solve(ident, l_zero, z, pdhg.StepSizes(1.0, 0.3), tol=1e-9)
+    rep = pdhg.pdhg_solve(ident, l_zero, z, 1.0, 0.3, tol=1e-9)
     assert rep.converged
     assert np.abs(rep.x_hat - z).max() < 1e-12
     assert rep.objective == pytest.approx(0.0, abs=1e-20)
@@ -65,7 +70,7 @@ def test_solve_denoising_matches_soft_threshold():
     ident = ops.IdentityOperator(3)
     l_id = ops.make_scaled_identity_analysis(3, 1.0)
     z = np.array([3.0, -0.5, 0.2])
-    rep = pdhg.pdhg_solve(ident, l_id, z, pdhg.StepSizes(1.0, 0.45),
+    rep = pdhg.pdhg_solve(ident, l_id, z, 1.0, 0.45,
                           tol=1e-10, max_iter=int(1e5))
     assert rep.converged
     assert np.abs(rep.x_hat - np.array([2.0, 0.0, 0.0])).max() < 1e-8
@@ -79,7 +84,7 @@ def test_denoising_oracle_over_lambda(lam):
     for t in range(20):
         z = Stream(derive(0x7E57, t)).normal(25) * 4
         rep = pdhg.pdhg_solve(ident, l_id, z,
-                              pdhg.StepSizes(1.0, 0.9 * 0.5 / lam**2),
+                              1.0, 0.9 * 0.5 / lam**2,
                               tol=1e-10, max_iter=int(1e5))
         worst = max(worst, float(np.abs(rep.x_hat - prox_l1(z, lam)).max()))
     assert worst <= 1e-6
@@ -99,15 +104,15 @@ def test_blur_first_difference_fixed_point():
     l_fd = ops.make_first_difference(8, scale=2.0)
     z = a.apply(_piecewise_image()) + Stream(3).normal(64) * 5
     sigma = 0.9 * (1.0 - 0.5) / l_fd.norm() ** 2
-    steps = pdhg.StepSizes(1.0, sigma)
-    rep = pdhg.pdhg_solve(a, l_fd, z, steps, tol=1e-10, max_iter=int(2e5))
+    steps = 1.0, sigma
+    rep = pdhg.pdhg_solve(a, l_fd, z, *steps, tol=1e-10, max_iter=int(2e5))
     assert rep.converged
     # objective settled
     assert abs(rep.objective - rep.previous_objective) <= 1e-8 * abs(rep.objective)
     # one extra iteration moves the solution by at most 10*tol
     w = a.apply_adjoint(rep.x_hat[None, :])  # reuse internal formulation
     x = rep.x_hat[None, :]
-    rep2 = pdhg.pdhg_solve(a, l_fd, z, steps, tol=1e-10, max_iter=rep.iterations + 1)
+    rep2 = pdhg.pdhg_solve(a, l_fd, z, *steps, tol=1e-10, max_iter=rep.iterations + 1)
     assert np.abs(rep2.x_hat - rep.x_hat).max() <= 10 * 1e-10 * max(1.0, np.linalg.norm(rep.x_hat))
 
 
@@ -115,7 +120,7 @@ def test_solver_flags_non_convergence():
     a = ops.UniformBlur(3, 8)
     l_fd = ops.make_first_difference(8)
     z = a.apply(_piecewise_image())
-    rep = pdhg.pdhg_solve(a, l_fd, z, pdhg.StepSizes(1.0, 0.4 / l_fd.norm() ** 2),
+    rep = pdhg.pdhg_solve(a, l_fd, z, 1.0, 0.4 / l_fd.norm() ** 2,
                           tol=1e-12, max_iter=3)
     assert not rep.converged
     assert rep.iterations == 3
@@ -124,11 +129,11 @@ def test_solver_flags_non_convergence():
 def test_solver_rejects_bad_stepsizes_unless_warned():
     ident = ops.IdentityOperator(4)
     l_id = ops.make_scaled_identity_analysis(4, 1.0)
-    bad = pdhg.StepSizes(1.0, 10.0)
+    bad = 1.0, 10.0
     with pytest.raises(ValueError):
-        pdhg.pdhg_solve(ident, l_id, np.ones(4), bad)
+        pdhg.pdhg_solve(ident, l_id, np.ones(4), *bad)
     with pytest.warns(UserWarning):
-        pdhg.pdhg_solve(ident, l_id, np.ones(4), bad, max_iter=5, warn_only=True)
+        pdhg.pdhg_solve(ident, l_id, np.ones(4), *bad, max_iter=5, warn_only=True)
 
 
 def test_tightening_tol_changes_objective_little():
@@ -136,9 +141,9 @@ def test_tightening_tol_changes_objective_little():
     l_fd = ops.make_first_difference(8, scale=1.5)
     z = a.apply(_piecewise_image()) + Stream(9).normal(64) * 3
     sigma = 0.9 * 0.5 / l_fd.norm() ** 2
-    loose = pdhg.pdhg_solve(a, l_fd, z, pdhg.StepSizes(1.0, sigma), tol=1e-7,
+    loose = pdhg.pdhg_solve(a, l_fd, z, 1.0, sigma, tol=1e-7,
                             max_iter=int(2e5))
-    tight = pdhg.pdhg_solve(a, l_fd, z, pdhg.StepSizes(1.0, sigma), tol=1e-8,
+    tight = pdhg.pdhg_solve(a, l_fd, z, 1.0, sigma, tol=1e-8,
                             max_iter=int(2e5))
     rel = abs(loose.objective - tight.objective) / abs(tight.objective)
     assert rel <= 1e-6
@@ -150,7 +155,7 @@ def _blurred_batch(count=6):
     z = np.stack([a.apply(_piecewise_image() * (0.5 + 0.2 * t))
                   + Stream(derive(0xBA7C, t)).normal(64) * (1 + 2 * t)
                   for t in range(count)])
-    return a, l_fd, z, pdhg.StepSizes(1.0, 0.9 * 0.5 / l_fd.norm() ** 2)
+    return a, l_fd, z, (1.0, 0.9 * 0.5 / l_fd.norm() ** 2)
 
 
 def _assert_reports_equal(batched, single):
@@ -170,37 +175,37 @@ def test_row_norms_match_single_vector_norms():
 
 def test_batched_solve_matches_row_by_row():
     a, l_fd, z, steps = _blurred_batch()
-    reports = pdhg.pdhg_solve(a, l_fd, z, steps, tol=1e-8, max_iter=int(2e5))
+    reports = pdhg.pdhg_solve(a, l_fd, z, *steps, tol=1e-8, max_iter=int(2e5))
     assert len(reports) == len(z)
     assert all(rep.converged for rep in reports)
     assert len({rep.iterations for rep in reports}) > 1  # rows leave at different times
     for row, rep in zip(z, reports):
-        _assert_reports_equal(rep, pdhg.pdhg_solve(a, l_fd, row, steps, tol=1e-8,
+        _assert_reports_equal(rep, pdhg.pdhg_solve(a, l_fd, row, *steps, tol=1e-8,
                                                    max_iter=int(2e5)))
 
 
 def test_batched_solve_cut_off_by_max_iter():
     a, l_fd, z, steps = _blurred_batch()
     counts = sorted(rep.iterations for rep in
-                    pdhg.pdhg_solve(a, l_fd, z, steps, tol=1e-8, max_iter=int(2e5)))
+                    pdhg.pdhg_solve(a, l_fd, z, *steps, tol=1e-8, max_iter=int(2e5)))
     max_iter = counts[len(counts) // 2]
-    reports = pdhg.pdhg_solve(a, l_fd, z, steps, tol=1e-8, max_iter=max_iter)
+    reports = pdhg.pdhg_solve(a, l_fd, z, *steps, tol=1e-8, max_iter=max_iter)
     assert {rep.converged for rep in reports} == {True, False}
     for row, rep in zip(z, reports):
         assert rep.iterations <= max_iter
-        _assert_reports_equal(rep, pdhg.pdhg_solve(a, l_fd, row, steps, tol=1e-8,
+        _assert_reports_equal(rep, pdhg.pdhg_solve(a, l_fd, row, *steps, tol=1e-8,
                                                    max_iter=max_iter))
 
 
 def test_solve_return_shapes_and_max_iter_check():
     a, l_fd, z, steps = _blurred_batch(2)
-    assert isinstance(pdhg.pdhg_solve(a, l_fd, z[0], steps, max_iter=3), pdhg.SolveReport)
-    assert len(pdhg.pdhg_solve(a, l_fd, z[:1], steps, max_iter=3)) == 1
-    assert pdhg.pdhg_solve(a, l_fd, z[:0], steps, max_iter=3) == []
+    assert isinstance(pdhg.pdhg_solve(a, l_fd, z[0], *steps, max_iter=3), pdhg.SolveReport)
+    assert len(pdhg.pdhg_solve(a, l_fd, z[:1], *steps, max_iter=3)) == 1
+    assert pdhg.pdhg_solve(a, l_fd, z[:0], *steps, max_iter=3) == []
     # one iteration: the previous objective is that of the start x = A* z
-    rep = pdhg.pdhg_solve(a, l_fd, z[0], steps, max_iter=1)
+    rep = pdhg.pdhg_solve(a, l_fd, z[0], *steps, max_iter=1)
     assert rep.previous_objective == pdhg.objective(a, l_fd, z[0], a.apply_adjoint(z[0]))
     with pytest.raises(ValueError, match="max_iter"):
-        pdhg.pdhg_solve(a, l_fd, z, steps, max_iter=0)
+        pdhg.pdhg_solve(a, l_fd, z, *steps, max_iter=0)
     with pytest.raises(ValueError, match="measurement"):
-        pdhg.pdhg_solve(a, l_fd, z[None], steps)
+        pdhg.pdhg_solve(a, l_fd, z[None], *steps)

@@ -48,14 +48,6 @@ def test_derive_deterministic_and_sensitive():
     assert derive(9, 1, 2) != derive(9, 2, 1)
 
 
-def test_spawn_independent_of_parent_state():
-    parent = Stream(42)
-    parent.u64(17)  # advancing the parent must not change children
-    child_a = parent.spawn(3).u64(5)
-    child_b = Stream(42).spawn(3).u64(5)
-    assert np.array_equal(child_a, child_b)
-
-
 def test_permutation_is_permutation():
     p = Stream(11).permutation(257)
     assert sorted(p.tolist()) == list(range(257))

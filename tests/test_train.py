@@ -38,7 +38,7 @@ def test_sgd_zero_gradients_leave_params_unchanged():
     params, *_ = tiny_setup()
     taus = [lp.tau for lp in params.layers]
     weights = [lp.analysis.to_dense() for lp in params.layers]
-    tr.sgd_step(params, zero_grads(params), 0.1, "full")
+    tr.sgd_step(params, zero_grads(params), 0.1)
     assert [lp.tau for lp in params.layers] == taus
     for lp, w in zip(params.layers, weights):
         assert np.array_equal(lp.analysis.to_dense(), w)
@@ -49,7 +49,7 @@ def test_sgd_gamma_zero_is_identity_update():
     out, trace = net.forward(params, ztr[:4], keep_trace=True)
     grads = bp.backward(params, xtr[:4], trace)
     before = [lp.analysis.to_dense() for lp in params.layers]
-    tr.sgd_step(params, grads, 0.0, "full")
+    tr.sgd_step(params, grads, 0.0)
     for lp, w in zip(params.layers, before):
         assert np.array_equal(lp.analysis.to_dense(), w)
 
@@ -59,7 +59,7 @@ def test_sgd_positivity_clamp():
     grads = zero_grads(params)
     grads.d_tau[:] = 1e12
     grads.d_sigma[:] = 1e12
-    tr.sgd_step(params, grads, 1.0, "full")
+    tr.sgd_step(params, grads, 1.0)
     for lp in params.layers:
         assert lp.tau == 1e-8
         assert lp.sigma == 1e-8
@@ -70,7 +70,7 @@ def test_sgd_rejects_non_finite():
     grads = zero_grads(params)
     grads.d_tau[0] = np.nan
     with pytest.raises(tr.NonFiniteGradientError):
-        tr.sgd_step(params, grads, 0.1, "full")
+        tr.sgd_step(params, grads, 0.1)
 
 
 def test_partial_mode_margin_zero_after_steps():
@@ -79,7 +79,7 @@ def test_partial_mode_margin_zero_after_steps():
     for t in range(5):
         out, trace = net.forward(params, ztr[4 * t:4 * t + 4], keep_trace=True)
         grads = bp.backward(params, xtr[4 * t:4 * t + 4], trace)
-        tr.sgd_step(params, grads, 1e-8, "partial")
+        tr.sgd_step(params, grads, 1e-8)
         for lp in params.layers:
             margin = check_stepsizes(lp.tau, lp.sigma, norm_a, lp.analysis.norm())
             assert abs(margin) <= 1e-9
@@ -151,13 +151,6 @@ def test_lr_decay_applies():
                             val_cadence=2, lr_decay_every=2, lr_decay_factor=0.5)
     result = tr.train(params, xtr, ztr, xv, zv, config)  # smoke: no blowup
     assert result.history.losses.shape == (4,)
-
-
-def test_mode_mismatch_rejected():
-    params, xtr, ztr, xv, zv = tiny_setup(mode="partial")
-    config = tr.TrainConfig(gamma=1e-9, batch_size=4, max_iter=2, mode="full")
-    with pytest.raises(ValueError, match="mode"):
-        tr.train(params, xtr, ztr, xv, zv, config)
 
 
 def test_history_csv_layout(tmp_path):
