@@ -36,13 +36,17 @@ from . import network as netmod
 from .backprop import backward, compare_gradients, finite_diff_gradients
 from .network import BlockSpec, DenseSpec, ModelFormatError
 from .operators import (
+    INIT_STDDEV,
+    Decimation,
+    IdentityOperator,
+    UniformBlur,
     degradation_from_spec,
     make_first_difference,
     make_scaled_identity_analysis,
 )
 from .pdhg import pdhg_solve
 from .rng import Stream, derive
-from .training import TrainConfig, TrainingDivergedError, train
+from .training import TrainingDivergedError, train
 
 
 class ConfigError(ValueError):
@@ -78,7 +82,7 @@ _SCHEMA = {
         "labels": (str, None),
         "path": (str, None),
         "limit": (int, None, 0),  # 0: every file or image
-        "patch_size": (int, None),
+        "patch_size": (int, None, 1),
         "patches_per_image": (int, 16, 1),
         "train_frac": (float, 0.8),
         "val_frac": (float, 0.2),
@@ -87,14 +91,15 @@ _SCHEMA = {
         "K": (int, None),
         "mode": ({"full", "partial"}, "full"),
         "L": (list, None),
-        "init_stddev": (float, 1e-2),
+        "init_stddev": (float, INIT_STDDEV),
     },
+    # the keyword arguments of training.train, less its seed
     "train": {
         "gamma": (float, 1e-9),
-        "batch_size": (int, 50),
-        "max_iter": (int, 1000),
-        "val_cadence": (int, 100),
-        "lr_decay_every": (int, None),
+        "batch_size": (int, 50, 1),
+        "max_iter": (int, 1000, 1),
+        "val_cadence": (int, 100, 1),
+        "lr_decay_every": (int, None, 1),
         "lr_decay_factor": (float, 0.5),
     },
     "solve": {
@@ -208,20 +213,19 @@ def _build_degradation(cfg: dict, side: int):
     kind, alpha = d["kind"], d["alpha"]
     if alpha < 0:
         raise ConfigError("alpha must be nonnegative")
-    if kind in ("uniform-blur", "decimation"):
-        key = "size" if kind == "uniform-blur" else "factor"
-        if d[key] is None:
-            raise ConfigError(f"{kind} needs {key!r}")
-        spec = {"kind": kind, "size_or_factor": d[key], "image_side": side}
-    elif kind == "identity":
-        # for identity the field holds the vector dimension
-        spec = {"kind": kind, "size_or_factor": 1, "image_side": side * side}
-    else:
-        raise ConfigError(f"unknown degradation kind {kind!r}")
+    key = {"uniform-blur": "size", "decimation": "factor"}.get(kind)
+    if key is not None and d[key] is None:
+        raise ConfigError(f"{kind} needs {key!r}")
     try:
-        return degradation_from_spec(spec), alpha
+        if kind == "uniform-blur":
+            return UniformBlur(d["size"], side), alpha
+        if kind == "decimation":
+            return Decimation(d["factor"], side), alpha
+        if kind == "identity":
+            return IdentityOperator(side * side), alpha
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    raise ConfigError(f"unknown degradation kind {kind!r}")
 
 
 def _load_clean_images(cfg: dict):
@@ -385,13 +389,6 @@ def _build_network(cfg: dict, a_op):
         raise ConfigError(str(exc)) from exc
 
 
-def _train_config(cfg: dict) -> TrainConfig:
-    try:
-        return TrainConfig(**_section(cfg, "train"), seed=derive(cfg["seed"], 6))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def export_filter_grids(params: netmod.NetworkParams, out_dir: str,
                         prefix: str = "filters") -> list[str]:
     """One PGM grid per part of the last layer's analysis operator.
@@ -433,17 +430,19 @@ def cmd_train(cfg: dict, config_path: str, verbose: bool) -> int:
     if len(train_set) == 0 or len(val_set) == 0:
         raise ConfigError("train and val splits must both be nonempty")
     params = _build_network(cfg, dataset.degradation)
-    tconf = _train_config(cfg)
+    recipe = _section(cfg, "train")
+    if not recipe["gamma"] > 0:  # NaN fails this test too
+        raise ConfigError("learning rate gamma must be positive")
     out = _prepare_output(cfg, config_path)
-    result = train(params, train_set.clean, train_set.degraded,
-                   val_set.clean, val_set.degraded, tconf, side=dataset.side)
+    result = train(params, train_set.clean, train_set.degraded, val_set.clean,
+                   val_set.degraded, dataset.side, seed=derive(cfg["seed"], 6), **recipe)
     netmod.serialize(result.final_params, os.path.join(out, "model_final.json"))
     netmod.serialize(result.best_params, os.path.join(out, "model_best.json"))
     result.history.to_csv(os.path.join(out, "history.csv"))
     export_filter_grids(result.final_params, out)
     if verbose:
         last = result.history.records[-1]
-        print(f"trained {tconf.max_iter} iterations in {result.seconds:.1f}s; "
+        print(f"trained {recipe['max_iter']} iterations in {result.seconds:.1f}s; "
               f"final val PSNR {_fmt(last['val_psnr'])} dB "
               f"(best {_fmt(result.best_psnr)} at iteration {result.best_iter})")
     return 0
@@ -546,10 +545,7 @@ def cmd_gradcheck(cfg: dict, config_path: str, verbose: bool) -> int:
     params = _build_network(cfg, a_op)
     stream = Stream(derive(cfg["seed"], 8))
     clean = (stream.uniform(3 * side * side) * 255.0).reshape(3, side * side)
-    degraded = np.stack([
-        datamod.degrade(clean[i], a_op, alpha, derive(cfg["seed"], 9, i))
-        for i in range(3)
-    ])
+    degraded = datamod.degrade_set(clean, side, a_op, alpha, derive(cfg["seed"], 9)).degraded
     _, trace = netmod.forward(params, degraded, keep_trace=True)
     errors = compare_gradients(
         backward(params, clean, trace),

@@ -21,6 +21,7 @@ import numpy as np
 from . import pdhg
 from .pdhg import saturating_sigma
 from .operators import (
+    INIT_STDDEV,
     AnalysisOperator,
     DenseAnalysis,
     LinearOperator,
@@ -53,7 +54,6 @@ class BlockSpec:
     stride: int
     filters_per_site: int
     site_rule: str = "fit"
-    sites: list | None = None
 
 
 @dataclass
@@ -61,12 +61,6 @@ class LayerParams:
     tau: float
     sigma: float
     analysis: AnalysisOperator
-
-    def __post_init__(self):
-        if not (np.isfinite(self.tau) and np.isfinite(self.sigma)):
-            raise ValueError("layer step sizes must be finite")
-        if self.tau < 0 or self.sigma < 0:
-            raise ValueError("layer step sizes must be nonnegative")
 
 
 class NetworkParams:
@@ -127,7 +121,7 @@ class LayerTrace:
 
 
 def init_network(degradation: LinearOperator, depth: int, l_specs: list,
-                 mode: str, seed: int, stddev: float = 1e-2) -> NetworkParams:
+                 mode: str, seed: int, stddev: float = INIT_STDDEV) -> NetworkParams:
     """Build a network with tau = 1, Normal(0, stddev^2) analysis weights, and
     sigma saturating the step-size condition from the measured ||L||.
 
@@ -153,7 +147,7 @@ def init_network(degradation: LinearOperator, depth: int, l_specs: list,
                     raise ValueError("block-sparse parts need an image-shaped degradation")
                 parts.append(make_block_sparse_analysis(
                     spec.q, spec.stride, spec.filters_per_site, side, part_seed,
-                    stddev=stddev, sites=spec.sites, site_rule=spec.site_rule,
+                    stddev=stddev, site_rule=spec.site_rule,
                 ))
             else:
                 raise ValueError(f"unknown L spec: {spec!r}")
@@ -301,6 +295,8 @@ def _part_from_record(rec: dict, n: int) -> AnalysisOperator:
         sites = [tuple(_int(v, "site coordinate") for v in s) for s in sites]
         stride = _int(rec["stride"], "block stride")
         _require(stride >= 1, f"block stride must be >= 1, got {stride}")
+        _require(all(r % stride == 0 and c % stride == 0 for r, c in sites),
+                 f"block sites must lie at multiples of the stride {stride}")
         rows = len(sites) * filters
         w = _weights(rec, rows * q * q, "block part")
         op = make_block_sparse_analysis(q, stride, filters, side, seed=0, stddev=0.0,
@@ -336,8 +332,10 @@ def _params_from_doc(doc) -> NetworkParams:
         _require(isinstance(rec["parts"], list) and rec["parts"],
                  "layer parts must be a nonempty list")
         parts = [_part_from_record(p, n) for p in rec["parts"]]
-        layers.append(LayerParams(_float(rec["tau"], "tau"),
-                                  _float(rec["sigma"], "sigma"), fuse_analysis(parts)))
+        tau, sigma = _float(rec["tau"], "tau"), _float(rec["sigma"], "sigma")
+        _require(0 <= tau < np.inf and 0 <= sigma < np.inf,  # NaN fails too
+                 f"layer step sizes must be finite and nonnegative, got {tau!r}, {sigma!r}")
+        layers.append(LayerParams(tau, sigma, fuse_analysis(parts)))
     return NetworkParams(a_op, layers, mode=doc["mode"])
 
 

@@ -20,26 +20,6 @@ import scipy.sparse as sp
 
 from .rng import Stream, derive
 
-__all__ = [
-    "LinearOperator",
-    "IdentityOperator",
-    "UniformBlur",
-    "Decimation",
-    "AnalysisOperator",
-    "DenseAnalysis",
-    "MaskedRowAnalysis",
-    "FusedAnalysis",
-    "PowerIterationError",
-    "make_dense_analysis",
-    "make_block_sparse_analysis",
-    "make_first_difference",
-    "make_scaled_identity_analysis",
-    "fuse_analysis",
-    "block_sites",
-    "degradation_from_spec",
-    "ANALYSIS_MACS",
-]
-
 # Fixed seed for power-iteration start vectors: estimates are then a pure,
 # reproducible function of the operator weights.
 _NORM_SEED = 0x9D2C5680
@@ -47,6 +27,9 @@ _NORM_SEED = 0x9D2C5680
 # Power iteration stops once the eigenvalue estimate changes by at most this
 # much, relative; every norm the library takes uses it.
 NORM_TOL = 1e-9
+
+# Standard deviation of the Normal(0, stddev^2) initial analysis weights.
+INIT_STDDEV = 1e-2
 
 
 class _MacCounter:
@@ -244,10 +227,6 @@ class AnalysisOperator(LinearOperator):
     def __init__(self):
         self._norm_cache: float | None = None
         self._norm_vec: np.ndarray | None = None
-
-    @property
-    def rows(self) -> int:
-        return self.out_dim
 
     def parts(self) -> list["AnalysisOperator"]:
         return [self]
@@ -518,7 +497,8 @@ class FusedAnalysis(AnalysisOperator):
 # ---------------------------------------------------------------------------
 
 
-def make_dense_analysis(p: int, n: int, seed: int, stddev: float = 1e-2) -> DenseAnalysis:
+def make_dense_analysis(p: int, n: int, seed: int,
+                        stddev: float = INIT_STDDEV) -> DenseAnalysis:
     """Dense P x N operator with i.i.d. Normal(0, stddev^2) entries."""
     if p < 1 or n < 1:
         raise ValueError("dense analysis needs p >= 1 and n >= 1")
@@ -548,7 +528,7 @@ def block_sites(image_side: int, q: int, stride: int, rule: str = "fit") -> list
 
 
 def make_block_sparse_analysis(q: int, stride: int, filters_per_site: int,
-                               image_side: int, seed: int, stddev: float = 1e-2,
+                               image_side: int, seed: int, stddev: float = INIT_STDDEV,
                                sites: list[tuple[int, int]] | None = None,
                                site_rule: str = "fit") -> MaskedRowAnalysis:
     """Block-sparse operator: each row holds a Q x Q window of weights.

@@ -42,27 +42,6 @@ class TrainingDivergedError(RuntimeError):
 
 
 @dataclass
-class TrainConfig:
-    gamma: float
-    batch_size: int
-    max_iter: int
-    seed: int = 0
-    val_cadence: int = 100
-    lr_decay_every: int | None = None
-    lr_decay_factor: float = 0.5
-
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("learning rate gamma must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.val_cadence < 1:
-            raise ValueError("val_cadence must be >= 1")
-
-
-@dataclass
 class History:
     """Per-iteration training losses plus cadenced validation records."""
 
@@ -81,10 +60,6 @@ class History:
             lines.append(",".join(row))
         with open(path, "w", encoding="ascii") as f:
             f.write("\n".join(lines) + "\n")
-
-    def moving_average(self, at_iter: int, window: int = 100) -> float:
-        lo = max(0, at_iter - window + 1)
-        return float(np.mean(self.losses[lo:at_iter + 1]))
 
 
 @dataclass
@@ -128,10 +103,14 @@ def _validation_scores(params: NetworkParams, clean: np.ndarray,
 
 
 def train(params: NetworkParams, train_clean: np.ndarray, train_degraded: np.ndarray,
-          val_clean: np.ndarray, val_degraded: np.ndarray, config: TrainConfig,
-          side: int | None = None) -> TrainResult:
+          val_clean: np.ndarray, val_degraded: np.ndarray, side: int | None = None, *,
+          gamma: float, batch_size: int, max_iter: int, val_cadence: int,
+          lr_decay_every: int | None, lr_decay_factor: float, seed: int) -> TrainResult:
     """Run mini-batch SGD and track the best-validation-PSNR checkpoint.
 
+    The keyword arguments are the ``train`` section of a config plus the
+    batch-order seed; the config schema holds their defaults and ranges, and
+    ``lr_decay_every=None`` means gamma never decays.
     ``params`` is trained in place (and also returned as ``final_params``).
     Aborts with :class:`TrainingDivergedError` when the loss exceeds 10x its
     initial value for 100 consecutive iterations.
@@ -142,12 +121,11 @@ def train(params: NetworkParams, train_clean: np.ndarray, train_degraded: np.nda
     if side is None:
         side = int(round(np.sqrt(params.image_dim)))
     t0 = time.monotonic()
-    shuffler = Stream(derive(config.seed, 0xBA7C4))
+    shuffler = Stream(derive(seed, 0xBA7C4))
     order = shuffler.permutation(n_train)
     cursor = 0
-    losses = np.zeros(config.max_iter)
+    losses = np.zeros(max_iter)
     records: list[dict] = []
-    gamma = config.gamma
     best_psnr = -np.inf
     best_params = params.clone()
     best_iter = 0
@@ -163,12 +141,12 @@ def train(params: NetworkParams, train_clean: np.ndarray, train_degraded: np.nda
             best_params = params.clone()
             best_iter = it
 
-    for it in range(config.max_iter):
+    for it in range(max_iter):
         if cursor >= n_train:
             order = shuffler.permutation(n_train)
             cursor = 0
-        idx = order[cursor:cursor + config.batch_size]
-        cursor += config.batch_size
+        idx = order[cursor:cursor + batch_size]
+        cursor += batch_size
         xb = train_clean[idx]
         zb = train_degraded[idx]
 
@@ -177,7 +155,7 @@ def train(params: NetworkParams, train_clean: np.ndarray, train_degraded: np.nda
         batch_loss = float(np.vdot(diff, diff)) / xb.shape[0]
         losses[it] = batch_loss
 
-        if it % config.val_cadence == 0:
+        if it % val_cadence == 0:
             record(it, batch_loss)
 
         if batch_loss > 10.0 * losses[0]:
@@ -195,10 +173,10 @@ def train(params: NetworkParams, train_clean: np.ndarray, train_degraded: np.nda
         grads = backward(params, xb, trace)
         sgd_step(params, grads, gamma)
 
-        if config.lr_decay_every and (it + 1) % config.lr_decay_every == 0:
-            gamma *= config.lr_decay_factor
+        if lr_decay_every and (it + 1) % lr_decay_every == 0:
+            gamma *= lr_decay_factor
 
-    record(config.max_iter, float(losses[-1]))
+    record(max_iter, float(losses[-1]))
     history = History(losses=losses, records=records, depth=params.depth)
     return TrainResult(final_params=params, best_params=best_params,
                        best_iter=best_iter, best_psnr=best_psnr, history=history,

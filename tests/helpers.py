@@ -1,5 +1,6 @@
-"""Helpers that only the tests use: an l1 prox oracle, stroke images and a
-dense view of weight gradients.  The library itself never calls them.
+"""Helpers that only the tests use: an l1 prox oracle, stroke images, a
+dense view of weight gradients and a loss moving average.  The library itself
+never calls them.
 """
 
 import numpy as np
@@ -26,6 +27,12 @@ def dense_d_l(grads, params, k: int) -> np.ndarray:
         dense[mask == 1.0] = grad.ravel()
         out.append(dense)
     return np.vstack(out)
+
+
+def moving_average(losses: np.ndarray, at_iter: int, window: int = 100) -> float:
+    """Mean of the ``window`` training losses ending at iteration ``at_iter``."""
+    lo = max(0, at_iter - window + 1)
+    return float(np.mean(losses[lo:at_iter + 1]))
 
 
 def synthetic_strokes(count: int, side: int = 28, seed: int = 0) -> np.ndarray:

@@ -20,7 +20,7 @@ from pdnet import training as tr
 from pdnet.prox import prox_conj_l1
 from pdnet.rng import Stream, derive
 
-from helpers import prox_l1, synthetic_strokes
+from helpers import moving_average, prox_l1, synthetic_strokes
 
 DESK_SEED = 1001
 DESK_GAMMA = 4e-7
@@ -61,10 +61,11 @@ def desk_data():
 def _desk_run(desk_data, mode, depth=6, p=100, max_iter=3000):
     params = net.init_network(desk_data["a_op"], depth, [net.DenseSpec(p)],
                               mode, seed=derive(DESK_SEED, 3))
-    config = tr.TrainConfig(gamma=DESK_GAMMA, batch_size=50, max_iter=max_iter,
-                            seed=derive(DESK_SEED, 4), val_cadence=100)
     return tr.train(params, desk_data["train_clean"], desk_data["train_z"],
-                    desk_data["val_clean"], desk_data["val_z"], config)
+                    desk_data["val_clean"], desk_data["val_z"],
+                    gamma=DESK_GAMMA, batch_size=50, max_iter=max_iter,
+                    seed=derive(DESK_SEED, 4), val_cadence=100,
+                    lr_decay_every=None, lr_decay_factor=0.5)
 
 
 @pytest.fixture(scope="session")
@@ -186,8 +187,8 @@ def test_criterion_5_desk_training_gain(desk_data, desk_full, desk_partial):
     partial_psnr = desk_partial.history.records[-1]["val_psnr"]
     runtime = desk_full.seconds + desk_partial.seconds
     # sanity companion: the training-loss moving average must have dropped
-    ma_early = desk_full.history.moving_average(100)
-    ma_late = desk_full.history.moving_average(2999)
+    ma_early = moving_average(desk_full.history.losses, 100)
+    ma_late = moving_average(desk_full.history.losses, 2999)
     ok = (full_psnr >= base + 2.0) and (full_psnr >= partial_psnr) \
         and desk_full.seconds < 1800 and ma_late < ma_early
     _report(5, ok,

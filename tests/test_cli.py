@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 
@@ -247,9 +248,13 @@ def _weights_to_text(numeric):
     _set(["layers", 0, "parts", 1, "stride"], 0),
     _set(["degradation", "size_or_factor"], "3"),
     _set(["g"], "l2"),
+    _set(["layers", 0, "parts", 1, "stride"], 2),  # sites at multiples of 3
+    _set(["layers", 0, "tau"], -1.0),
+    _set(["layers", 1, "sigma"], float("inf")),
 ], ids=["K-null", "rows-null", "tau-list", "sites-number", "degradation-null",
         "weights-strings", "weights-numeric-strings", "weights-nan", "stride-0",
-        "size_or_factor-string", "g-l2"])
+        "size_or_factor-string", "g-l2", "stride-off-sites", "tau-negative",
+        "sigma-infinity"])
 def test_malformed_model_exits_cleanly(tmp_path, capsys, mutate):
     from pdnet import network as net
     from pdnet import operators as ops
@@ -394,11 +399,20 @@ def test_degraded_dir_rejects_bad_datasets(tmp_path, capsys, mutate, named):
     ("solve", {"solve": {"sigma": float("inf")}}, 1, "sigma must be positive and finite"),
     ("solve", {"solve": {"sigma": -1}}, 1, "sigma must be positive and finite"),
     ("solve", {"solve": {"tau": float("inf")}}, 1, "tau too large"),
+    ("degrade", {"data": {"patch_size": 0}}, 1, "data.patch_size: must be >= 1"),
+    ("train", {"train": {"batch_size": 0}}, 1, "train.batch_size: must be >= 1"),
+    ("train", {"train": {"max_iter": 0}}, 1, "train.max_iter: must be >= 1"),
+    ("train", {"train": {"val_cadence": 0}}, 1, "train.val_cadence: must be >= 1"),
+    ("train", {"train": {"lr_decay_every": 0}}, 1, "train.lr_decay_every: must be >= 1"),
+    ("train", {"train": {"lr_decay_every": -1}}, 1, "train.lr_decay_every: must be >= 1"),
+    ("train", {"train": {"gamma": 0}}, 1, "gamma must be positive"),
+    ("train", {"train": {"gamma": float("nan")}}, 1, "gamma must be positive"),
 ], ids=["beta-not-a-number", "tau-0", "sigma-0", "train_frac-2", "K-null",
         "gamma-null", "size-null", "count-null", "image_side-null", "lambda-null",
         "count-0", "patches_per_image-0", "limit-negative", "max_iter-0",
         "tol-0", "tol-negative", "tol-nan", "lambda-nan", "sigma-inf", "sigma-negative",
-        "tau-inf"])
+        "tau-inf", "patch_size-0", "batch_size-0", "train-max_iter-0", "val_cadence-0",
+        "lr_decay_every-0", "lr_decay_every-negative", "gamma-0", "gamma-nan"])
 def test_config_values_exit_cleanly(tmp_path, capsys, command, edit, code, named):
     path, cfg = write_config(tmp_path, **edit)
     argv = [command, "--config", path]
@@ -414,6 +428,16 @@ def test_config_values_exit_cleanly(tmp_path, capsys, command, edit, code, named
         assert named in err
     else:
         assert err == ""
+
+
+def test_train_section_matches_train_keywords():
+    # cmd_train passes the section plus the seed as keywords; drift between
+    # the two would end ``pdnet train`` in a TypeError traceback
+    from pdnet import training
+
+    params = inspect.signature(training.train).parameters.values()
+    keyword_only = {p.name for p in params if p.kind is inspect.Parameter.KEYWORD_ONLY}
+    assert keyword_only == set(cli._SCHEMA["train"]) | {"seed"}
 
 
 def test_solve_matches_per_image_solves(tmp_path):

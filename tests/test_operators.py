@@ -221,14 +221,14 @@ def test_dense_row_sum_example():
 ])
 def test_block_sparse_row_counts_28(q, stride, rule, p, sparsity):
     op = ops.make_block_sparse_analysis(q, stride, 10, 28, seed=1, site_rule=rule)
-    assert op.rows == p
+    assert op.out_dim == p
     assert 1.0 - q * q / 784.0 == pytest.approx(sparsity, abs=1e-4)
 
 
 def test_block_sparse_window_shape():
     op = ops.make_block_sparse_analysis(3, 3, 2, 9, seed=8)
     mask = op.mask_dense()
-    assert np.array_equal(mask.sum(axis=1), np.full(op.rows, 9.0))
+    assert np.array_equal(mask.sum(axis=1), np.full(op.out_dim, 9.0))
     # first row's window sits at the top-left corner
     first = mask[0].reshape(9, 9)
     assert first[:3, :3].sum() == 9 and first.sum() == 9
@@ -244,14 +244,14 @@ def test_block_apply_matches_dense():
     dense = op.to_dense()
     v = rand(36, tag=5)
     assert np.allclose(op.apply(v), dense @ v, atol=1e-12)
-    w = rand(op.rows, tag=6)
+    w = rand(op.out_dim, tag=6)
     assert np.allclose(op.apply_adjoint(w), dense.T @ w, atol=1e-12)
 
 
 def test_explicit_site_injection():
     sites = [(0, 0), (2, 3)]
     op = ops.make_block_sparse_analysis(3, 1, 4, 6, seed=2, sites=sites)
-    assert op.rows == 8
+    assert op.out_dim == 8
     assert op.block_spec["sites"] == [(0, 0), (2, 3)]
 
 
@@ -272,9 +272,9 @@ def test_fusion_row_count_1800():
         ops.make_block_sparse_analysis(14, 7, 10, 28, seed=3),
         ops.make_block_sparse_analysis(28, 28, 10, 28, seed=4),
     ]
-    assert [p.rows for p in parts] == [1210, 490, 90, 10]
+    assert [p.out_dim for p in parts] == [1210, 490, 90, 10]
     fused = ops.fuse_analysis(parts)
-    assert fused.rows == 1800
+    assert fused.out_dim == 1800
 
 
 def test_fusion_apply_is_concatenation():
@@ -310,16 +310,16 @@ def test_mask_preserved_under_updates():
 def test_adjoint_follows_weight_updates():
     # integer weights and inputs: every sum is exact, so equality is exact
     op = ops.make_first_difference(6)
-    w = np.arange(3 * op.rows, dtype=np.float64).reshape(3, op.rows) % 7 - 3
+    w = np.arange(3 * op.out_dim, dtype=np.float64).reshape(3, op.out_dim) % 7 - 3
     op.apply_adjoint(w)
-    op.update_weights([np.arange(op.nnz, dtype=np.float64).reshape(op.rows, 2) % 5], 1.0)
+    op.update_weights([np.arange(op.nnz, dtype=np.float64).reshape(op.out_dim, 2) % 5], 1.0)
     assert np.array_equal(op.apply_adjoint(w), w @ op.to_dense())
     assert np.array_equal(op.apply_adjoint(w[0]), w[0] @ op.to_dense())
 
 
 def test_grad_outer_matches_dense_masked_product():
     op = ops.make_block_sparse_analysis(3, 2, 2, 5, seed=3)
-    b, p, n = 4, op.rows, op.in_dim
+    b, p, n = 4, op.out_dim, op.in_dim
     left = Stream(1).normal(b * p).reshape(b, p)
     right = Stream(2).normal(b * n).reshape(b, n)
     acc = op.grad_zeros()
@@ -334,7 +334,7 @@ def test_mac_counter_tracks_nnz_exactly():
     ops.ANALYSIS_MACS.reset()
     op.apply(np.zeros(36))
     assert ops.ANALYSIS_MACS.count == op.nnz
-    op.apply_adjoint(np.zeros((5, op.rows)))
+    op.apply_adjoint(np.zeros((5, op.out_dim)))
     assert ops.ANALYSIS_MACS.count == op.nnz + 5 * op.nnz
     ops.ANALYSIS_MACS.reset()
 
@@ -342,4 +342,4 @@ def test_mac_counter_tracks_nnz_exactly():
 def test_first_difference_on_constant_is_zero():
     op = ops.make_first_difference(5, scale=2.0)
     assert not op.apply(np.full(25, 3.3)).any()
-    assert op.rows == 50
+    assert op.out_dim == 50

@@ -91,9 +91,10 @@ def test_mask_invariance_under_training():
     masks = [lp.analysis.mask_dense() for lp in params.layers]
     clean = synthetic_strokes(16, side=SIDE, seed=1)
     ds = degrade_set(clean, SIDE, a_op, 10.0, 2)
-    config = tr.TrainConfig(gamma=1e-8, batch_size=4, max_iter=12, seed=3)
     tr.train(params, ds.clean[:12], ds.degraded[:12], ds.clean[12:],
-             ds.degraded[12:], config)
+             ds.degraded[12:],
+             gamma=1e-8, batch_size=4, max_iter=12, seed=3,
+             val_cadence=100, lr_decay_every=None, lr_decay_factor=0.5)
     for lp, mask in zip(params.layers, masks):
         assert not lp.analysis.to_dense()[mask == 0].any()
 
@@ -101,9 +102,9 @@ def test_mask_invariance_under_training():
 def test_history_iteration_zero_is_initial_loss():
     params, xtr, ztr, xv, zv = tiny_setup()
     init = params.clone()
-    config = tr.TrainConfig(gamma=1e-9, batch_size=8, max_iter=6, seed=7,
-                            val_cadence=2)
-    result = tr.train(params, xtr, ztr, xv, zv, config)
+    result = tr.train(params, xtr, ztr, xv, zv,
+                      gamma=1e-9, batch_size=8, max_iter=6, seed=7,
+                      val_cadence=2, lr_decay_every=None, lr_decay_factor=0.5)
     first = result.history.records[0]
     assert first["iter"] == 0
     # loss at iteration 0 equals the initialized network's loss on that batch
@@ -116,9 +117,9 @@ def test_training_determinism_byte_identical(tmp_path):
     outputs = []
     for run in range(2):
         params, xtr, ztr, xv, zv = tiny_setup(seed=55)
-        config = tr.TrainConfig(gamma=1e-9, batch_size=6, max_iter=10, seed=9,
-                                val_cadence=5)
-        result = tr.train(params, xtr, ztr, xv, zv, config)
+        result = tr.train(params, xtr, ztr, xv, zv,
+                          gamma=1e-9, batch_size=6, max_iter=10, seed=9,
+                          val_cadence=5, lr_decay_every=None, lr_decay_factor=0.5)
         model = tmp_path / f"model_{run}.json"
         hist = tmp_path / f"history_{run}.csv"
         net.serialize(result.final_params, str(model))
@@ -129,9 +130,9 @@ def test_training_determinism_byte_identical(tmp_path):
 
 def test_best_checkpoint_tracks_val_psnr():
     params, xtr, ztr, xv, zv = tiny_setup()
-    config = tr.TrainConfig(gamma=1e-9, batch_size=8, max_iter=8, seed=3,
-                            val_cadence=2)
-    result = tr.train(params, xtr, ztr, xv, zv, config)
+    result = tr.train(params, xtr, ztr, xv, zv,
+                      gamma=1e-9, batch_size=8, max_iter=8, seed=3,
+                      val_cadence=2, lr_decay_every=None, lr_decay_factor=0.5)
     best_logged = max(r["val_psnr"] for r in result.history.records)
     assert result.best_psnr == pytest.approx(best_logged)
 
@@ -139,25 +140,25 @@ def test_best_checkpoint_tracks_val_psnr():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_guard_aborts():
     params, xtr, ztr, xv, zv = tiny_setup()
-    config = tr.TrainConfig(gamma=1e2, batch_size=8, max_iter=400, seed=3,
-                            val_cadence=100)
     with pytest.raises((tr.TrainingDivergedError, tr.NonFiniteGradientError)):
-        tr.train(params, xtr, ztr, xv, zv, config)
+        tr.train(params, xtr, ztr, xv, zv,
+                 gamma=1e2, batch_size=8, max_iter=400, seed=3,
+                 val_cadence=100, lr_decay_every=None, lr_decay_factor=0.5)
 
 
 def test_lr_decay_applies():
     params, xtr, ztr, xv, zv = tiny_setup()
-    config = tr.TrainConfig(gamma=1e-9, batch_size=8, max_iter=4, seed=3,
-                            val_cadence=2, lr_decay_every=2, lr_decay_factor=0.5)
-    result = tr.train(params, xtr, ztr, xv, zv, config)  # smoke: no blowup
+    result = tr.train(params, xtr, ztr, xv, zv,  # smoke: no blowup
+                      gamma=1e-9, batch_size=8, max_iter=4, seed=3,
+                      val_cadence=2, lr_decay_every=2, lr_decay_factor=0.5)
     assert result.history.losses.shape == (4,)
 
 
 def test_history_csv_layout(tmp_path):
     params, xtr, ztr, xv, zv = tiny_setup(depth=3)
-    config = tr.TrainConfig(gamma=1e-9, batch_size=8, max_iter=4, seed=3,
-                            val_cadence=2)
-    result = tr.train(params, xtr, ztr, xv, zv, config)
+    result = tr.train(params, xtr, ztr, xv, zv,
+                      gamma=1e-9, batch_size=8, max_iter=4, seed=3,
+                      val_cadence=2, lr_decay_every=None, lr_decay_factor=0.5)
     path = tmp_path / "h.csv"
     result.history.to_csv(str(path))
     lines = path.read_text().strip().split("\n")
