@@ -44,7 +44,7 @@ from .operators import (
     make_first_difference,
     make_scaled_identity_analysis,
 )
-from .pdhg import pdhg_solve
+from .pdhg import check_stepsizes, pdhg_solve
 from .rng import Stream, derive
 from .training import TrainingDivergedError, train
 
@@ -211,8 +211,8 @@ def parse_l_spec(entry) -> DenseSpec | BlockSpec:
 def _build_degradation(cfg: dict, side: int):
     d = _section(cfg, "degradation")
     kind, alpha = d["kind"], d["alpha"]
-    if alpha < 0:
-        raise ConfigError("alpha must be nonnegative")
+    if not 0 <= alpha < math.inf:  # NaN fails this test too
+        raise ConfigError(f"alpha must be nonnegative and finite, got {alpha!r}")
     key = {"uniform-blur": "size", "decimation": "factor"}.get(kind)
     if key is not None and d[key] is None:
         raise ConfigError(f"{kind} needs {key!r}")
@@ -377,6 +377,8 @@ def _build_network(cfg: dict, a_op):
     net = _section(cfg, "network")
     if net["K"] is None or not net["L"]:
         raise ConfigError("network section needs 'K' and a nonempty 'L' list")
+    if not 0 < net["init_stddev"] < math.inf:
+        raise ConfigError("network.init_stddev must be positive and finite")
     specs = [parse_l_spec(e) for e in net["L"]]
     side = getattr(a_op, "side", None)
     for s in specs:
@@ -406,7 +408,7 @@ def export_filter_grids(params: netmod.NetworkParams, out_dir: str,
             q = int(round(math.sqrt(part.in_dim)))
             if q * q != part.in_dim:
                 continue
-            tiles = part.to_dense().reshape(part.out_dim, q, q)
+            tiles = part.weight_arrays()[0].reshape(part.out_dim, q, q)
         count = tiles.shape[0]
         grid_cols = int(math.ceil(math.sqrt(count)))
         grid_rows = int(math.ceil(count / grid_cols))
@@ -431,8 +433,10 @@ def cmd_train(cfg: dict, config_path: str, verbose: bool) -> int:
         raise ConfigError("train and val splits must both be nonempty")
     params = _build_network(cfg, dataset.degradation)
     recipe = _section(cfg, "train")
-    if not recipe["gamma"] > 0:  # NaN fails this test too
-        raise ConfigError("learning rate gamma must be positive")
+    if not 0 < recipe["gamma"] < math.inf:  # NaN fails this test too
+        raise ConfigError("learning rate gamma must be positive and finite")
+    if not 0 < recipe["lr_decay_factor"] <= 1:
+        raise ConfigError("train.lr_decay_factor must be in (0, 1]")
     out = _prepare_output(cfg, config_path)
     result = train(params, train_set.clean, train_set.degraded, val_set.clean,
                    val_set.degraded, dataset.side, seed=derive(cfg["seed"], 6), **recipe)
@@ -492,8 +496,8 @@ def cmd_solve(cfg: dict, config_path: str, verbose: bool) -> int:
     subset = _eval_subset(cfg, dataset)
     a_op = dataset.degradation
     lam, tau, max_iter = s["lambda"], s["tau"], s["max_iter"]
-    if not lam > 0:  # NaN fails this test too
-        raise ConfigError("lambda must be positive")
+    if not 0 < lam < math.inf:  # NaN fails this test too
+        raise ConfigError(f"lambda must be positive and finite, got {lam!r}")
     if not s["tol"] > 0:
         raise ConfigError("tol must be positive")
     if s["prior"] == "identity":
@@ -510,6 +514,8 @@ def cmd_solve(cfg: dict, config_path: str, verbose: bool) -> int:
         sigma = 0.9 * (1.0 / tau - norm_a**2 / 2.0) / l_op.norm() ** 2
     if not 0 < sigma < math.inf:
         raise ConfigError(f"sigma must be positive and finite, got {sigma!r}")
+    if not check_stepsizes(tau, sigma, norm_a, l_op.norm()) > 0:  # the solver's own rule
+        raise ConfigError("sigma too large: 1/tau - sigma ||L||^2 must exceed ||A||^2 / 2")
     out = _prepare_output(cfg, config_path)
     reports = pdhg_solve(a_op, l_op, subset.degraded, tau, sigma, tol=s["tol"],
                          max_iter=max_iter)

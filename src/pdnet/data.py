@@ -197,8 +197,9 @@ def degrade_set(clean: np.ndarray, side: int, a_op: LinearOperator, alpha: float
 def split(dataset: Dataset, train_frac: float, val_frac: float,
           seed: int) -> tuple[Dataset, Dataset, Dataset]:
     """Seeded permutation, then contiguous train/val/test slices."""
-    if train_frac < 0 or val_frac < 0 or train_frac + val_frac > 1 + 1e-12:
-        raise ValueError("fractions must be nonnegative and sum to at most 1")
+    if not (0 <= train_frac and 0 <= val_frac  # NaN fails this test too
+            and train_frac + val_frac <= 1 + 1e-12):
+        raise ValueError("train_frac and val_frac must be nonnegative and sum to at most 1")
     n = len(dataset)
     perm = Stream(derive(seed, 0x59117)).permutation(n)
     n_train = int(round(train_frac * n))

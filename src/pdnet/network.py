@@ -210,11 +210,24 @@ def distance_report(params: NetworkParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _part_record(part: AnalysisOperator) -> dict:
+    """The model-file record of one analysis part; read by :func:`_part_from_record`."""
+    if isinstance(part, DenseAnalysis):
+        return {"kind": "dense", "rows": part.out_dim, "cols": part.in_dim,
+                "weights": part.weight_arrays()[0].ravel().tolist()}
+    bs = getattr(part, "block_spec", None)
+    if bs is None:
+        raise ValueError("only dense or block-sparse parts are serializable")
+    return {"kind": "block-sparse", **bs,
+            "sites": [[int(r), int(c)] for r, c in bs["sites"]],
+            "weights": part.weight_arrays()[0].ravel().tolist()}
+
+
 def _layer_record(lp: LayerParams) -> dict:
     return {
         "tau": float(lp.tau),
         "sigma": float(lp.sigma),
-        "parts": [p.part_record() for p in lp.analysis.parts()],
+        "parts": [_part_record(p) for p in lp.analysis.parts()],
     }
 
 

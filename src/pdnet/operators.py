@@ -15,6 +15,8 @@ the result is cached and invalidated whenever weights change.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -49,7 +51,7 @@ ANALYSIS_MACS = _MacCounter()
 
 
 class PowerIterationError(RuntimeError):
-    """Power iteration hit max_iter; carries the last norm estimate."""
+    """Power iteration hit max_iter or a non-finite estimate; carries the last one."""
 
     def __init__(self, message: str, last_estimate: float):
         super().__init__(message)
@@ -221,7 +223,6 @@ class AnalysisOperator(LinearOperator):
     Weight storage is compact (only unmasked entries), which keeps the cost
     of ``apply`` proportional to the nonzero count and makes the mask
     invariant "masked weights stay exactly zero" hold by construction.
-    ``to_dense`` / ``mask_dense`` materialize the conventional matrices.
     """
 
     def __init__(self):
@@ -233,12 +234,6 @@ class AnalysisOperator(LinearOperator):
 
     @property
     def nnz(self) -> int:
-        raise NotImplementedError
-
-    def to_dense(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def mask_dense(self) -> np.ndarray:
         raise NotImplementedError
 
     def clone(self) -> "AnalysisOperator":
@@ -311,12 +306,6 @@ class DenseAnalysis(AnalysisOperator):
         ANALYSIS_MACS.add(self.nnz * max(1, w.size // self.out_dim))
         return w @ self._weights
 
-    def to_dense(self):
-        return self._weights.copy()
-
-    def mask_dense(self):
-        return np.ones_like(self._weights)
-
     def clone(self):
         return DenseAnalysis(self._weights.copy())
 
@@ -325,14 +314,6 @@ class DenseAnalysis(AnalysisOperator):
 
     def grad_outer(self, acc, left, right, coeff):
         acc[0] += coeff * (left.T @ right)
-
-    def part_record(self):
-        return {
-            "kind": "dense",
-            "rows": self.out_dim,
-            "cols": self.in_dim,
-            "weights": self._weights.ravel().tolist(),
-        }
 
 
 class MaskedRowAnalysis(AnalysisOperator):
@@ -391,16 +372,6 @@ class MaskedRowAnalysis(AnalysisOperator):
             w.shape[:-1] + (self.in_dim,)
         )
 
-    def to_dense(self):
-        out = np.zeros((self.out_dim, self.in_dim))
-        out[np.arange(self.out_dim)[:, None], self._cols] = self._vals
-        return out
-
-    def mask_dense(self):
-        out = np.zeros((self.out_dim, self.in_dim))
-        out[np.arange(self.out_dim)[:, None], self._cols] = 1.0
-        return out
-
     def clone(self):
         return MaskedRowAnalysis(
             self._cols.copy(), self._vals.copy(), self.in_dim,
@@ -417,20 +388,6 @@ class MaskedRowAnalysis(AnalysisOperator):
         for s in range(0, b, chunk):
             gathered = right[s:s + chunk][:, self._cols]
             acc[0] += coeff * np.einsum("bp,bpj->pj", left[s:s + chunk], gathered)
-
-    def part_record(self):
-        if self.block_spec is None:
-            raise ValueError("only dense or block-sparse parts are serializable")
-        bs = self.block_spec
-        return {
-            "kind": "block-sparse",
-            "q": bs["q"],
-            "stride": bs["stride"],
-            "filters_per_site": bs["filters_per_site"],
-            "image_side": bs["image_side"],
-            "sites": [[int(r), int(c)] for r, c in bs["sites"]],
-            "weights": self._vals.ravel().tolist(),
-        }
 
 
 class FusedAnalysis(AnalysisOperator):
@@ -471,12 +428,6 @@ class FusedAnalysis(AnalysisOperator):
             contrib = p.apply_adjoint(w[..., s:e])
             out = contrib if out is None else out + contrib
         return out
-
-    def to_dense(self):
-        return np.vstack([p.to_dense() for p in self._parts])
-
-    def mask_dense(self):
-        return np.vstack([p.mask_dense() for p in self._parts])
 
     def clone(self):
         return FusedAnalysis([p.clone() for p in self._parts])
@@ -618,6 +569,9 @@ def _power_iteration(op: LinearOperator, tol: float, max_iter: int,
     for _ in range(int(max_iter)):
         av = op.apply(v)
         lam = float(np.vdot(av, av))
+        if not math.isfinite(lam):
+            raise PowerIterationError(
+                f"power iteration estimate is not finite ({lam})", lam)
         if lam == 0.0:
             return 0.0, None
         if lam_prev is not None and abs(lam - lam_prev) <= tol * lam:

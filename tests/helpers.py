@@ -1,6 +1,6 @@
-"""Helpers that only the tests use: an l1 prox oracle, stroke images, a
-dense view of weight gradients and a loss moving average.  The library itself
-never calls them.
+"""Helpers that only the tests use: an l1 prox oracle, stroke images, dense
+views of analysis operators and of their weight gradients, and a loss moving
+average.  The library itself never calls them.
 """
 
 import numpy as np
@@ -18,12 +18,27 @@ def prox_l1(v: np.ndarray, t: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
+def to_dense(op) -> np.ndarray:
+    """The (P, N) matrix of analysis operator ``op``, read off its products
+    with the unit vectors (these count in ``ANALYSIS_MACS``)."""
+    return op.apply(np.eye(op.in_dim)).T
+
+
+def mask_dense(op) -> np.ndarray:
+    """The (P, N) 0/1 sparsity mask of ``op``: the matrix of a clone whose
+    weights are all 1."""
+    ones = op.clone()
+    for w in ones.weight_arrays():
+        w[...] = 1.0
+    return to_dense(ones)
+
+
 def dense_d_l(grads, params, k: int) -> np.ndarray:
     """Materialize layer k's weight gradient as a dense (P, N) matrix."""
     out = []
     for part, grad in zip(params.layers[k].analysis.parts(), grads.d_weights[k]):
         dense = np.zeros((part.out_dim, part.in_dim))
-        mask = part.mask_dense()
+        mask = mask_dense(part)
         dense[mask == 1.0] = grad.ravel()
         out.append(dense)
     return np.vstack(out)

@@ -20,7 +20,7 @@ from pdnet import training as tr
 from pdnet.prox import prox_conj_l1
 from pdnet.rng import Stream, derive
 
-from helpers import moving_average, prox_l1, synthetic_strokes
+from helpers import mask_dense, moving_average, prox_l1, synthetic_strokes, to_dense
 
 DESK_SEED = 1001
 DESK_GAMMA = 4e-7
@@ -315,14 +315,14 @@ def test_criterion_9_property_suites(tmp_path):
     # mask invariance under a few SGD steps
     a_op = ops.UniformBlur(3, 8)
     params = net.init_network(a_op, 2, [net.BlockSpec(3, 3, 2)], "full", seed=5)
-    mask = [lp.analysis.mask_dense() for lp in params.layers]
+    mask = [mask_dense(lp.analysis) for lp in params.layers]
     clean = synthetic_strokes(8, side=8, seed=6)
     zb = np.stack([dm.degrade(clean[i], a_op, 10.0, derive(7, i)) for i in range(8)])
     for _ in range(5):
         out, trace = net.forward(params, zb, keep_trace=True)
         grads = bp.backward(params, clean, trace)
         tr.sgd_step(params, grads, 1e-7)
-    mask_ok = all(not lp.analysis.to_dense()[m == 0].any()
+    mask_ok = all(not to_dense(lp.analysis)[m == 0].any()
                   for lp, m in zip(params.layers, mask))
     checks.append(("mask-invariance", mask_ok))
 

@@ -7,7 +7,7 @@ from pdnet import operators as ops
 from pdnet.data import degrade
 from pdnet.rng import Stream, derive
 
-from helpers import dense_d_l
+from helpers import dense_d_l, mask_dense
 
 
 def small_instance(seed, depth=2, side=4, p=4, block=False, blur=True, batch=2):
@@ -141,7 +141,7 @@ def test_masked_entries_never_perturbed_and_zero():
     params, clean, degraded = small_instance(15, block=True)
     analytic, reference = grad_pair(params, clean, degraded)
     for k in range(params.depth):
-        mask = params.layers[k].analysis.mask_dense()
+        mask = mask_dense(params.layers[k].analysis)
         dense_a = dense_d_l(analytic, params, k)
         dense_f = dense_d_l(reference, params, k)
         assert not dense_a[mask == 0].any()

@@ -407,12 +407,24 @@ def test_degraded_dir_rejects_bad_datasets(tmp_path, capsys, mutate, named):
     ("train", {"train": {"lr_decay_every": -1}}, 1, "train.lr_decay_every: must be >= 1"),
     ("train", {"train": {"gamma": 0}}, 1, "gamma must be positive"),
     ("train", {"train": {"gamma": float("nan")}}, 1, "gamma must be positive"),
+    # non-finite or out-of-range numbers: exit 1 naming the key, not exit 2
+    ("solve", {"solve": {"sigma": 100}}, 1, "sigma too large"),
+    ("degrade", {"degradation": {"alpha": float("nan")}}, 1,
+     "alpha must be nonnegative and finite"),
+    ("train", {"train": {"gamma": float("inf")}}, 1, "gamma must be positive and finite"),
+    ("train", {"train": {"lr_decay_factor": -1}}, 1, "train.lr_decay_factor must be in"),
+    ("train", {"network": {"init_stddev": float("inf")}}, 1,
+     "network.init_stddev must be positive and finite"),
+    ("solve", {"solve": {"lambda": float("inf")}}, 1, "lambda must be positive and finite"),
+    ("train", {"data": {"train_frac": float("nan")}}, 1, "train_frac and val_frac"),
 ], ids=["beta-not-a-number", "tau-0", "sigma-0", "train_frac-2", "K-null",
         "gamma-null", "size-null", "count-null", "image_side-null", "lambda-null",
         "count-0", "patches_per_image-0", "limit-negative", "max_iter-0",
         "tol-0", "tol-negative", "tol-nan", "lambda-nan", "sigma-inf", "sigma-negative",
         "tau-inf", "patch_size-0", "batch_size-0", "train-max_iter-0", "val_cadence-0",
-        "lr_decay_every-0", "lr_decay_every-negative", "gamma-0", "gamma-nan"])
+        "lr_decay_every-0", "lr_decay_every-negative", "gamma-0", "gamma-nan",
+        "sigma-too-large", "alpha-nan", "gamma-inf", "lr_decay_factor-negative",
+        "init_stddev-inf", "lambda-inf", "train_frac-nan"])
 def test_config_values_exit_cleanly(tmp_path, capsys, command, edit, code, named):
     path, cfg = write_config(tmp_path, **edit)
     argv = [command, "--config", path]

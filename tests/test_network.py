@@ -10,6 +10,8 @@ from pdnet import pdhg
 from pdnet.prox import prox_conj_l1
 from pdnet.rng import Stream, derive
 
+from helpers import to_dense
+
 
 def _shared_params(a_op, depth, p=5, seed=77, mode="full"):
     """Standard-initialized params with the layer-0 values shared by all layers."""
@@ -38,14 +40,14 @@ def test_init_deterministic_models():
     p2 = net.init_network(a, 3, [net.DenseSpec(8)], "full", seed=11)
     for l1, l2 in zip(p1.layers, p2.layers):
         assert l1.tau == l2.tau and l1.sigma == l2.sigma
-        assert np.array_equal(l1.analysis.to_dense(), l2.analysis.to_dense())
+        assert np.array_equal(to_dense(l1.analysis), to_dense(l2.analysis))
 
 
 def test_init_layers_draw_different_weights():
     a = ops.UniformBlur(3, 6)
     p = net.init_network(a, 2, [net.DenseSpec(8)], "full", seed=11)
-    assert not np.array_equal(p.layers[0].analysis.to_dense(),
-                              p.layers[1].analysis.to_dense())
+    assert not np.array_equal(to_dense(p.layers[0].analysis),
+                              to_dense(p.layers[1].analysis))
 
 
 def test_init_rejects_zero_stddev():
@@ -203,7 +205,7 @@ def test_serialize_round_trip_bitwise(tmp_path):
         assert f1.read() == f2.read()
     for lp, lq in zip(params.layers, again.layers):
         assert lp.tau == lq.tau and lp.sigma == lq.sigma
-        assert np.array_equal(lp.analysis.to_dense(), lq.analysis.to_dense())
+        assert np.array_equal(to_dense(lp.analysis), to_dense(lq.analysis))
     assert again.mode == "partial"
     assert again.degradation.spec() == params.degradation.spec()
 
@@ -219,7 +221,7 @@ def _whole_document_bytes(params):
         "layers": [{
             "tau": float(lp.tau),
             "sigma": float(lp.sigma),
-            "parts": [{**part.part_record(),
+            "parts": [{**net._part_record(part),
                        "weights": [float(x) for x in part.weight_arrays()[0].ravel()]}
                       for part in lp.analysis.parts()],
         } for lp in params.layers],

@@ -4,6 +4,8 @@ import pytest
 from pdnet import operators as ops
 from pdnet.rng import Stream, derive
 
+from helpers import mask_dense, to_dense
+
 
 def rand(n, tag=0, scale=1.0):
     return Stream(derive(0xFACE, tag)).normal(n) * scale
@@ -166,6 +168,16 @@ def test_power_iteration_max_iter_error_carries_estimate():
     assert err.value.last_estimate > 0
 
 
+@pytest.mark.parametrize("weight", [np.nan, 1e200])
+def test_power_iteration_stops_at_first_non_finite_estimate(weight):
+    op = ops.DenseAnalysis(np.full((3, 4), weight))
+    ops.ANALYSIS_MACS.reset()
+    with pytest.raises(ops.PowerIterationError, match="not finite"):
+        op.norm()
+    assert ops.ANALYSIS_MACS.count <= 2 * op.nnz  # at most one product pair
+    ops.ANALYSIS_MACS.reset()
+
+
 def test_analysis_norm_cache_invalidated_by_update():
     op = ops.make_dense_analysis(6, 10, seed=9)
     before = op.norm(tol=1e-12)
@@ -173,7 +185,7 @@ def test_analysis_norm_cache_invalidated_by_update():
     after = op.norm(tol=1e-12)
     assert after != before
     assert after == pytest.approx(
-        np.linalg.svd(op.to_dense(), compute_uv=False)[0], rel=1e-8)
+        np.linalg.svd(to_dense(op), compute_uv=False)[0], rel=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +196,15 @@ def test_analysis_norm_cache_invalidated_by_update():
 def test_dense_seed_determinism():
     a = ops.make_dense_analysis(7, 13, seed=42)
     b = ops.make_dense_analysis(7, 13, seed=42)
-    assert np.array_equal(a.to_dense(), b.to_dense())
+    assert np.array_equal(to_dense(a), to_dense(b))
 
 
 def test_dense_zero_stddev_gives_zero_matrix():
-    assert not ops.make_dense_analysis(3, 4, seed=1, stddev=0.0).to_dense().any()
+    assert not to_dense(ops.make_dense_analysis(3, 4, seed=1, stddev=0.0)).any()
 
 
 def test_dense_entry_statistics():
-    w = ops.make_dense_analysis(1000, 1000, seed=5, stddev=1e-2).to_dense()
+    w = to_dense(ops.make_dense_analysis(1000, 1000, seed=5, stddev=1e-2))
     assert abs(w.mean()) < 1e-4
     assert abs(w.std() - 1e-2) < 1e-4
 
@@ -227,7 +239,7 @@ def test_block_sparse_row_counts_28(q, stride, rule, p, sparsity):
 
 def test_block_sparse_window_shape():
     op = ops.make_block_sparse_analysis(3, 3, 2, 9, seed=8)
-    mask = op.mask_dense()
+    mask = mask_dense(op)
     assert np.array_equal(mask.sum(axis=1), np.full(op.out_dim, 9.0))
     # first row's window sits at the top-left corner
     first = mask[0].reshape(9, 9)
@@ -241,7 +253,7 @@ def test_block_sparse_rejects_oversized_window():
 
 def test_block_apply_matches_dense():
     op = ops.make_block_sparse_analysis(3, 2, 3, 6, seed=11)
-    dense = op.to_dense()
+    dense = to_dense(op)
     v = rand(36, tag=5)
     assert np.allclose(op.apply(v), dense @ v, atol=1e-12)
     w = rand(op.out_dim, tag=6)
@@ -299,12 +311,12 @@ def test_fusion_rejects_mismatched_n():
 
 def test_mask_preserved_under_updates():
     op = ops.make_block_sparse_analysis(3, 3, 2, 6, seed=7)
-    mask = op.mask_dense()
+    mask = mask_dense(op)
     for t in range(5):
         deltas = [Stream(derive(0x0DD, t)).normal(g.size).reshape(g.shape)
                   for g in op.grad_zeros()]
         op.update_weights(deltas, -0.1)
-    assert not op.to_dense()[mask == 0].any()
+    assert not to_dense(op)[mask == 0].any()
 
 
 def test_adjoint_follows_weight_updates():
@@ -313,8 +325,8 @@ def test_adjoint_follows_weight_updates():
     w = np.arange(3 * op.out_dim, dtype=np.float64).reshape(3, op.out_dim) % 7 - 3
     op.apply_adjoint(w)
     op.update_weights([np.arange(op.nnz, dtype=np.float64).reshape(op.out_dim, 2) % 5], 1.0)
-    assert np.array_equal(op.apply_adjoint(w), w @ op.to_dense())
-    assert np.array_equal(op.apply_adjoint(w[0]), w[0] @ op.to_dense())
+    assert np.array_equal(op.apply_adjoint(w), w @ to_dense(op))
+    assert np.array_equal(op.apply_adjoint(w[0]), w[0] @ to_dense(op))
 
 
 def test_grad_outer_matches_dense_masked_product():
@@ -325,8 +337,8 @@ def test_grad_outer_matches_dense_masked_product():
     acc = op.grad_zeros()
     op.grad_outer(acc, left, right, 2.0)
     dense = np.zeros((p, n))
-    dense[op.mask_dense() == 1.0] = acc[0].ravel()
-    assert np.allclose(dense, 2.0 * (left.T @ right) * op.mask_dense(), atol=1e-12)
+    dense[mask_dense(op) == 1.0] = acc[0].ravel()
+    assert np.allclose(dense, 2.0 * (left.T @ right) * mask_dense(op), atol=1e-12)
 
 
 def test_mac_counter_tracks_nnz_exactly():

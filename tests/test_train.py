@@ -9,7 +9,7 @@ from pdnet.data import degrade_set
 from pdnet.pdhg import check_stepsizes
 from pdnet.rng import Stream, derive
 
-from helpers import synthetic_strokes
+from helpers import mask_dense, synthetic_strokes, to_dense
 
 
 SIDE = 8
@@ -37,21 +37,21 @@ def zero_grads(params):
 def test_sgd_zero_gradients_leave_params_unchanged():
     params, *_ = tiny_setup()
     taus = [lp.tau for lp in params.layers]
-    weights = [lp.analysis.to_dense() for lp in params.layers]
+    weights = [to_dense(lp.analysis) for lp in params.layers]
     tr.sgd_step(params, zero_grads(params), 0.1)
     assert [lp.tau for lp in params.layers] == taus
     for lp, w in zip(params.layers, weights):
-        assert np.array_equal(lp.analysis.to_dense(), w)
+        assert np.array_equal(to_dense(lp.analysis), w)
 
 
 def test_sgd_gamma_zero_is_identity_update():
     params, xtr, ztr, *_ = tiny_setup()
     out, trace = net.forward(params, ztr[:4], keep_trace=True)
     grads = bp.backward(params, xtr[:4], trace)
-    before = [lp.analysis.to_dense() for lp in params.layers]
+    before = [to_dense(lp.analysis) for lp in params.layers]
     tr.sgd_step(params, grads, 0.0)
     for lp, w in zip(params.layers, before):
-        assert np.array_equal(lp.analysis.to_dense(), w)
+        assert np.array_equal(to_dense(lp.analysis), w)
 
 
 def test_sgd_positivity_clamp():
@@ -88,7 +88,7 @@ def test_partial_mode_margin_zero_after_steps():
 def test_mask_invariance_under_training():
     a_op = ops.UniformBlur(3, SIDE)
     params = net.init_network(a_op, 2, [net.BlockSpec(3, 3, 2)], "full", seed=5)
-    masks = [lp.analysis.mask_dense() for lp in params.layers]
+    masks = [mask_dense(lp.analysis) for lp in params.layers]
     clean = synthetic_strokes(16, side=SIDE, seed=1)
     ds = degrade_set(clean, SIDE, a_op, 10.0, 2)
     tr.train(params, ds.clean[:12], ds.degraded[:12], ds.clean[12:],
@@ -96,7 +96,7 @@ def test_mask_invariance_under_training():
              gamma=1e-8, batch_size=4, max_iter=12, seed=3,
              val_cadence=100, lr_decay_every=None, lr_decay_factor=0.5)
     for lp, mask in zip(params.layers, masks):
-        assert not lp.analysis.to_dense()[mask == 0].any()
+        assert not to_dense(lp.analysis)[mask == 0].any()
 
 
 def test_history_iteration_zero_is_initial_loss():
@@ -152,6 +152,23 @@ def test_lr_decay_applies():
                       gamma=1e-9, batch_size=8, max_iter=4, seed=3,
                       val_cadence=2, lr_decay_every=2, lr_decay_factor=0.5)
     assert result.history.losses.shape == (4,)
+
+
+def test_lr_decay_schedule(monkeypatch):
+    params, xtr, ztr, xv, zv = tiny_setup()
+    gammas = []
+    real_step = tr.sgd_step
+
+    def recording_step(params, grads, gamma):
+        gammas.append(gamma)
+        real_step(params, grads, gamma)
+
+    monkeypatch.setattr(tr, "sgd_step", recording_step)
+    g = 1e-9
+    tr.train(params, xtr, ztr, xv, zv,
+             gamma=g, batch_size=8, max_iter=5, seed=3,
+             val_cadence=2, lr_decay_every=2, lr_decay_factor=0.5)
+    assert gammas == [g, g, g / 2, g / 2, g / 4]
 
 
 def test_history_csv_layout(tmp_path):
