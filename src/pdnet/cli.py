@@ -39,6 +39,7 @@ from .operators import (
     INIT_STDDEV,
     Decimation,
     IdentityOperator,
+    PowerIterationError,
     UniformBlur,
     degradation_from_spec,
     make_first_difference,
@@ -389,6 +390,9 @@ def _build_network(cfg: dict, a_op):
                                    derive(cfg["seed"], 5), stddev=net["init_stddev"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    except PowerIterationError as exc:  # weights so large that ||L|| overflows
+        raise ConfigError(f"network.init_stddev {net['init_stddev']!r} is too large: "
+                          f"{exc}") from exc
 
 
 def export_filter_grids(params: netmod.NetworkParams, out_dir: str,

@@ -299,7 +299,9 @@ def robustness_eval(params: NetworkParams, dataset: Dataset, beta_list: list[flo
     """Evaluate on z + beta * eta for each beta, with drops relative to beta=0.
 
     One noise realization is drawn per sample (derived from ``seed``) and
-    scaled by each beta, so the sweep isolates the noise amplitude.
+    scaled by each beta, so the sweep isolates the noise amplitude.  Against
+    an exact (inf dB) beta=0 restoration the PSNR drop is 0% for an exact
+    row and 100% for any other.
     """
     n = len(dataset)
     eta = np.empty_like(dataset.degraded)
@@ -315,7 +317,10 @@ def robustness_eval(params: NetworkParams, dataset: Dataset, beta_list: list[flo
         rows.append({"beta": beta, "psnr": ps, "ssim": ss})
     base = rows[0]
     for r in rows:
-        r["psnr_drop_pct"] = 100.0 * (base["psnr"] - r["psnr"]) / base["psnr"]
+        if base["psnr"] == np.inf:  # the limit of (b - r) / b as b grows
+            r["psnr_drop_pct"] = 0.0 if r["psnr"] == np.inf else 100.0
+        else:
+            r["psnr_drop_pct"] = 100.0 * (base["psnr"] - r["psnr"]) / base["psnr"]
         r["ssim_drop_pct"] = 100.0 * (base["ssim"] - r["ssim"]) / base["ssim"]
     return rows
 

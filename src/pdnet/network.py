@@ -6,12 +6,14 @@ variable at zero, runs K - 1 full primal-dual iterations, and finishes with
 a primal-only layer (identity activation) so the output lives in image
 space.  All block matrices are applied matrix-free through the operators.
 
-Model files are JSON documents (schema version "1"); weights round-trip
-exactly because floats are written in shortest exact decimal form.
+Model files are JSON documents (schema version "2").  Each part's weights
+are one base64 string of its row-major little-endian float64 bytes, so they
+round-trip exactly and load without parsing a decimal per weight.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 from dataclasses import dataclass, field
@@ -32,7 +34,7 @@ from .operators import (
 )
 from .rng import derive
 
-MODEL_VERSION = "1"
+MODEL_VERSION = "2"
 MODEL_PENALTY = "l1"  # g; the clip to [-1, 1] of each layer is its conjugate's prox
 _SEPARATORS = (",", ":")
 
@@ -206,21 +208,26 @@ def distance_report(params: NetworkParams) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Serialization (schema version "1")
+# Serialization (schema version "2")
 # ---------------------------------------------------------------------------
 
 
 def _part_record(part: AnalysisOperator) -> dict:
-    """The model-file record of one analysis part; read by :func:`_part_from_record`."""
-    if isinstance(part, DenseAnalysis):
-        return {"kind": "dense", "rows": part.out_dim, "cols": part.in_dim,
-                "weights": part.weight_arrays()[0].ravel().tolist()}
+    """The model-file record of one analysis part; read by :func:`_part_from_record`.
+
+    ``weights`` is the standard base64 (with padding) of the row-major
+    ``<f8`` bytes of the part's weight array.
+    """
     bs = getattr(part, "block_spec", None)
-    if bs is None:
+    if isinstance(part, DenseAnalysis):
+        rec = {"kind": "dense", "rows": part.out_dim, "cols": part.in_dim}
+    elif bs is not None:
+        rec = {"kind": "block-sparse", **bs,
+               "sites": [[int(r), int(c)] for r, c in bs["sites"]]}
+    else:
         raise ValueError("only dense or block-sparse parts are serializable")
-    return {"kind": "block-sparse", **bs,
-            "sites": [[int(r), int(c)] for r, c in bs["sites"]],
-            "weights": part.weight_arrays()[0].ravel().tolist()}
+    raw = part.weight_arrays()[0].astype("<f8").tobytes()
+    return {**rec, "weights": base64.b64encode(raw).decode("ascii")}
 
 
 def _layer_record(lp: LayerParams) -> dict:
@@ -274,11 +281,16 @@ def _float(value, what: str) -> float:
 
 
 def _weights(rec: dict, count: int, what: str) -> np.ndarray:
-    w = np.asarray(rec["weights"])
-    _require(w.ndim == 1 and w.dtype.kind in "if",
-             f"{what} weights must be a flat list of numbers")
-    _require(w.size == count, f"{what} needs {count} weights, found {w.size}")
-    w = w.astype(np.float64, copy=False)
+    """A writable float64 copy of a record's base64 ``<f8`` weights."""
+    text = rec["weights"]
+    _require(isinstance(text, str), f"{what} weights must be a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ModelFormatError(f"{what} weights are not valid base64: {exc}") from exc
+    _require(len(raw) == 8 * count,
+             f"{what} needs {count} weights ({8 * count} bytes), found {len(raw)} bytes")
+    w = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     _require(bool(np.isfinite(w).all()), f"{what} weights must be finite")
     return w
 

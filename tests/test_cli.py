@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import inspect
 import json
@@ -222,17 +223,15 @@ def _set(path, value):
     return mutate
 
 
-def _weights_to_nan(doc):
-    doc["layers"][0]["parts"][1]["weights"][0] = float("nan")
+def _b64(raw):
+    return base64.b64encode(raw).decode("ascii")
 
 
-def _weights_to_text(numeric):
+def _weights_to(index, encode):
+    """A mutation that sets part ``index`` of layer 0 to ``encode(its weights)``."""
     def mutate(doc):
-        weights = doc["layers"][0]["parts"][0]["weights"]
-        if numeric:
-            weights[:] = [repr(v) for v in weights]
-        else:
-            weights[0] = "not a number"
+        part = doc["layers"][0]["parts"][index]
+        part["weights"] = encode(np.frombuffer(base64.b64decode(part["weights"]), "<f8"))
     return mutate
 
 
@@ -242,19 +241,22 @@ def _weights_to_text(numeric):
     _set(["layers", 0, "tau"], [1]),
     _set(["layers", 0, "parts", 1, "sites"], 5),
     _set(["degradation"], None),
-    _weights_to_text(numeric=False),
-    _weights_to_text(numeric=True),
-    _weights_to_nan,
+    _weights_to(0, lambda w: "*" + _b64(w.tobytes())[1:]),
+    _weights_to(0, lambda w: w.tolist()),  # the v1 form
+    _weights_to(1, lambda w: _b64(np.where(np.arange(w.size) == 0, np.nan, w).tobytes())),
     _set(["layers", 0, "parts", 1, "stride"], 0),
     _set(["degradation", "size_or_factor"], "3"),
     _set(["g"], "l2"),
     _set(["layers", 0, "parts", 1, "stride"], 2),  # sites at multiples of 3
     _set(["layers", 0, "tau"], -1.0),
     _set(["layers", 1, "sigma"], float("inf")),
+    _weights_to(0, lambda w: [True] + w.tolist()[1:]),
+    _weights_to(0, lambda w: _b64(w.tobytes())[:76] + "\n" + _b64(w.tobytes())[76:]),
+    _weights_to(1, lambda w: _b64(w.tobytes()[:-1])),
 ], ids=["K-null", "rows-null", "tau-list", "sites-number", "degradation-null",
-        "weights-strings", "weights-numeric-strings", "weights-nan", "stride-0",
+        "weights-non-alphabet", "weights-list", "weights-nan", "stride-0",
         "size_or_factor-string", "g-l2", "stride-off-sites", "tau-negative",
-        "sigma-infinity"])
+        "sigma-infinity", "weights-true", "weights-newline", "weights-short-byte"])
 def test_malformed_model_exits_cleanly(tmp_path, capsys, mutate):
     from pdnet import network as net
     from pdnet import operators as ops
@@ -417,6 +419,7 @@ def test_degraded_dir_rejects_bad_datasets(tmp_path, capsys, mutate, named):
      "network.init_stddev must be positive and finite"),
     ("solve", {"solve": {"lambda": float("inf")}}, 1, "lambda must be positive and finite"),
     ("train", {"data": {"train_frac": float("nan")}}, 1, "train_frac and val_frac"),
+    ("train", {"network": {"init_stddev": 1e200}}, 1, "network.init_stddev"),
 ], ids=["beta-not-a-number", "tau-0", "sigma-0", "train_frac-2", "K-null",
         "gamma-null", "size-null", "count-null", "image_side-null", "lambda-null",
         "count-0", "patches_per_image-0", "limit-negative", "max_iter-0",
@@ -424,7 +427,7 @@ def test_degraded_dir_rejects_bad_datasets(tmp_path, capsys, mutate, named):
         "tau-inf", "patch_size-0", "batch_size-0", "train-max_iter-0", "val_cadence-0",
         "lr_decay_every-0", "lr_decay_every-negative", "gamma-0", "gamma-nan",
         "sigma-too-large", "alpha-nan", "gamma-inf", "lr_decay_factor-negative",
-        "init_stddev-inf", "lambda-inf", "train_frac-nan"])
+        "init_stddev-inf", "lambda-inf", "train_frac-nan", "init_stddev-huge"])
 def test_config_values_exit_cleanly(tmp_path, capsys, command, edit, code, named):
     path, cfg = write_config(tmp_path, **edit)
     argv = [command, "--config", path]

@@ -283,6 +283,24 @@ def test_robustness_beta_zero_drop_is_zero():
     assert [r["beta"] for r in rows] == [0.0, 2.0, 5.0]
 
 
+def test_robustness_drop_is_finite_when_beta_zero_is_exact(monkeypatch):
+    # a perfect restoration at beta = 0 has PSNR inf; (b - r) / b has the
+    # limit 0 for a row that is also exact and 1 for any finite row
+    params, ds = _trained_stub()
+    real_forward = dm.forward
+
+    def exact_at_beta_zero(p, z):
+        if np.array_equal(z, ds.degraded):
+            return ds.clean.copy(), None
+        return real_forward(p, z)
+
+    monkeypatch.setattr(dm, "forward", exact_at_beta_zero)
+    rows = dm.robustness_eval(params, ds, [0.0, 2.0], seed=1)
+    assert [r["beta"] for r in rows] == [0.0, 2.0]
+    assert rows[0]["psnr"] == np.inf and np.isfinite(rows[1]["psnr"])
+    assert [r["psnr_drop_pct"] for r in rows] == [0.0, 100.0]
+
+
 def test_robustness_deterministic():
     params, ds = _trained_stub()
     r1 = dm.robustness_eval(params, ds, [2.0], seed=9)

@@ -1,4 +1,6 @@
+import base64
 import json
+import math
 import os
 
 import numpy as np
@@ -222,7 +224,8 @@ def _whole_document_bytes(params):
             "tau": float(lp.tau),
             "sigma": float(lp.sigma),
             "parts": [{**net._part_record(part),
-                       "weights": [float(x) for x in part.weight_arrays()[0].ravel()]}
+                       "weights": base64.b64encode(
+                           part.weight_arrays()[0].astype("<f8").tobytes()).decode()}
                       for part in lp.analysis.parts()],
         } for lp in params.layers],
     }
@@ -243,13 +246,37 @@ def test_serialize_writes_whole_document_bytes(tmp_path, specs, mode):
         assert f.read() == _whole_document_bytes(params)
 
 
+@pytest.mark.parametrize("mode", ["full", "partial"])
+@pytest.mark.parametrize("specs", [
+    [net.DenseSpec(4)],
+    [net.BlockSpec(3, 3, 2)],
+    [net.DenseSpec(4), net.BlockSpec(3, 3, 2)],
+], ids=["dense", "block-sparse", "fused"])
+def test_deserialize_restores_weights_exactly(tmp_path, specs, mode):
+    params = net.init_network(ops.UniformBlur(3, 6), 2, specs, mode, seed=17)
+    extremes = [-0.0, 5e-324, -1.7976931348623157e308, 0.1, 1.0 / 3.0]
+    for part in params.layers[0].analysis.parts():
+        part.weight_arrays()[0].flat[:len(extremes)] = extremes
+    path = os.path.join(tmp_path, "m.json")
+    net.serialize(params, path)
+    again = net.deserialize(path)
+    assert again.mode == mode
+    for lp, lq in zip(params.layers, again.layers):
+        for a, b in zip(lp.analysis.parts(), lq.analysis.parts()):
+            wa, wb = a.weight_arrays()[0], b.weight_arrays()[0]
+            assert wb.dtype == np.float64 and wb.flags.writeable
+            assert np.array_equal(wa, wb)
+            assert np.array_equal(np.signbit(wa), np.signbit(wb))
+
+
 def test_deserialize_rejects_bad_version(tmp_path):
     params = _mixed_params()
     path = os.path.join(tmp_path, "m.json")
     net.serialize(params, path)
-    doc = open(path).read().replace('"version":"1"', '"version":"2"')
+    doc = open(path).read().replace('"version":"2"', '"version":"1"')
     open(path, "w").write(doc)
-    with pytest.raises(net.ModelFormatError, match="version"):
+    with pytest.raises(net.ModelFormatError,
+                       match=r"unsupported model version '1' \(expected '2'\)"):
         net.deserialize(path)
 
 
@@ -258,9 +285,26 @@ def test_deserialize_rejects_weight_count_off_by_one(tmp_path):
     path = os.path.join(tmp_path, "m.json")
     net.serialize(params, path)
     doc = json.load(open(path))
-    doc["layers"][0]["parts"][0]["weights"].append(0.0)
+    part = doc["layers"][0]["parts"][0]
+    raw = base64.b64decode(part["weights"]) + np.zeros(1, "<f8").tobytes()
+    part["weights"] = base64.b64encode(raw).decode()
     json.dump(doc, open(path, "w"))
     with pytest.raises(net.ModelFormatError, match="weights"):
+        net.deserialize(path)
+
+
+@pytest.mark.parametrize("index,edit,message", [
+    (0, lambda text: "*" + text[1:], "dense part weights are not valid base64"),
+    (1, lambda text: text[:-4], r"block part needs 72 weights \(576 bytes\), found 573"),
+], ids=["dense-non-alphabet", "block-short"])
+def test_deserialize_names_the_part_with_bad_weights(tmp_path, index, edit, message):
+    path = os.path.join(tmp_path, "m.json")
+    net.serialize(_mixed_params(), path)
+    doc = json.load(open(path))
+    part = doc["layers"][0]["parts"][index]
+    part["weights"] = edit(part["weights"])
+    json.dump(doc, open(path, "w"))
+    with pytest.raises(net.ModelFormatError, match=message):
         net.deserialize(path)
 
 
@@ -280,6 +324,76 @@ def test_deserialize_rejects_garbage(tmp_path):
     open(path, "w").write("not json {")
     with pytest.raises(net.ModelFormatError):
         net.deserialize(path)
+
+
+def _paths(node, path=()):
+    """(path, value) of every entry below a JSON document's root."""
+    keys = node if isinstance(node, dict) else range(len(node))
+    for key in keys:
+        yield path + (key,), node[key]
+        if isinstance(node[key], (dict, list)):
+            yield from _paths(node[key], path + (key,))
+
+
+_LEAF_VALUES = [None, True, -1, 1.5, "x", [], {}, math.nan]
+_FLIP_CHARS = "AZaz09+/=\n -\u00e9"  # alphabet, padding, whitespace, outsiders
+
+
+def _mutate_once(doc, stream):
+    """Replace a leaf, edit a weights string, or delete an object key."""
+    def pick(seq):
+        return seq[int(stream.integers(1, len(seq))[0])]
+
+    kind = pick(["leaf", "weights", "delete"])
+    entries = list(_paths(doc))
+    if kind == "leaf":
+        paths = [p for p, v in entries if not isinstance(v, (dict, list))]
+    elif kind == "weights":
+        paths = [p for p, _ in entries if p[-1] == "weights"]
+    else:
+        paths = [p for p, _ in entries if isinstance(p[-1], str)]
+    if not paths:  # an earlier edit removed every target of this kind
+        return
+    path = pick(paths)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "leaf":
+        parent[path[-1]] = pick(_LEAF_VALUES)
+    elif kind == "delete":
+        del parent[path[-1]]
+    elif isinstance(parent["weights"], str) and parent["weights"]:
+        text = parent["weights"]
+        at = pick(range(len(text)))
+        parent["weights"] = pick([
+            text[:at],                                    # truncate
+            text + text[:at % 12 + 1],                    # extend
+            text[:at] + pick(_FLIP_CHARS) + text[at + 1:],  # flip one character
+        ])
+
+
+def test_deserialize_fuzz_raises_only_model_format_errors(tmp_path):
+    # seeded one- and two-field mutations of a fused model document: each
+    # either loads or raises ModelFormatError, never another exception
+    params = net.init_network(ops.UniformBlur(3, 6), 2,
+                              [net.DenseSpec(4), net.BlockSpec(3, 3, 2)], "full", seed=5)
+    path = os.path.join(tmp_path, "m.json")
+    net.serialize(params, path)
+    original = open(path).read()
+    stream = Stream(derive(2024, 8))
+    loaded = refused = 0
+    for trial in range(1200):
+        doc = json.loads(original)
+        for _ in range(1 + trial % 2):
+            _mutate_once(doc, stream)
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        try:
+            net.deserialize(path)
+            loaded += 1
+        except net.ModelFormatError:
+            refused += 1
+    assert refused > loaded > 0
 
 
 def test_network_validates_layer_dims():
