@@ -103,8 +103,9 @@ def backward(params: NetworkParams, clean: np.ndarray,
         s2 = e1 if e2 is None else e1 + (2.0 * lp.sigma) * lt_e2
         d_tau[k] = float(np.vdot(s2, v))
         if e2 is not None:
-            d_sigma[k] = float(np.vdot(lt_e2, x_in + 2.0 * lp.tau * v))
-            l_op.grad_outer(d_weights[k], e2, lp.sigma * (x_in + 2.0 * lp.tau * v), 1.0)
+            x_ext = x_in + 2.0 * lp.tau * v  # u1 + 2 tau V
+            d_sigma[k] = float(np.vdot(lt_e2, x_ext))
+            l_op.grad_outer(d_weights[k], e2, lp.sigma * x_ext, 1.0)
         if k > 0:
             l_op.grad_outer(d_weights[k], y_in, s2, -lp.tau)
             gx = (e1 if e2 is None else e1 + lp.sigma * lt_e2) - lp.tau * a_op.gram(s2)

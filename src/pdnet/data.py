@@ -7,6 +7,7 @@ images are clipped only when exported to files.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -241,12 +242,15 @@ def _gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
     return g / g.sum()
 
 
-def _band_matrix(side: int, kernel: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _ssim_band(side: int) -> np.ndarray:
+    """The read-only matrix of :func:`ssim`'s valid 1-D Gaussian smoothing."""
+    kernel = _gaussian_window()
     k = kernel.size
-    rows = side - k + 1
-    m = np.zeros((rows, side))
-    for i in range(rows):
+    m = np.zeros((side - k + 1, side))
+    for i in range(side - k + 1):
         m[i, i:i + k] = kernel
+    m.flags.writeable = False
     return m
 
 
@@ -275,7 +279,7 @@ def ssim(x_hat: np.ndarray, x_ref: np.ndarray, side: int | None = None) -> float
             cxy = float(np.mean((x - mx) * (y - my)))
             return float(((2 * mx * my + c1) * (2 * cxy + c2))
                          / ((mx**2 + my**2 + c1) * (vx + vy + c2)))
-        w = _band_matrix(side, _gaussian_window())
+        w = _ssim_band(side)
 
         def smooth(img):
             return w @ img @ w.T

@@ -27,6 +27,7 @@ from .operators import (
     AnalysisOperator,
     DenseAnalysis,
     LinearOperator,
+    block_sparse_analysis,
     degradation_from_spec,
     fuse_analysis,
     make_block_sparse_analysis,
@@ -324,10 +325,7 @@ def _part_from_record(rec: dict, n: int) -> AnalysisOperator:
                  f"block sites must lie at multiples of the stride {stride}")
         rows = len(sites) * filters
         w = _weights(rec, rows * q * q, "block part")
-        op = make_block_sparse_analysis(q, stride, filters, side, seed=0, stddev=0.0,
-                                        sites=sites)
-        op.weight_arrays()[0][...] = w.reshape(rows, q * q)
-        return op
+        return block_sparse_analysis(q, stride, filters, side, sites, w)
     raise ModelFormatError(f"unknown part kind: {kind!r}")
 
 

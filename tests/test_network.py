@@ -246,6 +246,21 @@ def test_serialize_writes_whole_document_bytes(tmp_path, specs, mode):
         assert f.read() == _whole_document_bytes(params)
 
 
+def test_deserialize_block_sparse_draws_no_random_numbers(tmp_path, monkeypatch):
+    params = net.init_network(ops.UniformBlur(3, 6), 2, [net.BlockSpec(3, 3, 2)],
+                              "full", seed=17)
+    path = os.path.join(tmp_path, "m.json")
+    net.serialize(params, path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("deserialize drew random numbers")
+
+    monkeypatch.setattr(Stream, "normal", refuse)
+    again = net.deserialize(path)
+    for lp, lq in zip(params.layers, again.layers):
+        assert np.array_equal(lp.analysis.weight_arrays()[0], lq.analysis.weight_arrays()[0])
+
+
 @pytest.mark.parametrize("mode", ["full", "partial"])
 @pytest.mark.parametrize("specs", [
     [net.DenseSpec(4)],

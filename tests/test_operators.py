@@ -29,9 +29,47 @@ def test_blur_constant_image_unchanged():
     assert np.abs(a.apply(v) - 7.0).max() < 1e-13
 
 
-def test_blur_norm_is_one():
-    a = ops.UniformBlur(3, 28)
-    assert abs(a.cached_norm - 1.0) <= 1e-9
+_ODD_SIZES_TO_64 = [(size, side) for side in range(1, 65) for size in range(1, side + 1, 2)]
+
+
+@pytest.mark.parametrize("size, side", _ODD_SIZES_TO_64)
+def test_blur_norm_is_one(size, side):
+    # exact, not to the last ulp of a DFT: step-size margins rest on it
+    assert ops.UniformBlur(size, side).cached_norm == 1.0
+
+
+def _blur_matrix(size, side):
+    """Dense periodic box blur: each pixel sums its size x size window,
+    wrapped modulo side, with weight 1/size^2 per tap."""
+    n = side * side
+    rows = np.arange(n)
+    i, j = np.divmod(rows, side)
+    a = np.zeros((n, n))
+    for di in range(-(size // 2), size // 2 + 1):
+        for dj in range(-(size // 2), size // 2 + 1):
+            a[rows, ((i + di) % side) * side + (j + dj) % side] += 1.0 / size**2
+    return a
+
+
+@pytest.mark.parametrize("size, side", [
+    (size, side) for side in list(range(1, 13)) + [28] for size in range(1, side + 1, 2)
+])
+def test_blur_matches_dense_kernel_sum(size, side):
+    op, a = ops.UniformBlur(size, side), _blur_matrix(size, side)
+    x = Stream(derive(0xB1B, size, side)).normal(3 * side * side).reshape(3, -1)
+    for got, want in ((op.apply(x), x @ a.T), (op.apply_adjoint(x), x @ a),
+                      (op.gram(x), x @ a.T @ a), (op.gram(x[0]), a.T @ a @ x[0])):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
+
+
+def test_blur_batch_rows_match_single_images_bitwise():
+    # pdhg_solve drops finished rows from its batch and relies on this
+    op = ops.UniformBlur(3, 28)
+    x = rand(50 * 784, tag=9).reshape(50, 784)
+    for f in (op.apply, op.apply_adjoint, op.gram):
+        out = f(x)
+        assert all(np.array_equal(out[b], f(x[b])) for b in range(50))
 
 
 def test_blur_delta_spreads_uniformly_with_wrap():
