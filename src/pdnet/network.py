@@ -38,6 +38,8 @@ from .rng import derive
 MODEL_VERSION = "2"
 MODEL_PENALTY = "l1"  # g; the clip to [-1, 1] of each layer is its conjugate's prox
 _SEPARATORS = (",", ":")
+# Untraced forward passes run in pieces of this many rows (up to twice it).
+_PIECE_ROWS = 50
 
 
 class ModelFormatError(ValueError):
@@ -170,14 +172,25 @@ def forward(params: NetworkParams, z: np.ndarray, keep_trace: bool = False):
 
     ``z`` is (M,) or (B, M); the restored image(s) come back with matching
     shape.  With ``keep_trace`` the per-layer activations are returned too;
-    without it the pass keeps no per-layer arrays and the trace is None.
+    without it the pass keeps no per-layer arrays, the trace is None, and a
+    batch runs in pieces of 50-99 rows: a batch below 100 rows is one piece,
+    and the temporaries of a larger one stay small enough to be reused
+    instead of being mapped and page-faulted afresh on every product.
     """
     z = np.asarray(z, dtype=np.float64)
     single = z.ndim == 1
     zb = z[None, :] if single else z
+    if zb.shape[-1] != params.degradation.out_dim:
+        raise ValueError(f"measurement length {zb.shape[-1]} != {params.degradation.out_dim}")
+    pieces = [zb] if keep_trace else np.array_split(zb, max(1, len(zb) // _PIECE_ROWS))
+    runs = [_unroll(params, piece, keep_trace) for piece in pieces]
+    out = runs[0][0] if len(runs) == 1 else np.concatenate([o for o, _ in runs])
+    return (out[0] if single else out), runs[0][1]
+
+
+def _unroll(params: NetworkParams, zb: np.ndarray, keep_trace: bool):
+    """The K layers on a (B, M) batch: (output, trace or None)."""
     a_op = params.degradation
-    if zb.shape[-1] != a_op.out_dim:
-        raise ValueError(f"measurement length {zb.shape[-1]} != {a_op.out_dim}")
     w = a_op.apply_adjoint(zb)
     x = w
     y = np.zeros((zb.shape[0], params.feature_dim))
@@ -196,7 +209,7 @@ def forward(params: NetworkParams, z: np.ndarray, keep_trace: bool = False):
     if trace is not None:
         trace.xs.append(out)
         trace.vs.append(w - gram_x - lt_y)
-    return (out[0] if single else out), trace
+    return out, trace
 
 
 def distance_report(params: NetworkParams) -> np.ndarray:

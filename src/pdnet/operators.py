@@ -6,7 +6,10 @@ Two families live here:
   applied matrix-free, with their adjoints and exact spectral norms; the
   blur is two small circulant matrix products per image, with no FFT;
 * analysis operators ``L`` (dense, block-sparse with an explicit mask,
-  fusions of both) whose nonzero weights are the learnable parameters.
+  fusions of both) whose nonzero weights are the learnable parameters.  A
+  block-sparse part multiplies window by window: one gather of each Q x Q
+  window's inputs and one small GEMM over its filters, while first
+  differences and lambda * Id, one row per window, stay on CSR products.
 
 Operators act on the last axis of an array, so a single vector ``(n,)`` and a
 batch ``(B, n)`` both work.  Spectral norms of analysis operators are
@@ -315,12 +318,34 @@ class DenseAnalysis(AnalysisOperator):
         acc[0] += coeff * (left.T @ right)
 
 
+def _window_matmul(a: np.ndarray, b: np.ndarray, batch: bool) -> np.ndarray:
+    """``np.matmul`` of two window stacks, one GEMM per window.
+
+    numpy hands a one-column ``b`` to GEMV, whose sums round differently.
+    For a batch that column is padded to two, so a row gets the same bits in
+    a batch of one as in a larger batch (``pdhg_solve`` drops finished
+    rows); a single vector, as in the power iteration, keeps the faster GEMV.
+    """
+    if b.shape[-1] > 1 or not batch:
+        return np.matmul(a, b)
+    return np.matmul(a, np.concatenate([b, np.zeros_like(b)], axis=-1))[..., :1]
+
+
 class MaskedRowAnalysis(AnalysisOperator):
     """Analysis operator whose rows each carry a fixed set of active columns.
 
     ``col_index[p]`` lists the unmasked columns of row p (sorted, the same
-    count for every row); ``values`` holds the matching weights.  Backed by a
-    CSR matrix sharing the value buffer, so products run in O(P * nnz_row).
+    count k for every row); ``values`` holds the matching weights.
+
+    Runs of F consecutive rows that share one column set form a window: a
+    block-sparse part has F = ``filters_per_site``, first differences and
+    lambda * Id have F = 1.  With F > 1 the (P, k) weights are viewed as
+    (S, F, k), one (F, k) matrix per window, and every product gathers each
+    window's k inputs once and runs one small GEMM per window (the im2col
+    lowering of a convolution layer).  The adjoint scatters the (S * k, B)
+    window results back with a fixed 0/1 matrix.  With F = 1 a window is a
+    single row, and a CSR matrix sharing the value buffer is 2-3x faster at
+    the solver's batch sizes, so ``apply`` and ``apply_adjoint`` stay on it.
     """
 
     def __init__(self, col_index: np.ndarray, values: np.ndarray, n: int,
@@ -335,19 +360,28 @@ class MaskedRowAnalysis(AnalysisOperator):
         if np.any(np.diff(cols, axis=1) <= 0):
             raise ValueError("row columns must be strictly increasing")
         self._cols = cols
-        self._vals = vals
         self.out_dim = cols.shape[0]
         self.in_dim = int(n)
         self.block_spec = block_spec
         p, k = cols.shape
-        self._csr = sp.csr_matrix(
-            (self._vals.ravel(), cols.ravel(), np.arange(0, (p + 1) * k, k)),
-            shape=(p, n),
-        )
-        # keep the learnable buffer authoritative even if scipy copied it
-        self._vals = self._csr.data.reshape(p, k)
-        # the CSC transpose shares that buffer, so weight updates reach it too
-        self._csr_t = self._csr.T
+        # F divides every run of consecutive rows with one column set
+        starts = np.flatnonzero(np.r_[True, np.any(cols[1:] != cols[:-1], axis=1)])
+        f = int(np.gcd.reduce(np.diff(np.r_[starts, p]))) if p else 1
+        site_cols = cols[::f]  # (S, k): each window's columns
+        if f == 1:
+            self._csr = sp.csr_matrix(
+                (vals.ravel(), cols.ravel(), np.arange(0, (p + 1) * k, k)), shape=(p, n))
+            # keep the learnable buffer authoritative even if scipy copied it
+            vals = self._csr.data.reshape(p, k)
+            # the CSC transpose shares that buffer, so weight updates reach it too
+            self._csr_t = self._csr.T
+        else:
+            m = site_cols.size
+            self._scatter = sp.csr_matrix((np.ones(m), (site_cols.ravel(), np.arange(m))),
+                                          shape=(n, m))
+        self._vals = vals
+        self._site_cols = site_cols
+        self._site_w = vals.reshape(-1, f, k)  # (S, F, k) view: updates reach it
 
     @property
     def nnz(self) -> int:
@@ -356,20 +390,29 @@ class MaskedRowAnalysis(AnalysisOperator):
     def apply(self, v):
         v = _check_dim(v, self.in_dim, "analysis apply")
         ANALYSIS_MACS.add(self.nnz * max(1, v.size // self.in_dim))
-        if v.ndim == 1:
+        vb = v.reshape(-1, self.in_dim)
+        if self._site_w.shape[1] > 1:
+            out = _window_matmul(self._site_w, vb.T[self._site_cols], v.ndim > 1)
+        elif v.ndim == 1:
             return self._csr @ v
-        return (self._csr @ v.reshape(-1, self.in_dim).T).T.reshape(
-            v.shape[:-1] + (self.out_dim,)
-        )
+        else:
+            out = self._csr @ vb.T
+        return out.reshape(self.out_dim, -1).T.reshape(v.shape[:-1] + (self.out_dim,))
 
     def apply_adjoint(self, w):
         w = _check_dim(w, self.out_dim, "analysis adjoint")
         ANALYSIS_MACS.add(self.nnz * max(1, w.size // self.out_dim))
-        if w.ndim == 1:
+        s, f, k = self._site_w.shape
+        wb = w.reshape(-1, self.out_dim)
+        if f > 1:
+            windows = _window_matmul(self._site_w.transpose(0, 2, 1), wb.T.reshape(s, f, -1),
+                                     w.ndim > 1)
+            out = self._scatter @ windows.reshape(s * k, -1)
+        elif w.ndim == 1:
             return self._csr_t @ w
-        return (self._csr_t @ w.reshape(-1, self.out_dim).T).T.reshape(
-            w.shape[:-1] + (self.in_dim,)
-        )
+        else:
+            out = self._csr_t @ wb.T
+        return out.T.reshape(w.shape[:-1] + (self.in_dim,))
 
     def clone(self):
         return MaskedRowAnalysis(
@@ -381,12 +424,11 @@ class MaskedRowAnalysis(AnalysisOperator):
         return [self._vals]
 
     def grad_outer(self, acc, left, right, coeff):
-        # acc[p, j] += coeff * sum_b left[b, p] * right[b, cols[p, j]]
-        b = left.shape[0]
-        chunk = max(1, int(4e6) // max(1, self.nnz))
-        for s in range(0, b, chunk):
-            gathered = right[s:s + chunk][:, self._cols]
-            acc[0] += coeff * np.einsum("bp,bpj->pj", left[s:s + chunk], gathered)
+        # acc[p, j] += coeff * sum_b left[b, p] * right[b, cols[p, j]], per window
+        s, f, k = self._site_w.shape
+        outer = np.matmul(left.T.reshape(s, f, -1),
+                          right.T[self._site_cols].transpose(0, 2, 1))
+        acc[0] += coeff * outer.reshape(self.out_dim, k)
 
 
 class FusedAnalysis(AnalysisOperator):

@@ -2,6 +2,8 @@ import base64
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -183,6 +185,57 @@ def test_forward_cost_linear_in_nnz_and_depth():
     assert c2 == 2 * c1
     c3, _ = macs(6, 2)
     assert c3 == (2 * 6 - 1) * nnz1
+
+
+_PIECE_BATCHES = [60, 99, 100, 180]
+
+
+@pytest.mark.parametrize("batch", _PIECE_BATCHES)
+@pytest.mark.parametrize("spec", [net.DenseSpec(100), net.BlockSpec(5, 2, 10)],
+                         ids=["dense-blur", "block-blur"])
+def test_untraced_forward_runs_in_pieces(monkeypatch, spec, batch):
+    a = ops.UniformBlur(3, 28)
+    params = net.init_network(a, 3, [spec], "full", seed=23, stddev=0.3)
+    zb = Stream(derive(0x5B, batch)).uniform(batch * 784).reshape(batch, 784) * 255
+    ops.ANALYSIS_MACS.reset()
+    traced, _ = net.forward(params, zb, keep_trace=True)
+    whole = ops.ANALYSIS_MACS.count
+    rows = []
+    step = pdhg.pd_step
+    monkeypatch.setattr(pdhg, "pd_step", lambda *args: rows.append(len(args[5])) or step(*args))
+    ops.ANALYSIS_MACS.reset()
+    plain, trace = net.forward(params, zb)
+    assert trace is None
+    assert ops.ANALYSIS_MACS.count == whole
+    ops.ANALYSIS_MACS.reset()
+    pieces = 1 if batch < 100 else batch // 50
+    assert len(rows) == pieces * (params.depth - 1)
+    assert all(50 <= r <= 99 for r in rows) and sum(rows) == batch * (params.depth - 1)
+    assert np.abs(plain - traced).max() <= 1e-12 * np.abs(traced).max()
+
+
+_BITWISE_PIECES = f"""
+import numpy as np
+from pdnet import network as net, operators as ops
+from pdnet.rng import Stream, derive
+a = ops.UniformBlur(3, 28)
+params = net.init_network(a, 3, [net.DenseSpec(100)], "full", seed=23, stddev=0.3)
+for batch in {_PIECE_BATCHES}:
+    zb = Stream(derive(0x5B, batch)).uniform(batch * 784).reshape(batch, 784) * 255
+    assert np.array_equal(net.forward(params, zb)[0],
+                          net.forward(params, zb, keep_trace=True)[0]), batch
+"""
+
+
+def test_untraced_dense_blur_pieces_are_bitwise_on_one_blas_thread():
+    # a multithreaded GEMM splits its rows by count, which can move last bits;
+    # with one thread, as the benchmark runs, every row keeps its bits
+    src = os.path.join(os.path.dirname(os.path.abspath(net.__file__)), os.pardir)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run([sys.executable, "-c", _BITWISE_PIECES], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -379,6 +379,102 @@ def test_grad_outer_matches_dense_masked_product():
     assert np.allclose(dense, 2.0 * (left.T @ right) * mask_dense(op), atol=1e-12)
 
 
+# ---------------------------------------------------------------------------
+# product oracle: dense matrices read off the column index and the weights
+# ---------------------------------------------------------------------------
+
+
+def _oracle(op):
+    """The (P, N) matrix of ``op`` placed from each part's ``_cols`` and
+    weights, never from a product."""
+    blocks = []
+    for part in op.parts():
+        (w,) = part.weight_arrays()
+        if isinstance(part, ops.DenseAnalysis):
+            blocks.append(w.copy())
+            continue
+        m = np.zeros((part.out_dim, part.in_dim))
+        np.put_along_axis(m, part._cols, w, axis=1)
+        blocks.append(m)
+    return np.vstack(blocks)
+
+
+def _oracle_grad(op, left, right, coeff):
+    """coeff * left^T right on each part's mask, in the layout of grad_zeros."""
+    full, out, row = coeff * (left.T @ right), [], 0
+    for part in op.parts():
+        rows = full[row:row + part.out_dim]
+        row += part.out_dim
+        out.append(rows.copy() if isinstance(part, ops.DenseAnalysis)
+                   else np.take_along_axis(rows, part._cols, axis=1))
+    return out
+
+
+def _close(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+# (operator, rows per window F of each masked part)
+_ORACLE_CASES = {
+    "firstdiff": (lambda: ops.make_first_difference(6, scale=0.7), [1]),
+    "scaledid": (lambda: ops.make_scaled_identity_analysis(30, 2.5), [1]),
+    "block-f1": (lambda: ops.make_block_sparse_analysis(3, 2, 1, 7, seed=5), [1]),
+    "block-f2-fit": (lambda: ops.make_block_sparse_analysis(3, 2, 2, 8, seed=6), [2]),
+    "block-f10-interior": (lambda: ops.make_block_sparse_analysis(
+        5, 2, 10, 12, seed=7, site_rule="interior"), [10]),
+    "block-f10-fit": (lambda: ops.make_block_sparse_analysis(5, 2, 10, 12, seed=8), [10]),
+    # a repeated site makes a run of 2F rows; it still splits into windows of F
+    "block-f2-injected": (lambda: ops.make_block_sparse_analysis(
+        3, 1, 2, 7, seed=9, sites=[(0, 0), (0, 0), (2, 3), (4, 1)]), [2]),
+    "fused-dense-block": (lambda: ops.fuse_analysis([
+        ops.make_dense_analysis(6, 49, seed=10),
+        ops.make_block_sparse_analysis(3, 2, 10, 7, seed=11)]), [10]),
+}
+
+
+@pytest.mark.parametrize("batch", [None, 1, 7, 60])
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_masked_products_match_oracle(case, batch):
+    build, windows = _ORACLE_CASES[case]
+    op = build()
+    masked = [p for p in op.parts() if isinstance(p, ops.MaskedRowAnalysis)]
+    assert [p._site_w.shape[1] for p in masked] == windows
+    dense = _oracle(op)
+    shape = () if batch is None else (batch,)
+    x = Stream(derive(0x0AC, 1)).normal((batch or 1) * op.in_dim).reshape(shape + (op.in_dim,))
+    y = Stream(derive(0x0AC, 2)).normal((batch or 1) * op.out_dim).reshape(shape + (op.out_dim,))
+    _close(op.apply(x), x @ dense.T)
+    _close(op.apply_adjoint(y), y @ dense)
+    if batch is not None:
+        acc = op.grad_zeros()
+        op.grad_outer(acc, y, x, -0.3)
+        for got, want in zip(acc, _oracle_grad(op, y, x, -0.3)):
+            _close(got, want)
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_in_place_updates_reach_products_and_clones_are_independent(case):
+    op = _ORACLE_CASES[case][0]()
+    x = Stream(derive(0x0AD, 1)).normal(7 * op.in_dim).reshape(7, op.in_dim)
+    y = Stream(derive(0x0AD, 2)).normal(7 * op.out_dim).reshape(7, op.out_dim)
+    twin = op.clone()
+    before = op.apply(x), op.apply_adjoint(y)
+    deltas = [Stream(derive(0x0AD, 3, i)).normal(g.size).reshape(g.shape)
+              for i, g in enumerate(op.grad_zeros())]
+    op.update_weights(deltas, 0.5)
+    dense = _oracle(op)
+    _close(op.apply(x), x @ dense.T)
+    _close(op.apply_adjoint(y), y @ dense)
+    assert np.array_equal(twin.apply(x), before[0])
+    assert np.array_equal(twin.apply_adjoint(y), before[1])
+    twin.update_weights(deltas, -1.0)
+    _close(op.apply(x), x @ dense.T)
+    twin_dense = _oracle(twin)
+    _close(twin.apply(x), x @ twin_dense.T)
+    _close(twin.apply_adjoint(y), y @ twin_dense)
+
+
 def test_mac_counter_tracks_nnz_exactly():
     op = ops.make_block_sparse_analysis(3, 3, 2, 6, seed=7)
     ops.ANALYSIS_MACS.reset()

@@ -184,6 +184,19 @@ def test_batched_solve_matches_row_by_row():
                                                    max_iter=int(2e5)))
 
 
+def test_batched_solve_with_block_prior_matches_row_by_row():
+    # block parts multiply per window with GEMMs; a lone row must not take
+    # a GEMV path that rounds differently
+    a, _, z, _ = _blurred_batch()
+    l_block = ops.make_block_sparse_analysis(3, 1, 4, 8, seed=5, stddev=0.3)
+    steps = 1.0, 0.9 * 0.5 / l_block.norm() ** 2
+    reports = pdhg.pdhg_solve(a, l_block, z, *steps, tol=1e-6, max_iter=2000)
+    assert len({rep.iterations for rep in reports}) > 1
+    for row, rep in zip(z, reports):
+        _assert_reports_equal(rep, pdhg.pdhg_solve(a, l_block, row, *steps, tol=1e-6,
+                                                   max_iter=2000))
+
+
 def test_batched_solve_cut_off_by_max_iter():
     a, l_fd, z, steps = _blurred_batch()
     counts = sorted(rep.iterations for rep in

@@ -10,6 +10,7 @@ import importlib
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from pdnet import operators
@@ -51,3 +52,15 @@ def test_names_the_workloads_call_exist():
     blur = operators.degradation_from_spec(
         {"kind": "uniform-blur", "size_or_factor": 3, "image_side": 8})
     assert blur.spec() == {"kind": "uniform-blur", "size_or_factor": 3, "image_side": 8}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: operators.block_sparse_analysis(3, 3, 2, 6, [(0, 0), (3, 3)], np.ones(36)),
+    lambda: operators.make_block_sparse_analysis(5, 2, 10, 28, seed=1),
+    lambda: operators.make_first_difference(6),
+    lambda: operators.make_scaled_identity_analysis(9, 0.5),
+], ids=["block", "make-block", "first-difference", "scaled-identity"])
+def test_masked_parts_are_exactly_the_traced_class(build):
+    # tracing patches MaskedRowAnalysis's own methods by name: a subclass that
+    # overrides them would leave its products out of the operators.masked spans
+    assert type(build()) is operators.MaskedRowAnalysis
