@@ -33,14 +33,11 @@ import numpy as np
 
 from . import data as datamod
 from . import network as netmod
-from .backprop import backward, compare_gradients, finite_diff_gradients
+from .backprop import GRADIENT_TOL, backward, compare_gradients, finite_diff_gradients
 from .network import BlockSpec, DenseSpec, ModelFormatError
 from .operators import (
     INIT_STDDEV,
-    Decimation,
-    IdentityOperator,
     PowerIterationError,
-    UniformBlur,
     degradation_from_spec,
     make_first_difference,
     make_scaled_identity_analysis,
@@ -215,18 +212,16 @@ def _build_degradation(cfg: dict, side: int):
     if not 0 <= alpha < math.inf:  # NaN fails this test too
         raise ConfigError(f"alpha must be nonnegative and finite, got {alpha!r}")
     key = {"uniform-blur": "size", "decimation": "factor"}.get(kind)
-    if key is not None and d[key] is None:
+    if key is None:  # identity, or no kind given
+        spec = {"kind": kind, "image_side": side * side}
+    elif d[key] is None:
         raise ConfigError(f"{kind} needs {key!r}")
+    else:
+        spec = {"kind": kind, "size_or_factor": d[key], "image_side": side}
     try:
-        if kind == "uniform-blur":
-            return UniformBlur(d["size"], side), alpha
-        if kind == "decimation":
-            return Decimation(d["factor"], side), alpha
-        if kind == "identity":
-            return IdentityOperator(side * side), alpha
+        return degradation_from_spec(spec), alpha
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown degradation kind {kind!r}")
 
 
 def _load_clean_images(cfg: dict):
@@ -395,8 +390,7 @@ def _build_network(cfg: dict, a_op):
                           f"{exc}") from exc
 
 
-def export_filter_grids(params: netmod.NetworkParams, out_dir: str,
-                        prefix: str = "filters") -> list[str]:
+def export_filter_grids(params: netmod.NetworkParams, out_dir: str) -> list[str]:
     """One PGM grid per part of the last layer's analysis operator.
 
     Each tile is a row reshaped to its natural shape (sqrt(N) x sqrt(N) for
@@ -424,7 +418,7 @@ def export_filter_grids(params: netmod.NetworkParams, out_dir: str,
             r, c = divmod(t, grid_cols)
             canvas[r * (q + 1) + 1:r * (q + 1) + 1 + q,
                    c * (q + 1) + 1:c * (q + 1) + 1 + q] = scaled
-        path = os.path.join(out_dir, f"{prefix}_part{i}.pgm")
+        path = os.path.join(out_dir, f"filters_part{i}.pgm")
         datamod.save_pgm(path, canvas)
         written.append(path)
     return written
@@ -560,10 +554,10 @@ def cmd_gradcheck(cfg: dict, config_path: str, verbose: bool) -> int:
     errors = compare_gradients(
         backward(params, clean, trace),
         finite_diff_gradients(params, clean, degraded, epsilon=_GRADCHECK_EPSILON))
-    ok = all(v <= 1e-5 for v in errors.values())
+    ok = all(v <= GRADIENT_TOL for v in errors.values())
     for group, err in errors.items():
         print(f"gradcheck {group:8s} max relative error {err:.3e} "
-              f"{'ok' if err <= 1e-5 else 'FAIL'}")
+              f"{'ok' if err <= GRADIENT_TOL else 'FAIL'}")
     print(f"gradcheck: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 3
 
@@ -635,7 +629,7 @@ def main(argv=None) -> int:
         if args.command == "gradcheck":
             return cmd_gradcheck(cfg, args.config, args.verbose)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, ModelFormatError, FileNotFoundError) as exc:
+    except (ConfigError, ModelFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (TrainingDivergedError, RuntimeError, ValueError) as exc:

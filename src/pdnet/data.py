@@ -254,9 +254,10 @@ def _ssim_band(side: int) -> np.ndarray:
     return m
 
 
-def ssim(x_hat: np.ndarray, x_ref: np.ndarray, side: int | None = None) -> float:
-    """Single-scale SSIM: 11x11 Gaussian window (sigma 1.5), K1=0.01,
-    K2=0.03, dynamic range 255, averaged over valid window positions.
+def ssim(x_hat: np.ndarray, x_ref: np.ndarray, side: int) -> float:
+    """Single-scale SSIM of two ``side x side`` images: 11x11 Gaussian window
+    (sigma 1.5), K1=0.01, K2=0.03, dynamic range 255, averaged over valid
+    window positions.
 
     Images smaller than the window fall back to one uniform global window.
     """
@@ -264,10 +265,8 @@ def ssim(x_hat: np.ndarray, x_ref: np.ndarray, side: int | None = None) -> float
     b = np.asarray(x_ref, dtype=np.float64).ravel()
     if a.shape != b.shape:
         raise ValueError(f"ssim shape mismatch: {a.shape} vs {b.shape}")
-    if side is None:
-        side = int(round(np.sqrt(a.size)))
     if side * side != a.size:
-        raise ValueError("ssim needs square images (or pass side explicitly)")
+        raise ValueError(f"ssim needs {side}x{side} images, got {a.size} pixels")
     c1 = (0.01 * _PEAK) ** 2
     c2 = (0.03 * _PEAK) ** 2
     x = a.reshape(side, side)
@@ -329,12 +328,13 @@ def robustness_eval(params: NetworkParams, dataset: Dataset, beta_list: list[flo
     return rows
 
 
+# Largest glyph offset from center, as a fraction of the side.
+_JITTER_FRAC = 0.05
 _SEGMENTS = {0: "ABCDEF", 1: "BC", 2: "ABGED", 3: "ABGCD", 4: "FGBC",
              5: "AFGCD", 6: "AFGEDC", 7: "ABC", 8: "ABCDEFG", 9: "ABCDFG"}
 
 
-def synthetic_digits(count: int, side: int = 28, seed: int = 0,
-                     jitter_frac: float = 0.05) -> np.ndarray:
+def synthetic_digits(count: int, side: int, seed: int) -> np.ndarray:
     """Digit-like glyph images: seven-segment figures with jittered geometry.
 
     Bright strokes on a dark background, roughly centered, values in
@@ -348,7 +348,7 @@ def synthetic_digits(count: int, side: int = 28, seed: int = 0,
         digit = min(int(u[0] * 10), 9)
         w = max(4, int(side * (0.40 + 0.10 * u[1])))
         h = max(6, int(side * (0.60 + 0.10 * u[2])))
-        jit = max(1, int(side * jitter_frac))
+        jit = max(1, int(side * _JITTER_FRAC))
         x0 = (side - w) // 2 + int((u[3] - 0.5) * 2 * jit)
         y0 = (side - h) // 2 + int((u[4] - 0.5) * 2 * jit)
         x0 = min(max(x0, 0), side - w)

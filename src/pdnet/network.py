@@ -58,7 +58,7 @@ class BlockSpec:
     q: int
     stride: int
     filters_per_site: int
-    site_rule: str = "fit"
+    site_rule: str  # "fit" or "interior": see operators.block_sites
 
 
 @dataclass
@@ -72,7 +72,7 @@ class NetworkParams:
     """Parameter container: degradation A, K per-layer (tau, sigma, L), mode."""
 
     def __init__(self, degradation: LinearOperator, layers: list[LayerParams],
-                 mode: str = "full"):
+                 mode: str):
         if mode not in ("full", "partial"):
             raise ValueError(f"mode must be 'full' or 'partial', got {mode!r}")
         if len(layers) < 1:

@@ -498,7 +498,7 @@ def make_dense_analysis(p: int, n: int, seed: int,
     return DenseAnalysis(w)
 
 
-def block_sites(image_side: int, q: int, stride: int, rule: str = "fit") -> list[tuple[int, int]]:
+def block_sites(image_side: int, q: int, stride: int, rule: str) -> list[tuple[int, int]]:
     """Top-left corners of the sliding Q x Q windows, row-major.
 
     ``fit``      : corners at multiples of stride with corner + q <= side.
@@ -549,16 +549,11 @@ def block_sparse_analysis(q: int, stride: int, filters_per_site: int, image_side
 
 
 def make_block_sparse_analysis(q: int, stride: int, filters_per_site: int,
-                               image_side: int, seed: int, stddev: float = INIT_STDDEV,
-                               sites: list[tuple[int, int]] | None = None,
-                               site_rule: str = "fit") -> MaskedRowAnalysis:
-    """:func:`block_sparse_analysis` with i.i.d. Normal(0, stddev^2) weights.
-
-    The site list defaults to :func:`block_sites` but can be injected
-    explicitly.
-    """
-    if sites is None:
-        sites = block_sites(image_side, int(q), int(stride), rule=site_rule)
+                               image_side: int, seed: int, site_rule: str,
+                               stddev: float = INIT_STDDEV) -> MaskedRowAnalysis:
+    """:func:`block_sparse_analysis` with i.i.d. Normal(0, stddev^2) weights
+    on the sites :func:`block_sites` places by ``site_rule``."""
+    sites = block_sites(image_side, int(q), int(stride), site_rule)
     count = len(sites) * max(int(filters_per_site), 0) * int(q) ** 2
     return block_sparse_analysis(q, stride, filters_per_site, image_side, sites,
                                  Stream(seed).normal(count, std=stddev))

@@ -27,17 +27,10 @@ from .prox import prox_conj_l1
 
 @dataclass
 class SolveReport:
-    """One measurement's solve: the restored image and how the solver stopped.
-
-    ``objective`` is the objective at ``x_hat`` and ``previous_objective``
-    at the iterate before it, so their gap shows how far the objective had
-    settled.
-    """
+    """One measurement's solve: the restored image and how the solver stopped."""
     x_hat: np.ndarray
     iterations: int
     final_residual: float
-    objective: float
-    previous_objective: float
     converged: bool
 
 
@@ -115,7 +108,7 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
 
 
 def pdhg_solve(a_op: LinearOperator, l_op: AnalysisOperator, z: np.ndarray,
-               tau: float, sigma: float, tol: float = 1e-5, max_iter: int = 10_000,
+               tau: float, sigma: float, tol: float, max_iter: int,
                warn_only: bool = False) -> SolveReport | list[SolveReport]:
     """Iterate to convergence from (A* z, 0), for one measurement or a batch.
 
@@ -123,9 +116,13 @@ def pdhg_solve(a_op: LinearOperator, l_op: AnalysisOperator, z: np.ndarray,
     of B reports.  Each row stops on its own once the relative primal change
     ||x+ - x|| / max(1, ||x||) drops below ``tol``; hitting ``max_iter``
     flags its report as not converged instead of raising.  A stopped row
-    leaves the batch, and each row's report is the one a solve of that row
-    alone gives, bit for bit.  Step sizes must be positive and finite; a
-    nonpositive step-size margin raises unless ``warn_only`` is set.
+    leaves the batch.  With first differences or lambda * Id (CSR products)
+    or block-sparse parts (per-window GEMMs through ``_window_matmul``) as
+    ``l_op``, each row's report is the one a solve of that row alone gives,
+    bit for bit; a ``DenseAnalysis`` part does not keep that, since BLAS
+    rounds a dense product's rows differently with the batch's row count.
+    Step sizes must be positive and finite; a nonpositive step-size margin
+    raises unless ``warn_only`` is set.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim not in (1, 2) or z.shape[-1] != a_op.out_dim:
@@ -171,8 +168,6 @@ def pdhg_solve(a_op: LinearOperator, l_op: AnalysisOperator, z: np.ndarray,
                     x_hat=x_hat[i],
                     iterations=it,
                     final_residual=float(rel[r]),
-                    objective=objective(a_op, l_op, zs[i], x_new[r]),
-                    previous_objective=objective(a_op, l_op, zs[i], x[r]),
                     converged=bool(converged[r]),
                 )
             keep = ~stop

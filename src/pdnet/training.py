@@ -33,13 +33,6 @@ class NonFiniteGradientError(RuntimeError):
 class TrainingDivergedError(RuntimeError):
     """Loss stayed above 10x its initial value for 100 consecutive iterations."""
 
-    def __init__(self, message: str, iteration: int, last_loss: float,
-                 initial_loss: float):
-        super().__init__(message)
-        self.iteration = iteration
-        self.last_loss = last_loss
-        self.initial_loss = initial_loss
-
 
 @dataclass
 class History:
@@ -103,7 +96,7 @@ def _validation_scores(params: NetworkParams, clean: np.ndarray,
 
 
 def train(params: NetworkParams, train_clean: np.ndarray, train_degraded: np.ndarray,
-          val_clean: np.ndarray, val_degraded: np.ndarray, side: int | None = None, *,
+          val_clean: np.ndarray, val_degraded: np.ndarray, side: int, *,
           gamma: float, batch_size: int, max_iter: int, val_cadence: int,
           lr_decay_every: int | None, lr_decay_factor: float, seed: int) -> TrainResult:
     """Run mini-batch SGD and track the best-validation-PSNR checkpoint.
@@ -111,15 +104,13 @@ def train(params: NetworkParams, train_clean: np.ndarray, train_degraded: np.nda
     The keyword arguments are the ``train`` section of a config plus the
     batch-order seed; the config schema holds their defaults and ranges, and
     ``lr_decay_every=None`` means gamma never decays.
-    ``params`` is trained in place (and also returned as ``final_params``).
-    Aborts with :class:`TrainingDivergedError` when the loss exceeds 10x its
+    ``params`` is trained in place (and also returned as ``final_params``);
+    ``side`` is the images' side length, which validation SSIM needs.  Aborts with :class:`TrainingDivergedError` when the loss exceeds 10x its
     initial value for 100 consecutive iterations.
     """
     n_train = train_clean.shape[0]
     if n_train == 0 or val_clean.shape[0] == 0:
         raise ValueError("train and validation splits must be nonempty")
-    if side is None:
-        side = int(round(np.sqrt(params.image_dim)))
     t0 = time.monotonic()
     shuffler = Stream(derive(seed, 0xBA7C4))
     order = shuffler.permutation(n_train)
@@ -164,8 +155,7 @@ def train(params: NetworkParams, train_clean: np.ndarray, train_degraded: np.nda
                 raise TrainingDivergedError(
                     f"loss {batch_loss:.4e} stayed above 10x the initial "
                     f"{losses[0]:.4e} for 100 consecutive iterations "
-                    f"(aborted at iteration {it})",
-                    iteration=it, last_loss=batch_loss, initial_loss=float(losses[0]),
+                    f"(aborted at iteration {it})"
                 )
         else:
             diverged_streak = 0

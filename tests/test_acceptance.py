@@ -62,7 +62,7 @@ def _desk_run(desk_data, mode, depth=6, p=100, max_iter=3000):
     params = net.init_network(desk_data["a_op"], depth, [net.DenseSpec(p)],
                               mode, seed=derive(DESK_SEED, 3))
     return tr.train(params, desk_data["train_clean"], desk_data["train_z"],
-                    desk_data["val_clean"], desk_data["val_z"],
+                    desk_data["val_clean"], desk_data["val_z"], SIDE,
                     gamma=DESK_GAMMA, batch_size=50, max_iter=max_iter,
                     seed=derive(DESK_SEED, 4), val_cadence=100,
                     lr_decay_every=None, lr_decay_factor=0.5)
@@ -94,7 +94,7 @@ def test_criterion_1_gradient_oracle():
         a_op = ops.UniformBlur(3, side) if blur else ops.IdentityOperator(n)
         if t % 4 == 1:
             sites = 1 if side == 3 else 4  # 2x2 windows at stride 2
-            spec = [net.BlockSpec(2, 2, max(1, p // sites))]
+            spec = [net.BlockSpec(2, 2, max(1, p // sites), "fit")]
         else:
             spec = [net.DenseSpec(p)]
         params = net.init_network(a_op, 2 + t % 2, spec, "full",
@@ -131,7 +131,7 @@ def test_criterion_2_unrolled_equivalence():
         shared = net.NetworkParams(a_op, [
             net.LayerParams(lp.tau, lp.sigma, lp.analysis.clone())
             for _ in range(depth)
-        ])
+        ], "full")
         z = Stream(derive(0xE02, depth, 1)).uniform(side * side) * 255
         out, _ = net.forward(shared, z)
         rep = pdhg.pdhg_solve(a_op, lp.analysis, z,
@@ -272,9 +272,10 @@ def test_criterion_9_property_suites(tmp_path):
     # adjoint identities, 100 pairs over mixed operator kinds
     kinds = [ops.UniformBlur(3, 8), ops.Decimation(2, 8),
              ops.make_dense_analysis(7, 64, seed=1),
-             ops.make_block_sparse_analysis(3, 2, 3, 8, seed=2),
+             ops.make_block_sparse_analysis(3, 2, 3, 8, seed=2, site_rule="fit"),
              ops.fuse_analysis([ops.make_dense_analysis(3, 64, seed=3),
-                                ops.make_block_sparse_analysis(4, 4, 2, 8, seed=4)])]
+                                ops.make_block_sparse_analysis(4, 4, 2, 8, seed=4,
+                                                               site_rule="fit")])]
     worst = 0.0
     for t in range(100):
         op = kinds[t % len(kinds)]
@@ -314,7 +315,7 @@ def test_criterion_9_property_suites(tmp_path):
 
     # mask invariance under a few SGD steps
     a_op = ops.UniformBlur(3, 8)
-    params = net.init_network(a_op, 2, [net.BlockSpec(3, 3, 2)], "full", seed=5)
+    params = net.init_network(a_op, 2, [net.BlockSpec(3, 3, 2, "fit")], "full", seed=5)
     mask = [mask_dense(lp.analysis) for lp in params.layers]
     clean = synthetic_strokes(8, side=8, seed=6)
     zb = np.stack([dm.degrade(clean[i], a_op, 10.0, derive(7, i)) for i in range(8)])

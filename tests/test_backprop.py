@@ -17,7 +17,7 @@ def small_instance(seed, depth=2, side=4, p=4, block=False, blur=True, batch=2):
     if block:
         # side 3 has one 2x2 window site at stride 2, side 4 has four
         sites = 1 if side == 3 else 4
-        spec = [net.BlockSpec(2, 2, max(1, p // sites))]
+        spec = [net.BlockSpec(2, 2, max(1, p // sites), "fit")]
     else:
         spec = [net.DenseSpec(p)]
     params = net.init_network(a_op, depth, spec, "full", seed=derive(seed, 1),
@@ -152,7 +152,7 @@ def test_gradients_on_fused_operator():
     side, n = 4, 16
     a_op = ops.UniformBlur(3, side)
     params = net.init_network(
-        a_op, 2, [net.DenseSpec(3), net.BlockSpec(2, 2, 1)], "full",
+        a_op, 2, [net.DenseSpec(3), net.BlockSpec(2, 2, 1, "fit")], "full",
         seed=31, stddev=0.5)
     clean = (Stream(32).uniform(2 * n) * 8.0).reshape(2, n)
     degraded = np.stack([degrade(clean[i], a_op, 0.5, derive(33, i))

@@ -69,6 +69,31 @@ def test_missing_config_file():
     assert cli.main(["train", "--config", "/nonexistent/cfg.json"]) == 1
 
 
+@pytest.mark.parametrize("case", ["pgm-dir-path-is-a-file", "idx-images-is-a-dir",
+                                  "output_dir-is-a-file", "export-output-is-a-file"])
+def test_os_errors_exit_cleanly(tmp_path, capsys, case):
+    a_file = tmp_path / "a_file"
+    a_file.write_bytes(b"")
+    data = {"pgm-dir-path-is-a-file": {"source": "pgm-dir", "path": str(a_file),
+                                       "patch_size": 4},
+            "idx-images-is-a-dir": {"source": "idx", "images": str(tmp_path)}}
+    path, _ = write_config(tmp_path, data=data.get(case, {}),
+                           output_dir=str(a_file if case == "output_dir-is-a-file"
+                                          else tmp_path / "out"))
+    argv = ["degrade", "--config", path]
+    if case == "export-output-is-a-file":
+        from pdnet import network as net
+        from pdnet import operators as ops
+
+        model = str(tmp_path / "model.json")
+        net.serialize(net.init_network(ops.UniformBlur(3, 8), 2, [net.DenseSpec(4)],
+                                       "full", seed=3), model)
+        argv = ["export-filters", "--model", model, "--output", str(a_file)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_degrade_idempotent(tmp_path):
     path, cfg = write_config(tmp_path)
     assert cli.main(["degrade", "--config", path]) == 0
@@ -124,6 +149,24 @@ def test_train_eval_solve_pipeline(tmp_path):
     assert report[0] == "image,iterations,final_residual,converged,psnr"
     assert len(report) > 1
     assert all(row.split(",")[3] == "1" for row in report[1:])  # all converged
+
+
+@pytest.mark.parametrize("network", [
+    {"K": 2, "mode": "full", "L": ["dense:6"]},
+    {"K": 3, "mode": "partial", "L": ["f3s2n4"]},
+], ids=["dense-full", "block-partial"])
+def test_robustness_beta_zero_row_is_the_plain_pass(tmp_path, network):
+    # beta = 0 restores the same measurements as the plain pass, so its row
+    # must equal the mean row of metrics.csv bit for bit
+    path, cfg = write_config(tmp_path, network=network)
+    assert cli.main(["train", "--config", path]) == 0
+    out = cfg["output_dir"]
+    assert cli.main(["eval", "--config", path, "--model",
+                     os.path.join(out, "model_final.json"), "--beta", "2,5"]) == 0
+    mean = open(os.path.join(out, "metrics.csv")).read().strip().split("\n")[-1]
+    beta_0 = open(os.path.join(out, "robustness.csv")).read().strip().split("\n")[1]
+    assert float(beta_0.split(",")[0]) == 0.0
+    assert mean.split(",")[1:3] == beta_0.split(",")[1:3]
 
 
 def test_train_determinism(tmp_path):
@@ -262,7 +305,7 @@ def test_malformed_model_exits_cleanly(tmp_path, capsys, mutate):
     from pdnet import operators as ops
 
     params = net.init_network(ops.UniformBlur(3, 6), 2,
-                              [net.DenseSpec(4), net.BlockSpec(3, 3, 2)], "full", seed=3)
+                              [net.DenseSpec(4), net.BlockSpec(3, 3, 2, "fit")], "full", seed=3)
     model = str(tmp_path / "model.json")
     net.serialize(params, model)
     doc = json.load(open(model))
@@ -284,7 +327,7 @@ def test_filter_grid_tile_shapes(tmp_path):
 
     a_op = ops.UniformBlur(3, 28)
     params = net.init_network(
-        a_op, 2, [net.DenseSpec(100), net.BlockSpec(9, 9, 10)], "full", seed=3)
+        a_op, 2, [net.DenseSpec(100), net.BlockSpec(9, 9, 10, "fit")], "full", seed=3)
     written = cli.export_filter_grids(params, str(tmp_path))
     assert len(written) == 2
     dense_grid = load_pgm(written[0])

@@ -228,14 +228,14 @@ def test_psnr_symmetric_and_identical_sentinel():
 
 def test_ssim_identical_is_one():
     x = Stream(8).uniform(28 * 28) * 255
-    assert dm.ssim(x, x) == pytest.approx(1.0, abs=1e-12)
+    assert dm.ssim(x, x, side=28) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ssim_inversion_is_low_on_checkerboard():
     side = 16
     grid = np.indices((side, side)).sum(axis=0) % 2 * 255.0
     x = grid.ravel()
-    assert dm.ssim(x, 255.0 - x) < 0.2
+    assert dm.ssim(x, 255.0 - x, side=side) < 0.2
 
 
 def test_ssim_constant_images_reduce_to_luminance_term():
@@ -244,7 +244,7 @@ def test_ssim_constant_images_reduce_to_luminance_term():
         x = np.full(16 * 16, base)
         y = np.full(16 * 16, base + shift)
         lum = (2 * base * (base + shift) + c1) / (base**2 + (base + shift) ** 2 + c1)
-        assert dm.ssim(x, y) == pytest.approx(lum, rel=1e-12)
+        assert dm.ssim(x, y, side=16) == pytest.approx(lum, rel=1e-12)
 
 
 def test_ssim_small_image_fallback():
@@ -258,7 +258,7 @@ def test_ssim_small_image_fallback():
 def test_ssim_range():
     x = Stream(11).uniform(28 * 28) * 255
     y = Stream(12).uniform(28 * 28) * 255
-    assert -1.0 <= dm.ssim(x, y) <= 1.0
+    assert -1.0 <= dm.ssim(x, y, side=28) <= 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,7 @@ def test_trace_consistency():
 
 def test_forward_without_trace_returns_none_and_the_same_output():
     a = ops.UniformBlur(3, 6)
-    params = net.init_network(a, 4, [net.DenseSpec(7), net.BlockSpec(3, 3, 2)],
+    params = net.init_network(a, 4, [net.DenseSpec(7), net.BlockSpec(3, 3, 2, "fit")],
                               "full", seed=5, stddev=0.5)
     zb = Stream(8).uniform(2 * 36).reshape(2, 36) * 255
     plain, none = net.forward(params, zb)
@@ -135,7 +135,7 @@ def test_forward_without_trace_returns_none_and_the_same_output():
 
 def test_trace_holds_the_forward_residual_direction():
     a = ops.UniformBlur(3, 6)
-    params = net.init_network(a, 4, [net.DenseSpec(7), net.BlockSpec(3, 3, 2)],
+    params = net.init_network(a, 4, [net.DenseSpec(7), net.BlockSpec(3, 3, 2, "fit")],
                               "full", seed=5, stddev=0.5)
     zb = Stream(8).uniform(2 * 36).reshape(2, 36) * 255
     _, trace = net.forward(params, zb, keep_trace=True)
@@ -170,7 +170,7 @@ def test_forward_cost_linear_in_nnz_and_depth():
 
     def macs(depth, filters):
         params = net.init_network(
-            a, depth, [net.BlockSpec(3, 3, filters)], "full", seed=2)
+            a, depth, [net.BlockSpec(3, 3, filters, "fit")], "full", seed=2)
         nnz = params.layers[0].analysis.nnz
         ops.ANALYSIS_MACS.reset()
         net.forward(params, z)
@@ -191,7 +191,7 @@ _PIECE_BATCHES = [60, 99, 100, 180]
 
 
 @pytest.mark.parametrize("batch", _PIECE_BATCHES)
-@pytest.mark.parametrize("spec", [net.DenseSpec(100), net.BlockSpec(5, 2, 10)],
+@pytest.mark.parametrize("spec", [net.DenseSpec(100), net.BlockSpec(5, 2, 10, "fit")],
                          ids=["dense-blur", "block-blur"])
 def test_untraced_forward_runs_in_pieces(monkeypatch, spec, batch):
     a = ops.UniformBlur(3, 28)
@@ -245,7 +245,7 @@ def test_untraced_dense_blur_pieces_are_bitwise_on_one_blas_thread():
 
 def _mixed_params():
     a = ops.UniformBlur(3, 6)
-    specs = [net.DenseSpec(4), net.BlockSpec(3, 3, 2)]
+    specs = [net.DenseSpec(4), net.BlockSpec(3, 3, 2, "fit")]
     return net.init_network(a, 2, specs, "partial", seed=17)
 
 
@@ -288,8 +288,8 @@ def _whole_document_bytes(params):
 @pytest.mark.parametrize("mode", ["full", "partial"])
 @pytest.mark.parametrize("specs", [
     [net.DenseSpec(4)],
-    [net.BlockSpec(3, 3, 2)],
-    [net.DenseSpec(4), net.BlockSpec(3, 3, 2)],
+    [net.BlockSpec(3, 3, 2, "fit")],
+    [net.DenseSpec(4), net.BlockSpec(3, 3, 2, "fit")],
 ], ids=["dense", "block-sparse", "fused"])
 def test_serialize_writes_whole_document_bytes(tmp_path, specs, mode):
     params = net.init_network(ops.UniformBlur(3, 6), 3, specs, mode, seed=17)
@@ -300,7 +300,7 @@ def test_serialize_writes_whole_document_bytes(tmp_path, specs, mode):
 
 
 def test_deserialize_block_sparse_draws_no_random_numbers(tmp_path, monkeypatch):
-    params = net.init_network(ops.UniformBlur(3, 6), 2, [net.BlockSpec(3, 3, 2)],
+    params = net.init_network(ops.UniformBlur(3, 6), 2, [net.BlockSpec(3, 3, 2, "fit")],
                               "full", seed=17)
     path = os.path.join(tmp_path, "m.json")
     net.serialize(params, path)
@@ -317,8 +317,8 @@ def test_deserialize_block_sparse_draws_no_random_numbers(tmp_path, monkeypatch)
 @pytest.mark.parametrize("mode", ["full", "partial"])
 @pytest.mark.parametrize("specs", [
     [net.DenseSpec(4)],
-    [net.BlockSpec(3, 3, 2)],
-    [net.DenseSpec(4), net.BlockSpec(3, 3, 2)],
+    [net.BlockSpec(3, 3, 2, "fit")],
+    [net.DenseSpec(4), net.BlockSpec(3, 3, 2, "fit")],
 ], ids=["dense", "block-sparse", "fused"])
 def test_deserialize_restores_weights_exactly(tmp_path, specs, mode):
     params = net.init_network(ops.UniformBlur(3, 6), 2, specs, mode, seed=17)
@@ -444,7 +444,7 @@ def test_deserialize_fuzz_raises_only_model_format_errors(tmp_path):
     # seeded one- and two-field mutations of a fused model document: each
     # either loads or raises ModelFormatError, never another exception
     params = net.init_network(ops.UniformBlur(3, 6), 2,
-                              [net.DenseSpec(4), net.BlockSpec(3, 3, 2)], "full", seed=5)
+                              [net.DenseSpec(4), net.BlockSpec(3, 3, 2, "fit")], "full", seed=5)
     path = os.path.join(tmp_path, "m.json")
     net.serialize(params, path)
     original = open(path).read()
@@ -470,8 +470,8 @@ def test_network_validates_layer_dims():
     bad_n = net.LayerParams(1.0, 1.0, ops.make_dense_analysis(4, 8, seed=1))
     bad_p = net.LayerParams(1.0, 1.0, ops.make_dense_analysis(5, 9, seed=1))
     with pytest.raises(ValueError):
-        net.NetworkParams(a, [good, bad_n])
+        net.NetworkParams(a, [good, bad_n], "full")
     with pytest.raises(ValueError):
-        net.NetworkParams(a, [good, bad_p])
+        net.NetworkParams(a, [good, bad_p], "full")
     with pytest.raises(ValueError):
-        net.NetworkParams(a, [])
+        net.NetworkParams(a, [], "full")

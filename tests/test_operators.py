@@ -145,11 +145,11 @@ def _adjoint_gap(op, tag):
     ops.Decimation(2, 8),
     ops.Decimation(4, 8),
     ops.make_dense_analysis(11, 25, seed=1),
-    ops.make_block_sparse_analysis(3, 2, 4, 7, seed=2),
+    ops.make_block_sparse_analysis(3, 2, 4, 7, seed=2, site_rule="fit"),
     ops.make_first_difference(6),
     ops.make_scaled_identity_analysis(20, 2.5),
     ops.fuse_analysis([ops.make_dense_analysis(5, 36, seed=3),
-                       ops.make_block_sparse_analysis(3, 3, 2, 6, seed=4)]),
+                       ops.make_block_sparse_analysis(3, 3, 2, 6, seed=4, site_rule="fit")]),
 ], ids=["identity", "blur3", "blur5", "dec2", "dec4", "dense", "block",
         "firstdiff", "scaledid", "fused"])
 def test_adjoint_identity_100_pairs(op):
@@ -276,7 +276,7 @@ def test_block_sparse_row_counts_28(q, stride, rule, p, sparsity):
 
 
 def test_block_sparse_window_shape():
-    op = ops.make_block_sparse_analysis(3, 3, 2, 9, seed=8)
+    op = ops.make_block_sparse_analysis(3, 3, 2, 9, seed=8, site_rule="fit")
     mask = mask_dense(op)
     assert np.array_equal(mask.sum(axis=1), np.full(op.out_dim, 9.0))
     # first row's window sits at the top-left corner
@@ -286,11 +286,11 @@ def test_block_sparse_window_shape():
 
 def test_block_sparse_rejects_oversized_window():
     with pytest.raises(ValueError):
-        ops.make_block_sparse_analysis(10, 1, 1, 8, seed=0)
+        ops.make_block_sparse_analysis(10, 1, 1, 8, seed=0, site_rule="fit")
 
 
 def test_block_apply_matches_dense():
-    op = ops.make_block_sparse_analysis(3, 2, 3, 6, seed=11)
+    op = ops.make_block_sparse_analysis(3, 2, 3, 6, seed=11, site_rule="fit")
     dense = to_dense(op)
     v = rand(36, tag=5)
     assert np.allclose(op.apply(v), dense @ v, atol=1e-12)
@@ -300,7 +300,8 @@ def test_block_apply_matches_dense():
 
 def test_explicit_site_injection():
     sites = [(0, 0), (2, 3)]
-    op = ops.make_block_sparse_analysis(3, 1, 4, 6, seed=2, sites=sites)
+    op = ops.block_sparse_analysis(3, 1, 4, 6, sites,
+                                   Stream(2).normal(len(sites) * 4 * 9, std=ops.INIT_STDDEV))
     assert op.out_dim == 8
     assert op.block_spec["sites"] == [(0, 0), (2, 3)]
 
@@ -319,8 +320,8 @@ def test_fusion_row_count_1800():
     parts = [
         ops.make_block_sparse_analysis(5, 2, 10, 28, seed=1, site_rule="interior"),
         ops.make_block_sparse_analysis(7, 3, 10, 28, seed=2, site_rule="interior"),
-        ops.make_block_sparse_analysis(14, 7, 10, 28, seed=3),
-        ops.make_block_sparse_analysis(28, 28, 10, 28, seed=4),
+        ops.make_block_sparse_analysis(14, 7, 10, 28, seed=3, site_rule="fit"),
+        ops.make_block_sparse_analysis(28, 28, 10, 28, seed=4, site_rule="fit"),
     ]
     assert [p.out_dim for p in parts] == [1210, 490, 90, 10]
     fused = ops.fuse_analysis(parts)
@@ -329,7 +330,7 @@ def test_fusion_row_count_1800():
 
 def test_fusion_apply_is_concatenation():
     parts = [ops.make_dense_analysis(3, 16, seed=1),
-             ops.make_block_sparse_analysis(2, 2, 2, 4, seed=2)]
+             ops.make_block_sparse_analysis(2, 2, 2, 4, seed=2, site_rule="fit")]
     fused = ops.fuse_analysis(parts)
     v = rand(16, tag=9)
     expect = np.concatenate([p.apply(v) for p in parts])
@@ -348,7 +349,7 @@ def test_fusion_rejects_mismatched_n():
 
 
 def test_mask_preserved_under_updates():
-    op = ops.make_block_sparse_analysis(3, 3, 2, 6, seed=7)
+    op = ops.make_block_sparse_analysis(3, 3, 2, 6, seed=7, site_rule="fit")
     mask = mask_dense(op)
     for t in range(5):
         deltas = [Stream(derive(0x0DD, t)).normal(g.size).reshape(g.shape)
@@ -368,7 +369,7 @@ def test_adjoint_follows_weight_updates():
 
 
 def test_grad_outer_matches_dense_masked_product():
-    op = ops.make_block_sparse_analysis(3, 2, 2, 5, seed=3)
+    op = ops.make_block_sparse_analysis(3, 2, 2, 5, seed=3, site_rule="fit")
     b, p, n = 4, op.out_dim, op.in_dim
     left = Stream(1).normal(b * p).reshape(b, p)
     right = Stream(2).normal(b * n).reshape(b, n)
@@ -419,17 +420,21 @@ def _close(got, want):
 _ORACLE_CASES = {
     "firstdiff": (lambda: ops.make_first_difference(6, scale=0.7), [1]),
     "scaledid": (lambda: ops.make_scaled_identity_analysis(30, 2.5), [1]),
-    "block-f1": (lambda: ops.make_block_sparse_analysis(3, 2, 1, 7, seed=5), [1]),
-    "block-f2-fit": (lambda: ops.make_block_sparse_analysis(3, 2, 2, 8, seed=6), [2]),
+    "block-f1": (lambda: ops.make_block_sparse_analysis(
+        3, 2, 1, 7, seed=5, site_rule="fit"), [1]),
+    "block-f2-fit": (lambda: ops.make_block_sparse_analysis(
+        3, 2, 2, 8, seed=6, site_rule="fit"), [2]),
     "block-f10-interior": (lambda: ops.make_block_sparse_analysis(
         5, 2, 10, 12, seed=7, site_rule="interior"), [10]),
-    "block-f10-fit": (lambda: ops.make_block_sparse_analysis(5, 2, 10, 12, seed=8), [10]),
+    "block-f10-fit": (lambda: ops.make_block_sparse_analysis(
+        5, 2, 10, 12, seed=8, site_rule="fit"), [10]),
     # a repeated site makes a run of 2F rows; it still splits into windows of F
-    "block-f2-injected": (lambda: ops.make_block_sparse_analysis(
-        3, 1, 2, 7, seed=9, sites=[(0, 0), (0, 0), (2, 3), (4, 1)]), [2]),
+    "block-f2-injected": (lambda: ops.block_sparse_analysis(
+        3, 1, 2, 7, [(0, 0), (0, 0), (2, 3), (4, 1)],
+        Stream(9).normal(4 * 2 * 9, std=ops.INIT_STDDEV)), [2]),
     "fused-dense-block": (lambda: ops.fuse_analysis([
         ops.make_dense_analysis(6, 49, seed=10),
-        ops.make_block_sparse_analysis(3, 2, 10, 7, seed=11)]), [10]),
+        ops.make_block_sparse_analysis(3, 2, 10, 7, seed=11, site_rule="fit")]), [10]),
 }
 
 
@@ -476,7 +481,7 @@ def test_in_place_updates_reach_products_and_clones_are_independent(case):
 
 
 def test_mac_counter_tracks_nnz_exactly():
-    op = ops.make_block_sparse_analysis(3, 3, 2, 6, seed=7)
+    op = ops.make_block_sparse_analysis(3, 3, 2, 6, seed=7, site_rule="fit")
     ops.ANALYSIS_MACS.reset()
     op.apply(np.zeros(36))
     assert ops.ANALYSIS_MACS.count == op.nnz

@@ -53,17 +53,18 @@ def test_solve_rejects_stepsizes_not_positive_and_finite(tau, sigma):
     ident = ops.IdentityOperator(4)
     l_id = ops.make_scaled_identity_analysis(4, 1.0)
     with pytest.raises(ValueError, match="positive and finite"):
-        pdhg.pdhg_solve(ident, l_id, np.ones(4), tau, sigma, warn_only=True)
+        pdhg.pdhg_solve(ident, l_id, np.ones(4), tau, sigma, tol=1e-5, max_iter=10_000,
+                        warn_only=True)
 
 
 def test_solve_identity_no_prior_returns_measurement():
     ident = ops.IdentityOperator(9)
     l_zero = ops.DenseAnalysis(np.zeros((4, 9)))
     z = Stream(5).normal(9) * 10
-    rep = pdhg.pdhg_solve(ident, l_zero, z, 1.0, 0.3, tol=1e-9)
+    rep = pdhg.pdhg_solve(ident, l_zero, z, 1.0, 0.3, tol=1e-9, max_iter=10_000)
     assert rep.converged
     assert np.abs(rep.x_hat - z).max() < 1e-12
-    assert rep.objective == pytest.approx(0.0, abs=1e-20)
+    assert pdhg.objective(ident, l_zero, z, rep.x_hat) == pytest.approx(0.0, abs=1e-20)
 
 
 def test_solve_denoising_matches_soft_threshold():
@@ -107,8 +108,11 @@ def test_blur_first_difference_fixed_point():
     steps = 1.0, sigma
     rep = pdhg.pdhg_solve(a, l_fd, z, *steps, tol=1e-10, max_iter=int(2e5))
     assert rep.converged
-    # objective settled
-    assert abs(rep.objective - rep.previous_objective) <= 1e-8 * abs(rep.objective)
+    # objective settled: the iterate before the last is a rerun one iteration shorter
+    before = pdhg.pdhg_solve(a, l_fd, z, *steps, tol=1e-10, max_iter=rep.iterations - 1)
+    objective = pdhg.objective(a, l_fd, z, rep.x_hat)
+    previous_objective = pdhg.objective(a, l_fd, z, before.x_hat)
+    assert abs(objective - previous_objective) <= 1e-8 * abs(objective)
     # one extra iteration moves the solution by at most 10*tol
     w = a.apply_adjoint(rep.x_hat[None, :])  # reuse internal formulation
     x = rep.x_hat[None, :]
@@ -131,9 +135,9 @@ def test_solver_rejects_bad_stepsizes_unless_warned():
     l_id = ops.make_scaled_identity_analysis(4, 1.0)
     bad = 1.0, 10.0
     with pytest.raises(ValueError):
-        pdhg.pdhg_solve(ident, l_id, np.ones(4), *bad)
+        pdhg.pdhg_solve(ident, l_id, np.ones(4), *bad, tol=1e-5, max_iter=10_000)
     with pytest.warns(UserWarning):
-        pdhg.pdhg_solve(ident, l_id, np.ones(4), *bad, max_iter=5, warn_only=True)
+        pdhg.pdhg_solve(ident, l_id, np.ones(4), *bad, tol=1e-5, max_iter=5, warn_only=True)
 
 
 def test_tightening_tol_changes_objective_little():
@@ -145,7 +149,9 @@ def test_tightening_tol_changes_objective_little():
                             max_iter=int(2e5))
     tight = pdhg.pdhg_solve(a, l_fd, z, 1.0, sigma, tol=1e-8,
                             max_iter=int(2e5))
-    rel = abs(loose.objective - tight.objective) / abs(tight.objective)
+    loose_objective = pdhg.objective(a, l_fd, z, loose.x_hat)
+    tight_objective = pdhg.objective(a, l_fd, z, tight.x_hat)
+    rel = abs(loose_objective - tight_objective) / abs(tight_objective)
     assert rel <= 1e-6
 
 
@@ -158,13 +164,21 @@ def _blurred_batch(count=6):
     return a, l_fd, z, (1.0, 0.9 * 0.5 / l_fd.norm() ** 2)
 
 
-def _assert_reports_equal(batched, single):
+def _assert_reports_equal(a, l_op, z, r, batched, steps, tol, max_iter):
+    """``batched``, row r's report from a batch solve of z, against a solve of
+    z[r] alone; the iterates before the last come from reruns one shorter."""
+    single = pdhg.pdhg_solve(a, l_op, z[r], *steps, tol=tol, max_iter=max_iter)
     assert np.array_equal(batched.x_hat, single.x_hat)
     assert batched.iterations == single.iterations
     assert batched.converged == single.converged
     assert batched.final_residual == single.final_residual
-    assert batched.objective == single.objective
-    assert batched.previous_objective == single.previous_objective
+    assert (pdhg.objective(a, l_op, z[r], batched.x_hat)
+            == pdhg.objective(a, l_op, z[r], single.x_hat))
+    shorter = batched.iterations - 1
+    batched_before = pdhg.pdhg_solve(a, l_op, z, *steps, tol=tol, max_iter=shorter)[r]
+    single_before = pdhg.pdhg_solve(a, l_op, z[r], *steps, tol=tol, max_iter=shorter)
+    assert (pdhg.objective(a, l_op, z[r], batched_before.x_hat)
+            == pdhg.objective(a, l_op, z[r], single_before.x_hat))
 
 
 def test_row_norms_match_single_vector_norms():
@@ -179,22 +193,20 @@ def test_batched_solve_matches_row_by_row():
     assert len(reports) == len(z)
     assert all(rep.converged for rep in reports)
     assert len({rep.iterations for rep in reports}) > 1  # rows leave at different times
-    for row, rep in zip(z, reports):
-        _assert_reports_equal(rep, pdhg.pdhg_solve(a, l_fd, row, *steps, tol=1e-8,
-                                                   max_iter=int(2e5)))
+    for r, rep in enumerate(reports):
+        _assert_reports_equal(a, l_fd, z, r, rep, steps, 1e-8, int(2e5))
 
 
 def test_batched_solve_with_block_prior_matches_row_by_row():
     # block parts multiply per window with GEMMs; a lone row must not take
     # a GEMV path that rounds differently
     a, _, z, _ = _blurred_batch()
-    l_block = ops.make_block_sparse_analysis(3, 1, 4, 8, seed=5, stddev=0.3)
+    l_block = ops.make_block_sparse_analysis(3, 1, 4, 8, seed=5, site_rule="fit", stddev=0.3)
     steps = 1.0, 0.9 * 0.5 / l_block.norm() ** 2
     reports = pdhg.pdhg_solve(a, l_block, z, *steps, tol=1e-6, max_iter=2000)
     assert len({rep.iterations for rep in reports}) > 1
-    for row, rep in zip(z, reports):
-        _assert_reports_equal(rep, pdhg.pdhg_solve(a, l_block, row, *steps, tol=1e-6,
-                                                   max_iter=2000))
+    for r, rep in enumerate(reports):
+        _assert_reports_equal(a, l_block, z, r, rep, steps, 1e-6, 2000)
 
 
 def test_batched_solve_cut_off_by_max_iter():
@@ -204,21 +216,18 @@ def test_batched_solve_cut_off_by_max_iter():
     max_iter = counts[len(counts) // 2]
     reports = pdhg.pdhg_solve(a, l_fd, z, *steps, tol=1e-8, max_iter=max_iter)
     assert {rep.converged for rep in reports} == {True, False}
-    for row, rep in zip(z, reports):
+    for r, rep in enumerate(reports):
         assert rep.iterations <= max_iter
-        _assert_reports_equal(rep, pdhg.pdhg_solve(a, l_fd, row, *steps, tol=1e-8,
-                                                   max_iter=max_iter))
+        _assert_reports_equal(a, l_fd, z, r, rep, steps, 1e-8, max_iter)
 
 
 def test_solve_return_shapes_and_max_iter_check():
     a, l_fd, z, steps = _blurred_batch(2)
-    assert isinstance(pdhg.pdhg_solve(a, l_fd, z[0], *steps, max_iter=3), pdhg.SolveReport)
-    assert len(pdhg.pdhg_solve(a, l_fd, z[:1], *steps, max_iter=3)) == 1
-    assert pdhg.pdhg_solve(a, l_fd, z[:0], *steps, max_iter=3) == []
-    # one iteration: the previous objective is that of the start x = A* z
-    rep = pdhg.pdhg_solve(a, l_fd, z[0], *steps, max_iter=1)
-    assert rep.previous_objective == pdhg.objective(a, l_fd, z[0], a.apply_adjoint(z[0]))
+    assert isinstance(pdhg.pdhg_solve(a, l_fd, z[0], *steps, tol=1e-5, max_iter=3),
+                      pdhg.SolveReport)
+    assert len(pdhg.pdhg_solve(a, l_fd, z[:1], *steps, tol=1e-5, max_iter=3)) == 1
+    assert pdhg.pdhg_solve(a, l_fd, z[:0], *steps, tol=1e-5, max_iter=3) == []
     with pytest.raises(ValueError, match="max_iter"):
-        pdhg.pdhg_solve(a, l_fd, z, *steps, max_iter=0)
+        pdhg.pdhg_solve(a, l_fd, z, *steps, tol=1e-5, max_iter=0)
     with pytest.raises(ValueError, match="measurement"):
-        pdhg.pdhg_solve(a, l_fd, z[None], *steps)
+        pdhg.pdhg_solve(a, l_fd, z[None], *steps, tol=1e-5, max_iter=10_000)

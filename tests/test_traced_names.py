@@ -56,7 +56,7 @@ def test_names_the_workloads_call_exist():
 
 @pytest.mark.parametrize("build", [
     lambda: operators.block_sparse_analysis(3, 3, 2, 6, [(0, 0), (3, 3)], np.ones(36)),
-    lambda: operators.make_block_sparse_analysis(5, 2, 10, 28, seed=1),
+    lambda: operators.make_block_sparse_analysis(5, 2, 10, 28, seed=1, site_rule="fit"),
     lambda: operators.make_first_difference(6),
     lambda: operators.make_scaled_identity_analysis(9, 0.5),
 ], ids=["block", "make-block", "first-difference", "scaled-identity"])

@@ -1,0 +1,145 @@
+"""Run every pdnet command on small configs and print the sha256 of each artifact.
+
+Usage::
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/artifact_hashes.py [WORK_DIR]
+
+Four small workloads run in-process through ``pdnet.cli.main``.  Three are
+shaped like the benchmark's (dense deblurring in full mode, block-sparse
+super-resolution in partial mode, the first-difference solve) and one is a
+fused ``dense:6`` + ``f3s2n2`` network in partial mode.  Each training
+workload runs ``degrade``, ``train``, ``eval --beta 2,5``,
+``export-filters`` and ``gradcheck``; the solve workload runs ``degrade``
+and ``solve``.  Every command's stdout and exit code are kept as one more
+artifact; a command that exits 1 or 2 stops the run.
+
+The output is one ``sha256  path`` line per file under the work directory,
+with paths relative to it and sorted, so two checkouts whose outputs are the
+same wrote the same bytes.  Pin BLAS to one thread: threaded BLAS may sum in
+another order from run to run.  Without WORK_DIR a temporary directory is
+used and removed afterwards.  Takes a few seconds on one core.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shutil
+import sys
+import tempfile
+
+from pdnet.cli import main
+
+SEED = 1001
+BLUR = {"kind": "uniform-blur", "size": 3, "alpha": 20.0}
+DECIMATE = {"kind": "decimation", "factor": 2, "alpha": 20.0}
+TRAIN = {"gamma": 4e-7, "batch_size": 10, "max_iter": 6, "val_cadence": 3}
+
+# name: (task, degradation, image side, image count, network or None for solve)
+WORKLOADS = {
+    "deblur-dense-full": ("deblur", BLUR, 12, 60, {"K": 3, "mode": "full",
+                                                   "L": ["dense:20"]}),
+    "sr-blocksparse-partial": ("sr", DECIMATE, 16, 60, {"K": 3, "mode": "partial",
+                                                        "L": ["f5s2n10"]}),
+    "fused-partial": ("deblur", BLUR, 8, 40, {"K": 3, "mode": "partial",
+                                              "L": ["dense:6", "f3s2n2"]}),
+    "solve-firstdiff-blur": ("deblur", BLUR, 12, 6, None),
+}
+
+# gradcheck needs image_side^2 <= 64: the same networks on smaller images
+GRADCHECK = {
+    "deblur-dense-full": (4, {"K": 2, "mode": "full", "L": ["dense:6"]}),
+    "sr-blocksparse-partial": (8, {"K": 2, "mode": "partial", "L": ["f3s2n2"]}),
+    "fused-partial": (6, {"K": 2, "mode": "partial", "L": ["dense:6", "f3s2n2"]}),
+}
+
+
+def _write(path: str, doc: dict) -> str:
+    with open(path, "w", encoding="ascii") as f:
+        json.dump(doc, f, indent=1, sort_keys=True)
+    return path
+
+
+def _pdnet(log: str, *argv: str) -> None:
+    """One command; its stdout and exit code go to the file ``log``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(list(argv))
+    with open(log, "w", encoding="utf-8") as f:
+        f.write(out.getvalue() + f"exit {rc}\n")
+    if rc not in (0, 3):  # 3 is gradcheck's FAIL verdict: an output like any other
+        raise SystemExit(f"pdnet {' '.join(argv)} exited with {rc}")
+
+
+def run() -> None:
+    """Every workload's commands, each writing under ``<workload>/`` of the
+    current directory; configs hold relative paths, so their bytes do not
+    depend on where the run happens."""
+    for name, (task, degradation, side, count, network) in WORKLOADS.items():
+        os.makedirs(name)
+
+        def path(*parts):
+            return os.path.join(name, *parts)
+
+        data = path("data")
+        _pdnet(path("degrade.log"), "degrade", "--config", _write(path("degrade.json"), {
+            "task": task, "seed": SEED, "output_dir": data, "degradation": degradation,
+            "data": {"source": "synthetic", "count": count, "image_side": side}}))
+        cfg = {"task": task, "seed": SEED, "output_dir": path("out"),
+               "degradation": degradation,
+               "data": {"source": "degraded-dir", "path": data,
+                        "train_frac": 0.6, "val_frac": 0.2}}
+        if network is None:
+            cfg["data"].update(train_frac=0.0, val_frac=0.0)
+            cfg["solve"] = {"prior": "first-diff", "lambda": 1.5, "tol": 1e-6,
+                            "max_iter": 20000}
+            _pdnet(path("solve.log"), "solve", "--config", _write(path("solve.json"), cfg))
+            continue
+        config = _write(path("run.json"), {**cfg, "network": network, "train": TRAIN})
+        _pdnet(path("train.log"), "train", "--config", config)
+        _pdnet(path("eval.log"), "eval", "--config", config, "--output", path("eval"),
+               "--model", path("out", "model_final.json"), "--beta", "2,5")
+        _pdnet(path("export.log"), "export-filters", "--model",
+               path("out", "model_best.json"), "--output", path("filters"))
+        gc_side, gc_network = GRADCHECK[name]
+        _pdnet(path("gradcheck.log"), "gradcheck", "--config", _write(
+            path("gradcheck.json"),
+            {"task": task, "seed": SEED, "output_dir": path("gradcheck"),
+             "degradation": degradation, "data": {"image_side": gc_side},
+             "network": gc_network}))
+
+
+def hashes() -> list[str]:
+    """``sha256  path`` for every file under the current directory, by path."""
+    lines = []
+    for folder, _, files in os.walk("."):
+        for fname in files:
+            full = os.path.join(folder, fname)
+            with open(full, "rb") as f:
+                digest = hashlib.sha256(f.read()).hexdigest()
+            lines.append((os.path.relpath(full), digest))
+    return [f"{digest}  {rel}" for rel, digest in sorted(lines)]
+
+
+def _main(argv: list[str]) -> int:
+    if len(argv) > 1:
+        raise SystemExit("usage: artifact_hashes.py [WORK_DIR]")
+    work = argv[0] if argv else tempfile.mkdtemp(prefix="pdnet-artifacts-")
+    os.makedirs(work, exist_ok=True)
+    home = os.getcwd()
+    os.chdir(work)
+    try:
+        run()
+        print("\n".join(hashes()))
+    finally:
+        os.chdir(home)
+        if not argv:
+            shutil.rmtree(work, ignore_errors=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(_main(sys.argv[1:]))
