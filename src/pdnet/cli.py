@@ -37,7 +37,7 @@ from .backprop import GRADIENT_TOL, backward, compare_gradients, finite_diff_gra
 from .network import BlockSpec, DenseSpec, ModelFormatError
 from .operators import (
     INIT_STDDEV,
-    PowerIterationError,
+    NonFiniteNormError,
     degradation_from_spec,
     make_first_difference,
     make_scaled_identity_analysis,
@@ -385,7 +385,7 @@ def _build_network(cfg: dict, a_op):
                                    derive(cfg["seed"], 5), stddev=net["init_stddev"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    except PowerIterationError as exc:  # weights so large that ||L|| overflows
+    except NonFiniteNormError as exc:  # weights so large that ||L|| overflows
         raise ConfigError(f"network.init_stddev {net['init_stddev']!r} is too large: "
                           f"{exc}") from exc
 

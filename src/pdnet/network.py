@@ -128,7 +128,7 @@ class LayerTrace:
 def init_network(degradation: LinearOperator, depth: int, l_specs: list,
                  mode: str, seed: int, stddev: float = INIT_STDDEV) -> NetworkParams:
     """Build a network with tau = 1, Normal(0, stddev^2) analysis weights, and
-    sigma saturating the step-size condition from the measured ||L||.
+    sigma saturating the step-size condition from an upper bound on ||L||.
 
     Every layer draws fresh weights from a seed derived per (layer, part).
     """

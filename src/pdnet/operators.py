@@ -12,9 +12,12 @@ Two families live here:
   differences and lambda * Id, one row per window, stay on CSR products.
 
 Operators act on the last axis of an array, so a single vector ``(n,)`` and a
-batch ``(B, n)`` both work.  Spectral norms of analysis operators are
-estimated by power iteration on ``L* L`` with a deterministic start vector;
-the result is cached and invalidated whenever weights change.
+batch ``(B, n)`` both work.  ``AnalysisOperator.norm`` returns an upper
+bound on the spectral norm: exact for a dense part (``eigvalsh`` of its
+smaller Gram, raised by its rounding bound), and for every other operator a
+Lanczos bound on ``L* L``, cold from a seeded start vector, then warm from
+the previous Ritz vector.  The bound is cached and invalidated whenever
+weights change.
 """
 
 from __future__ import annotations
@@ -26,13 +29,16 @@ import scipy.sparse as sp
 
 from .rng import Stream, derive
 
-# Fixed seed for power-iteration start vectors: estimates are then a pure,
-# reproducible function of the operator weights.
+# Fixed seed for cold Lanczos start vectors: a bound is then a pure,
+# reproducible function of the operator weights and the warm-start history.
 _NORM_SEED = 0x9D2C5680
 
-# Power iteration stops once the eigenvalue estimate changes by at most this
-# much, relative; every norm the library takes uses it.
-NORM_TOL = 1e-9
+# Lanczos stops once the residual of its top Ritz pair is at most this much
+# of the Ritz value; the bound is then at most ~5e-8 above the true norm.
+_LANCZOS_TOL = 1e-7
+
+# Lanczos basis vectors kept before a restart from the current Ritz vector.
+_LANCZOS_BASIS = 40
 
 # Standard deviation of the Normal(0, stddev^2) initial analysis weights.
 INIT_STDDEV = 1e-2
@@ -54,12 +60,8 @@ class _MacCounter:
 ANALYSIS_MACS = _MacCounter()
 
 
-class PowerIterationError(RuntimeError):
-    """Power iteration hit max_iter or a non-finite estimate; carries the last one."""
-
-    def __init__(self, message: str, last_estimate: float):
-        super().__init__(message)
-        self.last_estimate = float(last_estimate)
+class NonFiniteNormError(RuntimeError):
+    """A spectral-norm bound overflowed or met a NaN weight."""
 
 
 def _check_dim(v: np.ndarray, dim: int, what: str) -> np.ndarray:
@@ -268,19 +270,26 @@ class AnalysisOperator(LinearOperator):
             if p is not self:
                 p._norm_cache = None
 
-    def norm(self, tol: float = NORM_TOL, max_iter: int = 200_000) -> float:
-        """Spectral norm, cached until the next weight update."""
+    def norm(self) -> float:
+        """Upper bound on the spectral norm, cached until the next weight update.
+
+        A dense part takes the Gram route (:meth:`DenseAnalysis._norm_bound`),
+        a certain bound.  Every other operator runs :func:`_lanczos_bound`,
+        warm-started from the Ritz vector of its previous call or, cold, from
+        a seeded Gaussian vector; that bound holds with high probability over
+        the start vector, not with certainty, and is at most ~5e-8 above the
+        true norm.  Raises :class:`NonFiniteNormError` on overflow or NaN.
+        """
         if self._norm_cache is None:
-            start = self._norm_vec
-            if start is None:
-                start = Stream(derive(_NORM_SEED, self.out_dim, self.in_dim)).normal(
-                    self.in_dim
-                )
-            value, vec = _power_iteration(self, tol, max_iter, start)
-            self._norm_cache = value
-            if vec is not None:
-                self._norm_vec = vec
+            self._norm_cache = self._norm_bound()
         return self._norm_cache
+
+    def _norm_bound(self) -> float:
+        start = self._norm_vec
+        if start is None:
+            start = Stream(derive(_NORM_SEED, self.out_dim, self.in_dim)).normal(self.in_dim)
+        value, self._norm_vec = _lanczos_bound(self, start)
+        return value
 
 
 class DenseAnalysis(AnalysisOperator):
@@ -317,6 +326,25 @@ class DenseAnalysis(AnalysisOperator):
     def grad_outer(self, acc, left, right, coeff):
         acc[0] += coeff * (left.T @ right)
 
+    def _norm_bound(self):
+        """sqrt of the top eigenvalue of the smaller Gram, ``W W^T`` or ``W^T W``.
+
+        The computed Gram is off by at most gamma_n ||W||_F^2 in 2-norm, with
+        n the inner dimension (Higham, Accuracy and Stability, sec. 3.1), and
+        ``eigvalsh`` is backward stable: its top eigenvalue is exact for a
+        Gram perturbed by at most gamma_m ||G||_F, m the Gram's size (Golub &
+        Van Loan, ch. 8).  The eigenvalue is raised by both, so the result is
+        a certain upper bound.
+        """
+        w = self._weights
+        m, n = sorted(w.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = w @ w.T if w.shape[0] <= w.shape[1] else w.T @ w
+        if not np.isfinite(gram).all():
+            raise NonFiniteNormError("spectral norm bound is not finite (Gram overflow or NaN)")
+        slack = _gamma(n) * np.vdot(w, w) + _gamma(m) * np.linalg.norm(gram)
+        return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0) + slack)
+
 
 def _window_matmul(a: np.ndarray, b: np.ndarray, batch: bool) -> np.ndarray:
     """``np.matmul`` of two window stacks, one GEMM per window.
@@ -324,7 +352,8 @@ def _window_matmul(a: np.ndarray, b: np.ndarray, batch: bool) -> np.ndarray:
     numpy hands a one-column ``b`` to GEMV, whose sums round differently.
     For a batch that column is padded to two, so a row gets the same bits in
     a batch of one as in a larger batch (``pdhg_solve`` drops finished
-    rows); a single vector, as in the power iteration, keeps the faster GEMV.
+    rows); a single vector, as in the Lanczos norm bound, keeps the faster
+    GEMV.
     """
     if b.shape[-1] > 1 or not batch:
         return np.matmul(a, b)
@@ -594,42 +623,74 @@ def fuse_analysis(parts: list[AnalysisOperator]) -> AnalysisOperator:
 
 
 # ---------------------------------------------------------------------------
-# Spectral norm estimation
+# Spectral norm bounds
 # ---------------------------------------------------------------------------
 
 
-def _power_iteration(op: LinearOperator, tol: float, max_iter: int,
-                     start: np.ndarray):
-    """Largest singular value of ``op`` via power iteration on op* op.
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), the rounding bound of an n-term sum."""
+    u = np.finfo(np.float64).eps / 2
+    return n * u / (1.0 - n * u)
 
-    Returns (norm, principal_vector).  Stops when the Rayleigh-quotient
-    eigenvalue estimate changes by at most ``tol`` relative.
+
+def _lanczos_bound(op: LinearOperator, start: np.ndarray) -> tuple[float, np.ndarray]:
+    """Upper bound on ``||op||`` by Lanczos on ``op* op``: (bound, Ritz vector).
+
+    Each step takes one ``apply`` and one ``apply_adjoint`` and
+    reorthogonalizes against the whole basis twice, which keeps the basis
+    orthogonal to working precision even when a degenerate spectrum (first
+    differences) ends the Krylov space early.  The largest Ritz value theta
+    of the tridiagonal T, with unit Ritz vector y, has the residual
+    ``rho = ||op* op y - theta y|| = beta * |s_last|`` (Parlett, The
+    Symmetric Eigenvalue Problem, ch. 11), and some eigenvalue of ``op* op``
+    lies within rho of theta.  Iteration stops once rho <= ``_LANCZOS_TOL *
+    theta``.  A breakdown, beta <= ``_LANCZOS_TOL`` times the largest
+    diagonal entry of T (that entry is <= theta), leaves the Krylov space
+    invariant and passes that test too, since rho <= beta.  A full basis
+    restarts from y.
+    The bound is sqrt(theta + rho), with rho raised to a rounding allowance
+    of the products.  That the eigenvalue near theta is the largest holds
+    with high probability over the start vector, not with certainty
+    (Kuczynski & Wozniakowski 1992, SIAM J. Matrix Anal. Appl. 13(4)).
+
+    ``eigh`` of T costs more than a step's two products once T passes about
+    20 rows, so T is solved only at checkpoints: the first two steps, then
+    half-way to where the residual's geometric rate since the last
+    checkpoint predicts it reaches the tolerance.
     """
-    v = np.asarray(start, dtype=np.float64)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        raise ValueError("power iteration start vector must be nonzero")
-    v = v / nv
-    lam_prev = None
-    lam = 0.0
-    for _ in range(int(max_iter)):
-        av = op.apply(v)
-        lam = float(np.vdot(av, av))
-        if not math.isfinite(lam):
-            raise PowerIterationError(
-                f"power iteration estimate is not finite ({lam})", lam)
-        if lam == 0.0:
-            return 0.0, None
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * lam:
-            return float(np.sqrt(lam)), v
-        lam_prev = lam
-        w = op.apply_adjoint(av)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0, None
-        v = w / nw
-    raise PowerIterationError(
-        f"power iteration did not converge within {max_iter} iterations "
-        f"(last estimate {np.sqrt(lam):.6e})",
-        np.sqrt(lam),
-    )
+    allowance = _gamma(2 * (op.in_dim + op.out_dim))  # twice a step's two products
+    y = start / np.linalg.norm(start)
+    while True:
+        basis = np.empty((_LANCZOS_BASIS, op.in_dim))
+        t = np.zeros((_LANCZOS_BASIS, _LANCZOS_BASIS))
+        basis[0] = y
+        check, last, top = 0, None, 0.0
+        for j in range(_LANCZOS_BASIS):
+            lq = op.apply(basis[j])
+            alpha = float(np.dot(lq, lq))
+            w = op.apply_adjoint(lq)
+            q = basis[:j + 1]
+            for _ in range(2):
+                w -= (q @ w) @ q
+            beta = math.sqrt(np.dot(w, w))
+            if not math.isfinite(alpha + beta):
+                raise NonFiniteNormError(f"spectral norm bound is not finite ({alpha + beta})")
+            t[j, j] = alpha
+            top = max(top, alpha)
+            if j == check or j + 1 == _LANCZOS_BASIS or beta <= _LANCZOS_TOL * top:
+                evals, evecs = np.linalg.eigh(t[:j + 1, :j + 1])
+                theta = max(float(evals[-1]), 0.0)
+                rho = beta * abs(evecs[-1, -1])
+                if rho <= _LANCZOS_TOL * theta or j + 1 == _LANCZOS_BASIS:
+                    break
+                check = j + 1
+                if last is not None and rho < last[1]:
+                    rate = math.log(rho / last[1]) / (j - last[0])
+                    check = j + max(1, int(math.log(_LANCZOS_TOL * theta / rho) / rate / 2))
+                last = (j, rho)
+            np.divide(w, beta, out=basis[j + 1])
+            t[j, j + 1] = t[j + 1, j] = beta
+        y = evecs[:, -1] @ q
+        y /= np.linalg.norm(y)
+        if rho <= _LANCZOS_TOL * theta:
+            return math.sqrt(theta + max(rho, allowance * theta)), y

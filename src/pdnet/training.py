@@ -2,9 +2,10 @@
 
 Full mode descends tau, sigma, and the analysis weights freely (with a
 positivity clamp on the step sizes).  Partial mode descends only tau and the
-weights, then re-saturates sigma = (1/tau - ||A||^2 / 2) / ||L||^2 from the
-freshly measured operator norm, so the primal-dual convergence condition
-holds with margin zero after every update.
+weights, then re-saturates sigma = (1/tau - ||A||^2 / 2) / ||L||^2 from a
+fresh upper bound on the operator norm (``AnalysisOperator.norm``), so the
+primal-dual convergence condition holds with margin zero against that bound,
+and so with margin >= 0 against the true ||L||, after every update.
 
 Batches are drawn by seeded shuffling each epoch; identical seed and config
 reproduce the history and the final model byte for byte.

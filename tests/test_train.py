@@ -85,6 +85,33 @@ def test_partial_mode_margin_zero_after_steps():
             assert abs(margin) <= 1e-9
 
 
+@pytest.mark.parametrize("specs", [
+    [net.DenseSpec(6)],
+    [net.BlockSpec(3, 2, 2, "fit")],
+    [net.DenseSpec(6), net.BlockSpec(3, 2, 2, "fit")],
+], ids=["dense", "block", "fused"])
+def test_partial_margin_nonnegative_against_svd(specs):
+    # sigma saturates against an upper bound on ||L||, so the margin against
+    # the true norm is >= 0 at init and after every partial step
+    a_op = ops.UniformBlur(3, SIDE)
+    clean = synthetic_strokes(16, side=SIDE, seed=derive(0x5BD, 1))
+    ds = degrade_set(clean, SIDE, a_op, 10.0, derive(0x5BD, 2))
+    params = net.init_network(a_op, 2, specs, "partial", seed=derive(0x5BD, 3))
+    norm_a = a_op.cached_norm
+
+    def margins():
+        return [check_stepsizes(lp.tau, lp.sigma, norm_a,
+                                np.linalg.svd(to_dense(lp.analysis), compute_uv=False)[0])
+                for lp in params.layers]
+
+    assert min(margins()) >= 0.0
+    for t in range(4):
+        out, trace = net.forward(params, ds.degraded[4 * t:4 * t + 4], keep_trace=True)
+        grads = bp.backward(params, ds.clean[4 * t:4 * t + 4], trace)
+        tr.sgd_step(params, grads, 1e-6)
+        assert min(margins()) >= 0.0
+
+
 def test_mask_invariance_under_training():
     a_op = ops.UniformBlur(3, SIDE)
     params = net.init_network(a_op, 2, [net.BlockSpec(3, 3, 2, "fit")], "full", seed=5)
