@@ -287,6 +287,8 @@ def _load_degraded_dir(root: str) -> datamod.Dataset:
         raise ConfigError(f"dataset dir {root}: clean {clean.shape} and degraded "
                           f"{degraded.shape} do not fit side {side} and the "
                           f"degradation ({a_op.in_dim} -> {a_op.out_dim} pixels)")
+    if len(clean) == 0:
+        raise ConfigError(f"dataset dir {root} holds no images")
     return datamod.Dataset(side=side, clean=clean, degraded=degraded, degradation=a_op,
                            noise_alpha=float(alpha), seed=seed)
 
@@ -462,16 +464,12 @@ def cmd_eval(cfg: dict, config_path: str, model_path: str, betas: list[float],
     subset = _eval_subset(cfg, dataset)
     out = _prepare_output(cfg, config_path)
     restored, _ = netmod.forward(params, subset.degraded)
-    rows = []
-    for i in range(len(subset)):
-        rows.append((i, datamod.psnr(restored[i], subset.clean[i]),
-                     datamod.ssim(restored[i], subset.clean[i], side=subset.side)))
-    finite = [r[1] for r in rows if math.isfinite(r[1])]
-    mean_psnr = float(np.mean([r[1] for r in rows])) if finite else float("inf")
-    mean_ssim = float(np.mean([r[2] for r in rows]))
+    psnrs = datamod.psnr(restored, subset.clean)
+    ssims = datamod.ssim(restored, subset.clean, side=subset.side)
+    mean_psnr, mean_ssim = float(np.mean(psnrs)), float(np.mean(ssims))
     with open(os.path.join(out, "metrics.csv"), "w", encoding="ascii") as f:
         f.write("image,psnr,ssim\n")
-        for i, p, s in rows:
+        for i, (p, s) in enumerate(zip(psnrs.tolist(), ssims.tolist())):
             f.write(f"{i},{'identical' if math.isinf(p) else repr(p)},{repr(s)}\n")
         f.write(f"mean,{'identical' if math.isinf(mean_psnr) else repr(mean_psnr)},"
                 f"{repr(mean_ssim)}\n")
@@ -517,20 +515,18 @@ def cmd_solve(cfg: dict, config_path: str, verbose: bool) -> int:
     out = _prepare_output(cfg, config_path)
     reports = pdhg_solve(a_op, l_op, subset.degraded, tau, sigma, tol=s["tol"],
                          max_iter=max_iter)
-    report_rows = []
     for i, rep in enumerate(reports):
         datamod.save_pgm(os.path.join(out, f"restored_{i:04d}.pgm"),
                          rep.x_hat.reshape(subset.side, subset.side))
-        report_rows.append((i, rep.iterations, rep.final_residual, rep.converged,
-                            datamod.psnr(rep.x_hat, subset.clean[i])))
+    psnrs = datamod.psnr(np.stack([rep.x_hat for rep in reports]), subset.clean)
     with open(os.path.join(out, "solve_report.csv"), "w", encoding="ascii") as f:
         f.write("image,iterations,final_residual,converged,psnr\n")
-        for i, its, res, conv, p in report_rows:
-            f.write(f"{i},{its},{repr(res)},{int(conv)},"
+        for i, (rep, p) in enumerate(zip(reports, psnrs.tolist())):
+            f.write(f"{i},{rep.iterations},{repr(rep.final_residual)},{int(rep.converged)},"
                     f"{'identical' if math.isinf(p) else repr(p)}\n")
-    n_bad = sum(1 for r in report_rows if not r[3])
+    n_bad = sum(1 for rep in reports if not rep.converged)
     if verbose:
-        print(f"solved {len(report_rows)} images "
+        print(f"solved {len(reports)} images "
               f"({n_bad} not converged within {max_iter} iterations)")
     return 0
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import NetworkParams, forward
+from .network import _PIECE_ROWS, NetworkParams, forward
 from .operators import LinearOperator
 from .rng import Stream, derive
 
@@ -224,16 +224,35 @@ def split(dataset: Dataset, train_frac: float, val_frac: float,
 _PEAK = 255.0
 
 
-def psnr(x_hat: np.ndarray, x_ref: np.ndarray) -> float:
-    """10 log10(255^2 / MSE); +inf when the images are identical."""
+def _scores(score_rows, x_hat: np.ndarray, x_ref: np.ndarray, name: str):
+    """``score_rows`` over a 1-D pair (a float) or a ``(B, N)`` stack (``B``
+    scores), taken in the 50-99-row pieces of :func:`network.forward`."""
     a = np.asarray(x_hat, dtype=np.float64)
     b = np.asarray(x_ref, dtype=np.float64)
     if a.shape != b.shape:
-        raise ValueError(f"psnr shape mismatch: {a.shape} vs {b.shape}")
-    mse = float(np.mean((a - b) ** 2))
-    if mse == 0.0:
-        return float("inf")
-    return float(10.0 * np.log10(_PEAK * _PEAK / mse))
+        raise ValueError(f"{name} shape mismatch: {a.shape} vs {b.shape}")
+    if a.ndim not in (1, 2):
+        raise ValueError(f"{name} takes one image or a (B, N) stack, got shape {a.shape}")
+    stack_a, stack_b = np.atleast_2d(a, b)
+    cuts = max(1, len(stack_a) // _PIECE_ROWS)
+    scores = np.concatenate([score_rows(pa, pb) for pa, pb in
+                             zip(np.array_split(stack_a, cuts), np.array_split(stack_b, cuts))])
+    return float(scores[0]) if a.ndim == 1 else scores
+
+
+def _psnr_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    mse = np.mean((a - b) ** 2, axis=1)
+    with np.errstate(divide="ignore"):  # identical rows: 255^2 / 0 = inf
+        return 10.0 * np.log10(_PEAK * _PEAK / mse)
+
+
+def psnr(x_hat: np.ndarray, x_ref: np.ndarray) -> float | np.ndarray:
+    """10 log10(255^2 / MSE); +inf when the images are identical.
+
+    Takes one image pair (1-D, returns a float) or a ``(B, N)`` stack of
+    images, one per row (returns ``B`` scores).
+    """
+    return _scores(_psnr_rows, x_hat, x_ref, "psnr")
 
 
 def _gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
@@ -254,42 +273,46 @@ def _ssim_band(side: int) -> np.ndarray:
     return m
 
 
-def ssim(x_hat: np.ndarray, x_ref: np.ndarray, side: int) -> float:
-    """Single-scale SSIM of two ``side x side`` images: 11x11 Gaussian window
+def ssim(x_hat: np.ndarray, x_ref: np.ndarray, side: int) -> float | np.ndarray:
+    """Single-scale SSIM of ``side x side`` images: 11x11 Gaussian window
     (sigma 1.5), K1=0.01, K2=0.03, dynamic range 255, averaged over valid
     window positions.
 
-    Images smaller than the window fall back to one uniform global window.
+    Takes one image pair (1-D, returns a float) or a ``(B, side*side)``
+    stack of images, one per row (returns ``B`` scores).  Images smaller
+    than the window fall back to one uniform global window.
     """
-    a = np.asarray(x_hat, dtype=np.float64).ravel()
-    b = np.asarray(x_ref, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"ssim shape mismatch: {a.shape} vs {b.shape}")
-    if side * side != a.size:
-        raise ValueError(f"ssim needs {side}x{side} images, got {a.size} pixels")
     c1 = (0.01 * _PEAK) ** 2
     c2 = (0.03 * _PEAK) ** 2
-    x = a.reshape(side, side)
-    y = b.reshape(side, side)
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def ssim_rows(a, b):
+        if a.shape[1] != side * side:
+            raise ValueError(f"ssim needs {side}x{side} images, got {a.shape[1]} pixels")
         if side < 11:
-            mx, my = x.mean(), y.mean()
-            vx, vy = x.var(), y.var()
-            cxy = float(np.mean((x - mx) * (y - my)))
-            return float(((2 * mx * my + c1) * (2 * cxy + c2))
-                         / ((mx**2 + my**2 + c1) * (vx + vy + c2)))
+            mx, my = a.mean(axis=1), b.mean(axis=1)
+            vx, vy = a.var(axis=1), b.var(axis=1)
+            cxy = np.mean((a - mx[:, None]) * (b - my[:, None]), axis=1)
+            # squares by scalar pow, which may round unlike an array's x * x
+            mx2 = np.array([m**2 for m in mx.tolist()])
+            my2 = np.array([m**2 for m in my.tolist()])
+            return ((2 * mx * my + c1) * (2 * cxy + c2)) / ((mx2 + my2 + c1) * (vx + vy + c2))
         w = _ssim_band(side)
 
         def smooth(img):
-            return w @ img @ w.T
+            return np.matmul(np.matmul(w, img), w.T)
 
+        x = a.reshape(-1, side, side)
+        y = b.reshape(-1, side, side)
         mx, my = smooth(x), smooth(y)
         vx = smooth(x * x) - mx * mx
         vy = smooth(y * y) - my * my
         cxy = smooth(x * y) - mx * my
         score = ((2 * mx * my + c1) * (2 * cxy + c2)) \
             / ((mx * mx + my * my + c1) * (vx + vy + c2))
-        return float(score.mean())
+        return score.reshape(len(score), -1).mean(axis=1)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _scores(ssim_rows, x_hat, x_ref, "ssim")
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +337,8 @@ def robustness_eval(params: NetworkParams, dataset: Dataset, beta_list: list[flo
     rows = []
     for beta in betas:
         out, _ = forward(params, dataset.degraded + beta * eta)
-        ps = float(np.mean([psnr(out[i], dataset.clean[i]) for i in range(n)]))
-        ss = float(np.mean([ssim(out[i], dataset.clean[i], side=dataset.side)
-                            for i in range(n)]))
-        rows.append({"beta": beta, "psnr": ps, "ssim": ss})
+        rows.append({"beta": beta, "psnr": float(np.mean(psnr(out, dataset.clean))),
+                     "ssim": float(np.mean(ssim(out, dataset.clean, side=dataset.side)))})
     base = rows[0]
     for r in rows:
         if base["psnr"] == np.inf:  # the limit of (b - r) / b as b grows

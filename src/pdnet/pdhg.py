@@ -119,8 +119,10 @@ def pdhg_solve(a_op: LinearOperator, l_op: AnalysisOperator, z: np.ndarray,
     leaves the batch.  With first differences or lambda * Id (CSR products)
     or block-sparse parts (per-window GEMMs through ``_window_matmul``) as
     ``l_op``, each row's report is the one a solve of that row alone gives,
-    bit for bit; a ``DenseAnalysis`` part does not keep that, since BLAS
-    rounds a dense product's rows differently with the batch's row count.
+    bit for bit.  A ``DenseAnalysis`` part does not keep that, since BLAS
+    rounds a dense product's rows differently with the batch's row count;
+    there each row's ``x_hat`` is within ``tol * max(1, ||x_hat||)`` of a
+    solo solve's in the Euclidean norm.
     Step sizes must be positive and finite; a nonpositive step-size margin
     raises unless ``warn_only`` is set.
     """

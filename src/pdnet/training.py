@@ -91,9 +91,7 @@ def sgd_step(params: NetworkParams, grads: Gradients, gamma: float) -> None:
 def _validation_scores(params: NetworkParams, clean: np.ndarray,
                        degraded: np.ndarray, side: int) -> tuple[float, float]:
     out, _ = forward(params, degraded)
-    ps = [psnr(out[i], clean[i]) for i in range(clean.shape[0])]
-    ss = [ssim(out[i], clean[i], side=side) for i in range(clean.shape[0])]
-    return float(np.mean(ps)), float(np.mean(ss))
+    return float(np.mean(psnr(out, clean))), float(np.mean(ssim(out, clean, side=side)))
 
 
 def train(params: NetworkParams, train_clean: np.ndarray, train_degraded: np.ndarray,

@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -416,6 +417,30 @@ def test_degraded_dir_rejects_bad_datasets(tmp_path, capsys, mutate, named):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert named in err
+
+
+def test_eval_refuses_a_degraded_dir_with_no_rows(tmp_path, capsys):
+    path, cfg = write_config(tmp_path, output_dir=str(tmp_path / "stage1"))
+    assert cli.main(["degrade", "--config", path]) == 0
+    assert cli.main(["train", "--config", path]) == 0
+    root = cfg["output_dir"]
+    manifest = json.load(open(os.path.join(root, "manifest.json")))
+    for name in ("clean.npy", "degraded.npy"):
+        np.save(os.path.join(root, name), np.load(os.path.join(root, name))[:0])
+        manifest["files"][name] = sha(os.path.join(root, name))
+    json.dump(manifest, open(os.path.join(root, "manifest.json"), "w"))
+    path2, _ = write_config(
+        tmp_path, name="c2.json", output_dir=str(tmp_path / "stage2"),
+        data={"source": "degraded-dir", "path": root}, degradation=None)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["eval", "--config", path2, "--model",
+                         os.path.join(root, "model_final.json")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "no images" in err
+    assert not os.path.exists(tmp_path / "stage2" / "metrics.csv")
 
 
 @pytest.mark.parametrize("command,edit,code,named", [

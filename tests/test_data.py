@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -259,6 +260,49 @@ def test_ssim_range():
     x = Stream(11).uniform(28 * 28) * 255
     y = Stream(12).uniform(28 * 28) * 255
     assert -1.0 <= dm.ssim(x, y, side=28) <= 1.0
+
+
+def _stack_pair(side, rows, seed):
+    """A clean stack and a noisy copy of it whose row 3 is left identical."""
+    stream = Stream(derive(seed, side, rows))
+    x = stream.uniform(rows * side * side).reshape(rows, side * side) * 255
+    y = x + stream.normal(x.size).reshape(x.shape) * 20
+    y[3] = x[3]
+    return x, y
+
+
+@pytest.mark.parametrize("side,rows", [(28, 7), (6, 7), (28, 130), (6, 130)],
+                         ids=["gaussian", "global-window", "gaussian-pieces",
+                              "global-window-pieces"])
+def test_stacked_metrics_equal_per_row_calls_bitwise(side, rows):
+    # 130 rows run as pieces of 65; 7 rows as one piece
+    x, y = _stack_pair(side, rows, seed=31)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the identical row's 255^2 / 0 stays quiet
+        ps = dm.psnr(y, x)
+        ss = dm.ssim(y, x, side=side)
+    assert ps.shape == ss.shape == (rows,)
+    assert ps.tolist() == [dm.psnr(y[i], x[i]) for i in range(rows)]
+    assert ss.tolist() == [dm.ssim(y[i], x[i], side=side) for i in range(rows)]
+    assert ps[3] == np.inf and np.isfinite(np.delete(ps, 3)).all()
+    # the global window squares its means by pow: 1 to the last bit there
+    assert ss[3] == pytest.approx(1.0, abs=1e-15)
+
+
+def test_metrics_one_pair_is_a_float_and_shapes_must_match():
+    x, y = _stack_pair(6, 4, seed=33)
+    assert type(dm.psnr(y[0], x[0])) is float
+    assert type(dm.ssim(y[0], x[0], side=6)) is float
+    with pytest.raises(ValueError, match="shape mismatch"):
+        dm.psnr(y, x[:, :-1])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        dm.ssim(y[:3], x, side=6)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        dm.psnr(y[0], x)
+    with pytest.raises(ValueError, match="6x6"):
+        dm.ssim(y[:, :-1], x[:, :-1], side=6)
+    with pytest.raises(ValueError, match="stack"):
+        dm.psnr(y.reshape(4, 6, 6), x.reshape(4, 6, 6))
 
 
 # ---------------------------------------------------------------------------

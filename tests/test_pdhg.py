@@ -209,6 +209,22 @@ def test_batched_solve_with_block_prior_matches_row_by_row():
         _assert_reports_equal(a, l_block, z, r, rep, steps, 1e-6, 2000)
 
 
+def test_batched_solve_with_dense_prior_is_within_tol_of_row_by_row():
+    # BLAS rounds a dense product's rows by the batch's row count, so rows
+    # are not bit for bit a solo solve's; they stay within the stated bound
+    a, _, z, _ = _blurred_batch()
+    l_dense = ops.DenseAnalysis(Stream(derive(0xDE45, 1)).normal(12 * 64).reshape(12, 64) * 0.3)
+    steps = 1.0, 0.9 * 0.5 / l_dense.norm() ** 2
+    tol = 1e-6
+    reports = pdhg.pdhg_solve(a, l_dense, z, *steps, tol=tol, max_iter=20_000)
+    assert all(rep.converged for rep in reports)
+    for r, rep in enumerate(reports):
+        single = pdhg.pdhg_solve(a, l_dense, z[r], *steps, tol=tol, max_iter=20_000)
+        assert single.converged
+        gap = np.linalg.norm(rep.x_hat - single.x_hat)
+        assert gap <= tol * max(1.0, np.linalg.norm(single.x_hat))
+
+
 def test_batched_solve_cut_off_by_max_iter():
     a, l_fd, z, steps = _blurred_batch()
     counts = sorted(rep.iterations for rep in
