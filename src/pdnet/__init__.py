@@ -3,7 +3,6 @@
 Library layout:
 
 * ``operators``  degradations A, analysis operators L, spectral norms
-* ``prox``       l1 proximal calculus
 * ``pdhg``       unsupervised primal-dual solver and step-size checks
 * ``network``    K-layer unrolled forward pass and model files
 * ``backprop``   analytic gradients plus the finite-difference oracle

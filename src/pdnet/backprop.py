@@ -28,12 +28,12 @@ Everything is arbitrated against central finite differences.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .network import LayerTrace, NetworkParams, forward
-from .prox import prox_conj_l1_diag_jacobian
 
 # Largest relative error between analytic and finite-difference gradients
 # that the gradient oracle accepts.
@@ -53,6 +53,12 @@ class Gradients:
         return bool(ok) and all(
             np.all(np.isfinite(g)) for gs in self.d_weights for g in gs
         )
+
+
+def prox_conj_l1_diag_jacobian(c: np.ndarray) -> np.ndarray:
+    """Diagonal Jacobian of the clip: 1 where |c| < 1, else 0 (ties to 0)."""
+    c = np.asarray(c, dtype=np.float64)
+    return (np.abs(c) < 1.0).astype(np.float64)
 
 
 def loss(params: NetworkParams, clean: np.ndarray, degraded: np.ndarray) -> float:
@@ -129,43 +135,30 @@ def finite_diff_gradients(params: NetworkParams, clean: np.ndarray,
         raise ValueError("epsilon must be positive")
     p = params.clone()
 
-    def f() -> float:
-        return loss(p, clean, degraded)
+    def central(put, base) -> float:
+        """(E(base + eps) - E(base - eps)) / (2 eps), where put(v) sets the
+        parameter to v; put(base) restores it afterwards."""
+        put(base + epsilon)
+        hi = loss(p, clean, degraded)
+        put(base - epsilon)
+        lo = loss(p, clean, degraded)
+        put(base)
+        return (hi - lo) / (2.0 * epsilon)
 
     depth = p.depth
     d_tau = np.zeros(depth)
     d_sigma = np.zeros(depth)
     d_weights = []
     for k, lp in enumerate(p.layers):
-        base = lp.tau
-        lp.tau = base + epsilon
-        hi = f()
-        lp.tau = base - epsilon
-        lo = f()
-        lp.tau = base
-        d_tau[k] = (hi - lo) / (2.0 * epsilon)
-
-        base = lp.sigma
-        lp.sigma = base + epsilon
-        hi = f()
-        lp.sigma = base - epsilon
-        lo = f()
-        lp.sigma = base
-        d_sigma[k] = (hi - lo) / (2.0 * epsilon)
-
+        d_tau[k] = central(functools.partial(setattr, lp, "tau"), lp.tau)
+        d_sigma[k] = central(functools.partial(setattr, lp, "sigma"), lp.sigma)
         grads = []
         for arr in lp.analysis.weight_arrays():
             g = np.zeros_like(arr)
             flat = arr.reshape(-1)
             gflat = g.reshape(-1)
             for i in range(flat.size):
-                base = flat[i]
-                flat[i] = base + epsilon
-                hi = f()
-                flat[i] = base - epsilon
-                lo = f()
-                flat[i] = base
-                gflat[i] = (hi - lo) / (2.0 * epsilon)
+                gflat[i] = central(functools.partial(flat.__setitem__, i), flat[i])
             grads.append(g)
         lp.analysis.invalidate_norm()
         d_weights.append(grads)

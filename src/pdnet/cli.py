@@ -463,18 +463,15 @@ def cmd_eval(cfg: dict, config_path: str, model_path: str, betas: list[float],
         )
     subset = _eval_subset(cfg, dataset)
     out = _prepare_output(cfg, config_path)
-    restored, _ = netmod.forward(params, subset.degraded)
-    psnrs = datamod.psnr(restored, subset.clean)
-    ssims = datamod.ssim(restored, subset.clean, side=subset.side)
-    mean_psnr, mean_ssim = float(np.mean(psnrs)), float(np.mean(ssims))
+    table = datamod.robustness_eval(params, subset, betas, derive(cfg["seed"], 7))
+    mean_psnr, mean_ssim = table[0]["psnr"], table[0]["ssim"]  # beta = 0: the plain pass
     with open(os.path.join(out, "metrics.csv"), "w", encoding="ascii") as f:
         f.write("image,psnr,ssim\n")
-        for i, (p, s) in enumerate(zip(psnrs.tolist(), ssims.tolist())):
+        for i, (p, s) in enumerate(zip(table[0]["psnrs"], table[0]["ssims"])):
             f.write(f"{i},{'identical' if math.isinf(p) else repr(p)},{repr(s)}\n")
         f.write(f"mean,{'identical' if math.isinf(mean_psnr) else repr(mean_psnr)},"
                 f"{repr(mean_ssim)}\n")
     if betas:
-        table = datamod.robustness_eval(params, subset, betas, derive(cfg["seed"], 7))
         with open(os.path.join(out, "robustness.csv"), "w", encoding="ascii") as f:
             f.write("beta,psnr,ssim,psnr_drop_pct,ssim_drop_pct\n")
             for r in table:
@@ -619,6 +616,10 @@ def main(argv=None) -> int:
                 betas = [float(b) for b in args.beta.split(",")] if args.beta else []
             except ValueError as exc:
                 raise ConfigError(f"--beta takes comma-separated numbers: {exc}") from exc
+            for beta in betas:
+                if not 0 <= beta < math.inf:  # NaN fails this test too
+                    raise ConfigError(f"--beta levels must be nonnegative and finite, "
+                                      f"got {beta!r}")
             return cmd_eval(cfg, args.config, args.model, betas, args.verbose)
         if args.command == "solve":
             return cmd_solve(cfg, args.config, args.verbose)

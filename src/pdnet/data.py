@@ -324,21 +324,26 @@ def robustness_eval(params: NetworkParams, dataset: Dataset, beta_list: list[flo
                     seed: int) -> list[dict]:
     """Evaluate on z + beta * eta for each beta, with drops relative to beta=0.
 
-    One noise realization is drawn per sample (derived from ``seed``) and
-    scaled by each beta, so the sweep isolates the noise amplitude.  Against
-    an exact (inf dB) beta=0 restoration the PSNR drop is 0% for an exact
-    row and 100% for any other.
+    Row 0 is beta=0, the plain pass on ``dataset.degraded``.  Each row holds
+    the mean scores and the per-image lists ``psnrs`` and ``ssims``.  One
+    noise realization is drawn per sample (derived from ``seed``), only if a
+    beta is nonzero, and scaled by each beta, so the sweep isolates the noise
+    amplitude.  Against an exact (inf dB) beta=0 restoration the PSNR drop
+    is 0% for an exact row and 100% for any other.
     """
-    n = len(dataset)
-    eta = np.empty_like(dataset.degraded)
-    for s in range(n):
-        eta[s] = Stream(derive(seed, _TAG_EXTRA, s)).normal(eta.shape[1])
-    betas = [0.0] + [float(b) for b in beta_list if b != 0]
+    betas = [float(b) for b in beta_list if b != 0]
+    if betas:
+        eta = np.empty_like(dataset.degraded)
+        for s in range(len(dataset)):
+            eta[s] = Stream(derive(seed, _TAG_EXTRA, s)).normal(eta.shape[1])
     rows = []
-    for beta in betas:
-        out, _ = forward(params, dataset.degraded + beta * eta)
-        rows.append({"beta": beta, "psnr": float(np.mean(psnr(out, dataset.clean))),
-                     "ssim": float(np.mean(ssim(out, dataset.clean, side=dataset.side)))})
+    for beta in [0.0] + betas:
+        out, _ = forward(params, dataset.degraded + beta * eta if beta else dataset.degraded)
+        psnrs = psnr(out, dataset.clean)
+        ssims = ssim(out, dataset.clean, side=dataset.side)
+        rows.append({"beta": beta, "psnr": float(np.mean(psnrs)),
+                     "ssim": float(np.mean(ssims)),
+                     "psnrs": psnrs.tolist(), "ssims": ssims.tolist()})
     base = rows[0]
     for r in rows:
         if base["psnr"] == np.inf:  # the limit of (b - r) / b as b grows

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import AnalysisOperator, LinearOperator
-from .prox import prox_conj_l1
 
 
 @dataclass
@@ -64,6 +63,12 @@ def saturating_sigma(tau: float, norm_a: float, norm_l: float) -> float:
         sigma = float(np.nextafter(sigma, 0.0))
     raise ValueError(f"sigma margin still negative after 8 ulp steps "
                      f"(tau {tau!r}, ||A|| {norm_a!r}, ||L|| {norm_l!r})")
+
+
+def prox_conj_l1(v: np.ndarray) -> np.ndarray:
+    """Prox of the conjugate of the l1 norm, for any step sigma > 0:
+    componentwise clip to [-1, 1] (projection onto the l-inf ball)."""
+    return np.clip(np.asarray(v, dtype=np.float64), -1.0, 1.0)
 
 
 def pd_primal(a_op: LinearOperator, l_op: AnalysisOperator, tau: float,

@@ -17,7 +17,7 @@ from pdnet import network as net
 from pdnet import operators as ops
 from pdnet import pdhg
 from pdnet import training as tr
-from pdnet.prox import prox_conj_l1
+from pdnet.pdhg import prox_conj_l1
 from pdnet.rng import Stream, derive
 
 from helpers import mask_dense, moving_average, prox_l1, synthetic_strokes, to_dense

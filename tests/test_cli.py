@@ -170,6 +170,46 @@ def test_robustness_beta_zero_row_is_the_plain_pass(tmp_path, network):
     assert mean.split(",")[1:3] == beta_0.split(",")[1:3]
 
 
+@pytest.mark.parametrize("beta,restorations", [("2,5", 3), (None, 1)],
+                         ids=["beta-2-5", "no-beta"])
+def test_eval_restores_each_noise_level_once(tmp_path, monkeypatch, beta, restorations):
+    # the plain pass is the beta = 0 row: one forward pass per level
+    from pdnet import data as datamod
+    from pdnet import network as net
+    path, cfg = write_config(tmp_path)
+    assert cli.main(["train", "--config", path]) == 0
+    out = cfg["output_dir"]
+    calls = []
+    real_forward = net.forward
+
+    def counting_forward(*args, **kwargs):
+        calls.append(1)
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(net, "forward", counting_forward)
+    monkeypatch.setattr(datamod, "forward", counting_forward)
+    argv = ["eval", "--config", path, "--model", os.path.join(out, "model_final.json")]
+    assert cli.main(argv + (["--beta", beta] if beta else [])) == 0
+    assert len(calls) == restorations
+    assert os.path.exists(os.path.join(out, "metrics.csv"))
+    assert os.path.exists(os.path.join(out, "robustness.csv")) == bool(beta)
+
+
+@pytest.mark.parametrize("beta", ["nan", "inf", "-1"])
+def test_eval_refuses_a_nonfinite_or_negative_beta(tmp_path, capsys, beta):
+    path, cfg = write_config(tmp_path)
+    assert cli.main(["train", "--config", path]) == 0
+    capsys.readouterr()
+    fresh = str(tmp_path / "eval-out")
+    assert cli.main(["eval", "--config", path, "--output", fresh, "--model",
+                     os.path.join(cfg["output_dir"], "model_final.json"),
+                     "--beta", f"2,{beta}"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "--beta" in err
+    assert not os.path.exists(fresh)
+
+
 def test_train_determinism(tmp_path):
     path1, cfg1 = write_config(tmp_path, name="c1.json",
                                output_dir=str(tmp_path / "o1"))

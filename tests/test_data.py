@@ -345,6 +345,20 @@ def test_robustness_drop_is_finite_when_beta_zero_is_exact(monkeypatch):
     assert [r["psnr_drop_pct"] for r in rows] == [0.0, 100.0]
 
 
+def test_robustness_without_betas_is_the_plain_pass(monkeypatch):
+    params, ds = _trained_stub()
+    out, _ = dm.forward(params, ds.degraded)
+
+    def no_noise(seed):
+        raise AssertionError("eta drawn although no nonzero beta was asked for")
+
+    monkeypatch.setattr(dm, "Stream", no_noise)
+    rows = dm.robustness_eval(params, ds, [], seed=1)
+    assert len(rows) == 1 and rows[0]["beta"] == 0.0
+    assert rows[0]["psnrs"] == dm.psnr(out, ds.clean).tolist()
+    assert rows[0]["ssims"] == dm.ssim(out, ds.clean, side=ds.side).tolist()
+
+
 def test_robustness_deterministic():
     params, ds = _trained_stub()
     r1 = dm.robustness_eval(params, ds, [2.0], seed=9)

@@ -11,7 +11,7 @@ import pytest
 from pdnet import network as net
 from pdnet import operators as ops
 from pdnet import pdhg
-from pdnet.prox import prox_conj_l1
+from pdnet.pdhg import prox_conj_l1
 from pdnet.rng import Stream, derive
 
 from helpers import to_dense

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pdnet.prox import prox_conj_l1, prox_conj_l1_diag_jacobian
+from pdnet.backprop import prox_conj_l1_diag_jacobian
+from pdnet.pdhg import prox_conj_l1
 from pdnet.rng import Stream, derive
 
 from helpers import prox_l1

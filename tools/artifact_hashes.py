@@ -8,10 +8,11 @@ Four small workloads run in-process through ``pdnet.cli.main``.  Three are
 shaped like the benchmark's (dense deblurring in full mode, block-sparse
 super-resolution in partial mode, the first-difference solve) and one is a
 fused ``dense:6`` + ``f3s2n2`` network in partial mode.  Each training
-workload runs ``degrade``, ``train``, ``eval --beta 2,5``,
-``export-filters`` and ``gradcheck``; the solve workload runs ``degrade``
-and ``solve``.  Every command's stdout and exit code are kept as one more
-artifact; a command that exits 1 or 2 stops the run.
+workload runs ``degrade``, ``train``, ``eval --beta 2,5``, ``eval``
+without ``--beta`` (into ``eval-plain/``), ``export-filters`` and
+``gradcheck``; the solve workload runs ``degrade`` and ``solve``.  Every
+command's stdout and exit code are kept as one more artifact; a command that
+exits 1 or 2 stops the run.
 
 The output is one ``sha256  path`` line per file under the work directory,
 with paths relative to it and sorted, so two checkouts whose outputs are the
@@ -102,6 +103,8 @@ def run() -> None:
         _pdnet(path("train.log"), "train", "--config", config)
         _pdnet(path("eval.log"), "eval", "--config", config, "--output", path("eval"),
                "--model", path("out", "model_final.json"), "--beta", "2,5")
+        _pdnet(path("eval-plain.log"), "eval", "--config", config, "--output",
+               path("eval-plain"), "--model", path("out", "model_final.json"))
         _pdnet(path("export.log"), "export-filters", "--model",
                path("out", "model_best.json"), "--output", path("filters"))
         gc_side, gc_network = GRADCHECK[name]
