@@ -224,6 +224,14 @@ def _build_degradation(cfg: dict, side: int):
         raise ConfigError(str(exc)) from exc
 
 
+def _degrade_set(clean, side: int, a_op, alpha: float, seed: int) -> datamod.Dataset:
+    try:
+        return datamod.degrade_set(clean, side, a_op, alpha, seed)
+    except OverflowError as exc:
+        raise ConfigError(f"degradation.alpha {alpha!r} is too large: "
+                          f"the noisy measurements overflow float64") from exc
+
+
 def _load_clean_images(cfg: dict):
     """Clean image stack (n, side*side) plus side, from a raw image source."""
     d = _section(cfg, "data")
@@ -279,8 +287,12 @@ def _load_degraded_dir(root: str) -> datamod.Dataset:
     try:
         a_op = degradation_from_spec(spec)
         clean, degraded = (np.load(io.BytesIO(blob)) for blob in blobs)
+        finite = [bool(np.isfinite(a).all()) for a in (clean, degraded)]
     except (EOFError, TypeError, ValueError) as exc:
         raise ConfigError(f"dataset dir {root}: {exc}") from exc
+    for name, ok in zip(names, finite):
+        if not ok:
+            raise ConfigError(f"{name} in {root} holds NaN or inf values")
     if not (side * side == a_op.in_dim and clean.ndim == 2
             and clean.shape[1] == a_op.in_dim
             and degraded.shape == (len(clean), a_op.out_dim)):
@@ -301,7 +313,7 @@ def _load_dataset(cfg: dict) -> datamod.Dataset:
         return _load_degraded_dir(cfg["data"]["path"])
     clean, side = _load_clean_images(cfg)
     a_op, alpha = _build_degradation(cfg, side)
-    return datamod.degrade_set(clean, side, a_op, alpha, derive(cfg["seed"], 3))
+    return _degrade_set(clean, side, a_op, alpha, derive(cfg["seed"], 3))
 
 
 def _split_dataset(cfg: dict, dataset: datamod.Dataset):
@@ -427,11 +439,11 @@ def export_filter_grids(params: netmod.NetworkParams, out_dir: str) -> list[str]
 
 
 def cmd_train(cfg: dict, config_path: str, verbose: bool) -> int:
-    dataset = _load_dataset(cfg)
-    train_set, val_set, _ = _split_dataset(cfg, dataset)
+    # only the train and val copies stay alive: no training step reads the rest
+    train_set, val_set = _split_dataset(cfg, _load_dataset(cfg))[:2]
     if len(train_set) == 0 or len(val_set) == 0:
         raise ConfigError("train and val splits must both be nonempty")
-    params = _build_network(cfg, dataset.degradation)
+    params = _build_network(cfg, train_set.degradation)
     recipe = _section(cfg, "train")
     if not 0 < recipe["gamma"] < math.inf:  # NaN fails this test too
         raise ConfigError("learning rate gamma must be positive and finite")
@@ -439,7 +451,7 @@ def cmd_train(cfg: dict, config_path: str, verbose: bool) -> int:
         raise ConfigError("train.lr_decay_factor must be in (0, 1]")
     out = _prepare_output(cfg, config_path)
     result = train(params, train_set.clean, train_set.degraded, val_set.clean,
-                   val_set.degraded, dataset.side, seed=derive(cfg["seed"], 6), **recipe)
+                   val_set.degraded, train_set.side, seed=derive(cfg["seed"], 6), **recipe)
     netmod.serialize(result.final_params, os.path.join(out, "model_final.json"))
     netmod.serialize(result.best_params, os.path.join(out, "model_best.json"))
     result.history.to_csv(os.path.join(out, "history.csv"))
@@ -462,8 +474,11 @@ def cmd_eval(cfg: dict, config_path: str, model_path: str, betas: list[float],
             f"dataset degradation {dataset.degradation.spec()}"
         )
     subset = _eval_subset(cfg, dataset)
+    try:
+        table = datamod.robustness_eval(params, subset, betas, derive(cfg["seed"], 7))
+    except OverflowError as exc:
+        raise ConfigError(f"--beta level too large: {exc}") from exc
     out = _prepare_output(cfg, config_path)
-    table = datamod.robustness_eval(params, subset, betas, derive(cfg["seed"], 7))
     mean_psnr, mean_ssim = table[0]["psnr"], table[0]["ssim"]  # beta = 0: the plain pass
     with open(os.path.join(out, "metrics.csv"), "w", encoding="ascii") as f:
         f.write("image,psnr,ssim\n")
@@ -542,7 +557,7 @@ def cmd_gradcheck(cfg: dict, config_path: str, verbose: bool) -> int:
     params = _build_network(cfg, a_op)
     stream = Stream(derive(cfg["seed"], 8))
     clean = (stream.uniform(3 * side * side) * 255.0).reshape(3, side * side)
-    degraded = datamod.degrade_set(clean, side, a_op, alpha, derive(cfg["seed"], 9)).degraded
+    degraded = _degrade_set(clean, side, a_op, alpha, derive(cfg["seed"], 9)).degraded
     _, trace = netmod.forward(params, degraded, keep_trace=True)
     errors = compare_gradients(
         backward(params, clean, trace),

@@ -174,14 +174,27 @@ def extract_patches(source: np.ndarray, q: int, count: int, seed: int) -> np.nda
 
 def degrade(clean: np.ndarray, a_op: LinearOperator, alpha: float,
             seed: int) -> np.ndarray:
-    """z = A x + alpha * eta with seeded standard-normal eta (never clipped)."""
+    """z = A x + alpha * eta with seeded standard-normal eta (never clipped).
+
+    Raises ``OverflowError`` when ``alpha * eta`` overflows float64.
+    """
     if alpha < 0:
         raise ValueError("noise level alpha must be nonnegative")
     x = np.asarray(clean, dtype=np.float64)
     z = a_op.apply(x)
     if alpha == 0:
         return z
-    return z + alpha * Stream(derive(seed, _TAG_NOISE)).normal(z.size).reshape(z.shape)
+    eta = Stream(derive(seed, _TAG_NOISE)).normal(z.size).reshape(z.shape)
+    return _add_noise(z, alpha, eta)
+
+
+def _add_noise(z: np.ndarray, level: float, eta: np.ndarray) -> np.ndarray:
+    """``z + level * eta`` of finite ``z``; ``OverflowError`` if not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        noisy = z + level * eta
+    if not np.isfinite(noisy).all():
+        raise OverflowError(f"noise level {level!r} overflows float64")
+    return noisy
 
 
 def degrade_set(clean: np.ndarray, side: int, a_op: LinearOperator, alpha: float,
@@ -329,7 +342,8 @@ def robustness_eval(params: NetworkParams, dataset: Dataset, beta_list: list[flo
     noise realization is drawn per sample (derived from ``seed``), only if a
     beta is nonzero, and scaled by each beta, so the sweep isolates the noise
     amplitude.  Against an exact (inf dB) beta=0 restoration the PSNR drop
-    is 0% for an exact row and 100% for any other.
+    is 0% for an exact row and 100% for any other.  Raises ``OverflowError``
+    when some ``beta * eta`` overflows float64.
     """
     betas = [float(b) for b in beta_list if b != 0]
     if betas:
@@ -338,7 +352,8 @@ def robustness_eval(params: NetworkParams, dataset: Dataset, beta_list: list[flo
             eta[s] = Stream(derive(seed, _TAG_EXTRA, s)).normal(eta.shape[1])
     rows = []
     for beta in [0.0] + betas:
-        out, _ = forward(params, dataset.degraded + beta * eta if beta else dataset.degraded)
+        out, _ = forward(params, _add_noise(dataset.degraded, beta, eta) if beta
+                         else dataset.degraded)
         psnrs = psnr(out, dataset.clean)
         ssims = ssim(out, dataset.clean, side=dataset.side)
         rows.append({"beta": beta, "psnr": float(np.mean(psnrs)),

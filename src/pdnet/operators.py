@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 from .rng import Stream, derive
 
@@ -375,10 +374,15 @@ class MaskedRowAnalysis(AnalysisOperator):
     window results back with a fixed 0/1 matrix.  With F = 1 a window is a
     single row, and a CSR matrix sharing the value buffer is 2-3x faster at
     the solver's batch sizes, so ``apply`` and ``apply_adjoint`` stay on it.
+
+    This class is the one user of ``scipy.sparse`` and imports it on first
+    construction, so a process with dense parts only never loads it.
     """
 
     def __init__(self, col_index: np.ndarray, values: np.ndarray, n: int,
                  block_spec: dict | None = None):
+        import scipy.sparse as sp  # here, not at module top: see the class docstring
+
         super().__init__()
         cols = np.ascontiguousarray(col_index, dtype=np.int64)
         vals = np.ascontiguousarray(values, dtype=np.float64)

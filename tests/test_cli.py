@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from pdnet import cli
+from pdnet import operators as ops
+from pdnet.rng import Stream
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -208,6 +210,33 @@ def test_eval_refuses_a_nonfinite_or_negative_beta(tmp_path, capsys, beta):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "--beta" in err
     assert not os.path.exists(fresh)
+
+
+def test_eval_refuses_a_beta_that_overflows(tmp_path, capsys):
+    path, cfg = write_config(tmp_path)
+    assert cli.main(["train", "--config", path]) == 0
+    capsys.readouterr()
+    fresh = str(tmp_path / "eval-out")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["eval", "--config", path, "--output", fresh, "--model",
+                         os.path.join(cfg["output_dir"], "model_final.json"),
+                         "--beta", "2,1e308"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "--beta" in err
+    assert not os.path.exists(fresh)
+
+
+def test_degrade_refuses_an_alpha_that_overflows(tmp_path, capsys):
+    path, cfg = write_config(tmp_path, degradation={"alpha": 1e308})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["degrade", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "degradation.alpha" in err
+    assert not os.path.exists(cfg["output_dir"])
 
 
 def test_train_determinism(tmp_path):
@@ -457,6 +486,32 @@ def test_degraded_dir_rejects_bad_datasets(tmp_path, capsys, mutate, named):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert named in err
+
+
+@pytest.mark.parametrize("name,bad", [("clean.npy", float("nan")),
+                                      ("degraded.npy", float("inf"))])
+def test_degraded_dir_refuses_nonfinite_values(tmp_path, capsys, name, bad):
+    side = 8
+    a_op = ops.UniformBlur(3, side)
+    clean = Stream(5).uniform(12 * side * side).reshape(12, -1) * 255.0
+    arrays = {"clean.npy": clean, "degraded.npy": a_op.apply(clean)}
+    arrays[name][3, 7] = bad
+    root = tmp_path / "hand-written"
+    root.mkdir()
+    for fname, array in arrays.items():
+        np.save(root / fname, array)
+    (root / "manifest.json").write_text(json.dumps({
+        "side": side, "seed": 5, "alpha": 0.0, "degradation": a_op.spec(),
+        "files": {fname: sha(root / fname) for fname in arrays}}))
+    path, cfg = write_config(tmp_path, data={"source": "degraded-dir", "path": str(root)},
+                             degradation=None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["train", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert name in err and "NaN or inf" in err
+    assert not os.path.exists(cfg["output_dir"])
 
 
 def test_eval_refuses_a_degraded_dir_with_no_rows(tmp_path, capsys):

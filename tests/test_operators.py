@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -229,17 +230,40 @@ def test_lanczos_norm_bound_is_at_most_1e7_above_svd(case):
     assert svd <= op.norm() <= svd * (1 + 1e-7)
 
 
-def test_import_leaves_scipy_linalg_unloaded():
-    # a norm route through scipy.linalg would add its import time and
-    # shared libraries to every command
-    code = ("import sys, pdnet.cli; "
-            "print([m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules])")
+def _run_python(code: str, cwd=None) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports this pdnet."""
     src = os.path.join(os.path.dirname(os.path.abspath(ops.__file__)), os.pardir)
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # a norm route through scipy.linalg, or a top-level scipy.sparse import,
+    # would add its import time and shared libraries to every command
+    code = ("import sys, pdnet.cli; print([m for m in "
+            "('scipy.linalg', 'scipy.sparse.linalg', 'scipy.sparse') if m in sys.modules])")
+    assert _run_python(code) == "[]"
+
+
+def test_dense_prior_commands_leave_scipy_sparse_unloaded(tmp_path):
+    # only a masked part (block-sparse, first differences, lambda * Id)
+    # needs scipy.sparse; degrade and a dense-prior train and eval do not
+    cfg = {"task": "deblur", "seed": 7, "output_dir": "out",
+           "degradation": {"kind": "uniform-blur", "size": 3, "alpha": 10.0},
+           "data": {"source": "synthetic", "count": 20, "image_side": 8,
+                    "train_frac": 0.6, "val_frac": 0.2},
+           "network": {"K": 2, "mode": "full", "L": ["dense:6"]},
+           "train": {"gamma": 1e-9, "batch_size": 4, "max_iter": 2, "val_cadence": 1}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    code = ("import sys; from pdnet.cli import main\n"
+            "for argv in (['degrade', '--output', 'data'], ['train'],\n"
+            "             ['eval', '--model', 'out/model_final.json', '--beta', '2']):\n"
+            "    assert main(argv[:1] + ['--config', 'cfg.json'] + argv[1:]) == 0, argv\n"
+            "print('scipy.sparse' in sys.modules)")
+    assert _run_python(code, cwd=tmp_path) == "False"
 
 
 def test_analysis_norm_cache_invalidated_by_update():

@@ -2,7 +2,7 @@
 
 Usage::
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/artifact_hashes.py [WORK_DIR]
+    OPENBLAS_NUM_THREADS=1 python tools/artifact_hashes.py [WORK_DIR]
 
 Four small workloads run in-process through ``pdnet.cli.main``.  Three are
 shaped like the benchmark's (dense deblurring in full mode, block-sparse
@@ -18,7 +18,9 @@ The output is one ``sha256  path`` line per file under the work directory,
 with paths relative to it and sorted, so two checkouts whose outputs are the
 same wrote the same bytes.  Pin BLAS to one thread: threaded BLAS may sum in
 another order from run to run.  Without WORK_DIR a temporary directory is
-used and removed afterwards.  Takes a few seconds on one core.
+used and removed afterwards.  Takes a few seconds on one core.  The
+checkout's ``src`` goes first on ``sys.path``, so the run measures this
+checkout's ``pdnet`` whether or not one is installed.
 """
 
 from __future__ import annotations
@@ -32,7 +34,10 @@ import shutil
 import sys
 import tempfile
 
-from pdnet.cli import main
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "src"))
+
+from pdnet.cli import main  # noqa: E402
 
 SEED = 1001
 BLUR = {"kind": "uniform-blur", "size": 3, "alpha": 20.0}
