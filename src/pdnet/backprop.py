@@ -81,7 +81,11 @@ def backward(params: NetworkParams, clean: np.ndarray,
     """Gradients of the batch loss for every tau, sigma, and unmasked weight.
 
     ``trace`` must come from ``forward(params, degraded, keep_trace=True)``
-    on the same batch that produced ``clean``.
+    on the same batch that produced ``clean``; it is only read.  The (B, N)
+    temporaries live in workspaces allocated once per call and reused by
+    every layer.  A layer's two weight-gradient terms are one product,
+    ``[e2 | -tau u2]^T [sigma (u1 + 2 tau V) ; e1 + 2 sigma L* e2]`` with
+    inner dimension 2B; the first and last layers have one term each.
     """
     if trace is None:
         raise ValueError("backward needs the trace kept by the forward pass")
@@ -94,33 +98,51 @@ def backward(params: NetworkParams, clean: np.ndarray,
 
     d_tau = np.zeros(depth)
     d_sigma = np.zeros(depth)
-    d_weights = [lp.analysis.grad_zeros() for lp in params.layers]
+    d_weights = [None] * depth
+    # stacked operands of a layer's weight gradient [e2 | -tau y_in]^T [sigma x_ext ; s2];
+    # left is column-major, so the left.T that grad_outer multiplies is contiguous
+    left = np.empty((params.feature_dim, 2 * batch)).T
+    right = np.empty((2 * batch, params.image_dim))
+    e2, neg_tau_y = left[:batch], left[batch:]
+    x_ext, s2 = right[:batch], right[batch:]
 
-    gx = (2.0 / batch) * (trace.xs[-1] - clean)
+    gx = np.subtract(trace.xs[-1], clean, out=s2)  # the last layer's s2 is e1 = gx
+    gx *= 2.0 / batch
     gy = None
     for k in range(depth - 1, -1, -1):
         lp = params.layers[k]
         l_op = lp.analysis
-        x_in, y_in = trace.xs[k], trace.ys[k]
         v = trace.vs[k]
-        e1 = gx
-        if gy is None:  # last layer: identity activation, no dual row
-            e2 = None
-            lt_e2 = 0.0
-        else:
-            e2 = gy * prox_conj_l1_diag_jacobian(trace.c_duals[k])
+        dual = gy is not None  # the last layer has identity activation, no dual row
+        if dual:
+            np.multiply(gy, prox_conj_l1_diag_jacobian(trace.c_duals[k]), out=e2)
             lt_e2 = l_op.apply_adjoint(e2)
-        s2 = e1 if e2 is None else e1 + (2.0 * lp.sigma) * lt_e2
+            np.multiply(lt_e2, 2.0 * lp.sigma, out=s2)
+            s2 += gx  # e1 + 2 sigma L* e2
         d_tau[k] = float(np.vdot(s2, v))
-        if e2 is not None:
-            x_ext = x_in + 2.0 * lp.tau * v  # u1 + 2 tau V
+        if dual:
+            np.multiply(v, 2.0 * lp.tau, out=x_ext)
+            x_ext += trace.xs[k]  # u1 + 2 tau V
             d_sigma[k] = float(np.vdot(lt_e2, x_ext))
-            l_op.grad_outer(d_weights[k], e2, lp.sigma * x_ext, 1.0)
+            x_ext *= lp.sigma
         if k > 0:
-            l_op.grad_outer(d_weights[k], y_in, s2, -lp.tau)
-            gx = (e1 if e2 is None else e1 + lp.sigma * lt_e2) - lp.tau * a_op.gram(s2)
-            gy = e2 - lp.tau * l_op.apply(s2) if e2 is not None \
-                else -lp.tau * l_op.apply(s2)
+            np.multiply(trace.ys[k], -lp.tau, out=neg_tau_y)
+        # one product over the stacked rows of whichever terms the layer has
+        lo, hi = (0 if dual else batch), (2 * batch if k > 0 else batch)
+        if lo < hi:
+            d_weights[k] = l_op.grad_outer(left[lo:hi], right[lo:hi])
+        else:  # a one-layer network: neither term
+            d_weights[k] = [np.zeros_like(w) for w in l_op.weight_arrays()]
+        if k > 0:
+            l_s2 = l_op.apply(s2)
+            l_s2 *= lp.tau
+            gy = np.subtract(e2, l_s2, out=l_s2) if dual else np.negative(l_s2, out=l_s2)
+            tau_gram = a_op.gram(s2)
+            tau_gram *= lp.tau
+            if dual:
+                lt_e2 *= lp.sigma
+                gx += lt_e2  # e1 + sigma L* e2
+            gx = np.subtract(gx, tau_gram, out=tau_gram)
     return Gradients(d_tau=d_tau, d_sigma=d_sigma, d_weights=d_weights)
 
 

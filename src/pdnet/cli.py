@@ -27,7 +27,6 @@ import os
 import re
 import shutil
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -263,13 +262,44 @@ def _load_clean_images(cfg: dict):
     raise ConfigError(f"unknown data source {source!r}")
 
 
+def _read_blob(path: str) -> bytearray:
+    """A file's bytes in one writable buffer."""
+    with open(path, "rb") as f:
+        blob = bytearray(os.fstat(f.fileno()).st_size)
+        f.readinto(blob)
+    return blob
+
+
+def _npy_view(blob: bytearray) -> np.ndarray:
+    """The array of a ``.npy`` file's bytes, viewed in ``blob`` without a copy.
+
+    Refuses what ``np.load(allow_pickle=False)`` refuses, with ``ValueError``:
+    a bad magic or header, an object dtype, too few bytes for the shape.
+    """
+    fmt = np.lib.format
+    head = io.BytesIO(blob[:12 + 10000])  # magic, length and np.load's largest header
+    version = fmt.read_magic(head)
+    read_header = {(1, 0): fmt.read_array_header_1_0,
+                   (2, 0): fmt.read_array_header_2_0}.get(version)
+    if read_header is None:
+        raise ValueError(f"unsupported .npy format version {version}")
+    shape, fortran_order, dtype = read_header(head)
+    if dtype.hasobject:
+        raise ValueError("object arrays cannot be loaded")
+    array = np.frombuffer(blob, dtype=dtype, count=math.prod(shape), offset=head.tell())
+    return array.reshape(shape[::-1]).T if fortran_order else array.reshape(shape)
+
+
 def _load_degraded_dir(root: str) -> datamod.Dataset:
-    """The dataset ``degrade`` wrote under ``root``, checked against its manifest."""
+    """The dataset ``degrade`` wrote under ``root``, checked against its manifest.
+
+    Each ``.npy`` file is read once: the arrays are views of the hashed bytes.
+    """
     names = ("clean.npy", "degraded.npy")
     try:
         with open(os.path.join(root, "manifest.json"), "r", encoding="ascii") as f:
             manifest = json.load(f)
-        blobs = [Path(root, name).read_bytes() for name in names]
+        blobs = [_read_blob(os.path.join(root, name)) for name in names]
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load dataset dir {root}: {exc}") from exc
 
@@ -286,7 +316,7 @@ def _load_degraded_dir(root: str) -> datamod.Dataset:
             raise ConfigError(f"{name} in {root} does not match its manifest sha256")
     try:
         a_op = degradation_from_spec(spec)
-        clean, degraded = (np.load(io.BytesIO(blob)) for blob in blobs)
+        clean, degraded = (_npy_view(blob) for blob in blobs)
         finite = [bool(np.isfinite(a).all()) for a in (clean, degraded)]
     except (EOFError, TypeError, ValueError) as exc:
         raise ConfigError(f"dataset dir {root}: {exc}") from exc

@@ -21,6 +21,9 @@ _TAG_NOISE = 0x4015E
 _TAG_PATCH = 0x9A7C8
 _TAG_SYNTH = 0x57207
 _TAG_EXTRA = 0xBE7A0
+# Rows per chunk of the per-sample noise draws: their temporaries stay
+# under about 2 MB at 28 x 28.
+_CHUNK_ROWS = 64
 
 
 class IdxParseError(ValueError):
@@ -199,11 +202,22 @@ def _add_noise(z: np.ndarray, level: float, eta: np.ndarray) -> np.ndarray:
 
 def degrade_set(clean: np.ndarray, side: int, a_op: LinearOperator, alpha: float,
                 seed: int) -> Dataset:
-    """Degrade a stack of images, one derived noise stream per sample."""
+    """Degrade a stack of images, one derived noise stream per sample.
+
+    Row s is ``degrade(clean[s], a_op, alpha, derive(seed, s))`` bit for
+    bit, formed ``_CHUNK_ROWS`` rows at a time.
+    """
+    if alpha < 0:
+        raise ValueError("noise level alpha must be nonnegative")
     clean = np.atleast_2d(np.asarray(clean, dtype=np.float64))
     degraded = np.empty((clean.shape[0], a_op.out_dim))
-    for s in range(clean.shape[0]):
-        degraded[s] = degrade(clean[s], a_op, alpha, derive(seed, s))
+    for lo in range(0, len(clean), _CHUNK_ROWS):
+        part = slice(lo, lo + _CHUNK_ROWS)
+        z = a_op.apply(clean[part])
+        if alpha:
+            rows = np.arange(lo, lo + len(z))
+            z = _add_noise(z, alpha, Stream(derive(seed, rows, _TAG_NOISE)).normal(z.shape[1]))
+        degraded[part] = z
     return Dataset(side=side, clean=clean, degraded=degraded,
                    degradation=a_op, noise_alpha=float(alpha), seed=int(seed))
 
@@ -348,8 +362,9 @@ def robustness_eval(params: NetworkParams, dataset: Dataset, beta_list: list[flo
     betas = [float(b) for b in beta_list if b != 0]
     if betas:
         eta = np.empty_like(dataset.degraded)
-        for s in range(len(dataset)):
-            eta[s] = Stream(derive(seed, _TAG_EXTRA, s)).normal(eta.shape[1])
+        for lo in range(0, len(eta), _CHUNK_ROWS):
+            rows = np.arange(lo, min(lo + _CHUNK_ROWS, len(eta)))
+            eta[rows] = Stream(derive(seed, _TAG_EXTRA, rows)).normal(eta.shape[1])
     rows = []
     for beta in [0.0] + betas:
         out, _ = forward(params, _add_noise(dataset.degraded, beta, eta) if beta

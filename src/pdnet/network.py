@@ -176,6 +176,9 @@ def forward(params: NetworkParams, z: np.ndarray, keep_trace: bool = False):
     batch runs in pieces of 50-99 rows: a batch below 100 rows is one piece,
     and the temporaries of a larger one stay small enough to be reused
     instead of being mapped and page-faulted afresh on every product.
+    The dual starts at zero, so the first layer forms no L* y: a pass takes
+    2K - 2 analysis products per piece, and every layer of every piece
+    reuses one (B, N) scratch buffer.
     """
     z = np.asarray(z, dtype=np.float64)
     single = z.ndim == 1
@@ -183,32 +186,34 @@ def forward(params: NetworkParams, z: np.ndarray, keep_trace: bool = False):
     if zb.shape[-1] != params.degradation.out_dim:
         raise ValueError(f"measurement length {zb.shape[-1]} != {params.degradation.out_dim}")
     pieces = [zb] if keep_trace else np.array_split(zb, max(1, len(zb) // _PIECE_ROWS))
-    runs = [_unroll(params, piece, keep_trace) for piece in pieces]
+    work = np.empty((max(len(p) for p in pieces), params.image_dim))
+    runs = [_unroll(params, piece, keep_trace, work[:len(piece)]) for piece in pieces]
     out = runs[0][0] if len(runs) == 1 else np.concatenate([o for o, _ in runs])
     return (out[0] if single else out), runs[0][1]
 
 
-def _unroll(params: NetworkParams, zb: np.ndarray, keep_trace: bool):
-    """The K layers on a (B, M) batch: (output, trace or None)."""
+def _unroll(params: NetworkParams, zb: np.ndarray, keep_trace: bool,
+            work: np.ndarray):
+    """The K layers on a (B, M) batch: (output, trace or None); ``work`` is
+    (B, N) scratch."""
     a_op = params.degradation
     w = a_op.apply_adjoint(zb)
     x = w
-    y = np.zeros((zb.shape[0], params.feature_dim))
-    trace = LayerTrace(xs=[x], ys=[y], c_duals=[], vs=[]) if keep_trace else None
+    y = None
+    trace = LayerTrace(xs=[x], ys=[np.zeros((zb.shape[0], params.feature_dim))],
+                       c_duals=[], vs=[]) if keep_trace else None
     for lp in params.layers[:-1]:
-        x, y, c_dual, gram_x, lt_y = pdhg.pd_step(a_op, lp.analysis, lp.tau, lp.sigma,
-                                                  w, x, y)
+        x, y, c_dual, v = pdhg.pd_step(a_op, lp.analysis, lp.tau, lp.sigma, w, x, y, work)
         if trace is not None:
             trace.xs.append(x)
             trace.ys.append(y)
             trace.c_duals.append(c_dual)
-            trace.vs.append(w - gram_x - lt_y)
+            trace.vs.append(v)
     last = params.layers[-1]
-    gram_x = a_op.gram(x)
-    out, lt_y = pdhg.pd_primal(a_op, last.analysis, last.tau, w, x, y, gram_x)
+    out, v = pdhg.pd_primal(a_op, last.analysis, last.tau, w, x, y, a_op.gram(x), work)
     if trace is not None:
         trace.xs.append(out)
-        trace.vs.append(w - gram_x - lt_y)
+        trace.vs.append(v)
     return out, trace
 
 

@@ -83,7 +83,10 @@ class LinearOperator:
         raise NotImplementedError
 
     def gram(self, v: np.ndarray) -> np.ndarray:
-        """apply_adjoint(apply(v)); overridden where a cheaper form exists."""
+        """apply_adjoint(apply(v)); overridden where a cheaper form exists.
+
+        Always a new array, which the caller may overwrite.
+        """
         return self.apply_adjoint(self.apply(v))
 
 
@@ -108,7 +111,7 @@ class IdentityOperator(LinearOperator):
         return _check_dim(w, self.out_dim, "identity adjoint")
 
     def gram(self, v):
-        return _check_dim(v, self.in_dim, "identity gram")
+        return _check_dim(v, self.in_dim, "identity gram").copy()
 
     def spec(self):
         return {"kind": self.kind, "size_or_factor": 1, "image_side": self.in_dim}
@@ -247,20 +250,20 @@ class AnalysisOperator(LinearOperator):
     def weight_arrays(self) -> list[np.ndarray]:
         raise NotImplementedError
 
-    def grad_zeros(self) -> list[np.ndarray]:
-        return [np.zeros_like(w) for w in self.weight_arrays()]
+    def grad_outer(self, left: np.ndarray, right: np.ndarray) -> list[np.ndarray]:
+        """sum_b left[b] (x) right[b] restricted to the mask: the weight
+        gradient in the layout of :meth:`weight_arrays`, as new arrays.
 
-    def grad_outer(self, acc: list[np.ndarray], left: np.ndarray,
-                   right: np.ndarray, coeff: float) -> None:
-        """acc += coeff * sum_b left[b] (x) right[b], restricted to the mask.
-
-        left is (B, P), right is (B, N); acc matches :meth:`grad_zeros`.
+        left is (R, P), right is (R, N); the rows are summed in one product.
         """
         raise NotImplementedError
 
     def update_weights(self, deltas: list[np.ndarray], scale: float) -> None:
+        """weights += scale * deltas.  Consumes ``deltas``: each is scaled in
+        place, so a caller that reuses them passes copies."""
         for w, d in zip(self.weight_arrays(), deltas):
-            w += scale * d
+            d *= scale
+            w += d
         self.invalidate_norm()
 
     def invalidate_norm(self):
@@ -322,8 +325,8 @@ class DenseAnalysis(AnalysisOperator):
     def weight_arrays(self):
         return [self._weights]
 
-    def grad_outer(self, acc, left, right, coeff):
-        acc[0] += coeff * (left.T @ right)
+    def grad_outer(self, left, right):
+        return [left.T @ right]
 
     def _norm_bound(self):
         """sqrt of the top eigenvalue of the smaller Gram, ``W W^T`` or ``W^T W``.
@@ -456,12 +459,13 @@ class MaskedRowAnalysis(AnalysisOperator):
     def weight_arrays(self):
         return [self._vals]
 
-    def grad_outer(self, acc, left, right, coeff):
-        # acc[p, j] += coeff * sum_b left[b, p] * right[b, cols[p, j]], per window
+    def grad_outer(self, left, right):
+        # out[p, j] = sum_b left[b, p] * right[b, cols[p, j]]: one gather of
+        # every window's inputs over all R rows, one GEMM per window
         s, f, k = self._site_w.shape
         outer = np.matmul(left.T.reshape(s, f, -1),
                           right.T[self._site_cols].transpose(0, 2, 1))
-        acc[0] += coeff * outer.reshape(self.out_dim, k)
+        return [outer.reshape(self.out_dim, k)]
 
 
 class FusedAnalysis(AnalysisOperator):
@@ -509,12 +513,9 @@ class FusedAnalysis(AnalysisOperator):
     def weight_arrays(self):
         return [w for p in self._parts for w in p.weight_arrays()]
 
-    def grad_outer(self, acc, left, right, coeff):
-        i = 0
-        for p, s, e in zip(self._parts, self._offsets[:-1], self._offsets[1:]):
-            k = len(p.weight_arrays())
-            p.grad_outer(acc[i:i + k], left[:, s:e], right, coeff)
-            i += k
+    def grad_outer(self, left, right):
+        return [g for p, s, e in zip(self._parts, self._offsets[:-1], self._offsets[1:])
+                for g in p.grad_outer(left[:, s:e], right)]
 
 
 # ---------------------------------------------------------------------------

@@ -72,27 +72,41 @@ def prox_conj_l1(v: np.ndarray) -> np.ndarray:
 
 
 def pd_primal(a_op: LinearOperator, l_op: AnalysisOperator, tau: float,
-              w: np.ndarray, x: np.ndarray, y: np.ndarray,
-              gram_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x - tau (A*A x - A*z) - tau L* y, with A*A x precomputed.
+              w: np.ndarray, x: np.ndarray, y: np.ndarray | None,
+              gram_x: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x - tau (A*A x - A*z) - tau L* y, with A*A x precomputed in ``gram_x``.
 
-    Returns (x_new, L* y) so a caller can reuse the adjoint product.
+    Returns (x_new, V) with V = w - A*A x - L* y, formed in ``gram_x``'s
+    buffer.  ``work`` is scratch of x's shape.  ``y`` None is the zero dual
+    of the first iteration: L* y is then not formed.
     """
-    lt_y = l_op.apply_adjoint(y)
-    return x - tau * (gram_x - w) - tau * lt_y, lt_y
+    v = np.subtract(w, gram_x, out=gram_x)
+    x_new = np.multiply(v, tau)  # x + tau (w - A*A x) rounds as x - tau (A*A x - w)
+    x_new += x
+    if y is not None:
+        lt_y = l_op.apply_adjoint(y)
+        x_new -= np.multiply(lt_y, tau, out=work)
+        v -= lt_y
+    return x_new, v
 
 
 def pd_step(a_op: LinearOperator, l_op: AnalysisOperator, tau: float, sigma: float,
-            w: np.ndarray, x: np.ndarray, y: np.ndarray):
+            w: np.ndarray, x: np.ndarray, y: np.ndarray | None, work: np.ndarray):
     """One full primal-dual iteration.
 
-    Returns (x_new, y_new, c_dual, gram_x, lt_y) where c_dual is the dual
-    pre-activation (before the clip), gram_x = A*A x and lt_y = L* y.
+    Returns (x_new, y_new, c_dual, V) where c_dual is the dual pre-activation
+    (before the clip) and V = w - A*A x - L* y.  ``y`` None is the zero
+    dual: the step then takes one L product, not two.  ``work`` is scratch
+    of x's shape; a caller reuses it across iterations.
     """
-    gram_x = a_op.gram(x)
-    x_new, lt_y = pd_primal(a_op, l_op, tau, w, x, y, gram_x)
-    c_dual = y + sigma * l_op.apply(2.0 * x_new - x)
-    return x_new, prox_conj_l1(c_dual), c_dual, gram_x, lt_y
+    x_new, v = pd_primal(a_op, l_op, tau, w, x, y, a_op.gram(x), work)
+    np.multiply(x_new, 2.0, out=work)
+    work -= x
+    c_dual = l_op.apply(work)
+    c_dual *= sigma
+    if y is not None:
+        c_dual += y
+    return x_new, prox_conj_l1(c_dual), c_dual, v
 
 
 def objective(a_op: LinearOperator, l_op: AnalysisOperator, z: np.ndarray,
@@ -154,14 +168,15 @@ def pdhg_solve(a_op: LinearOperator, l_op: AnalysisOperator, z: np.ndarray,
     zs = z.reshape(-1, a_op.out_dim)
     w = a_op.apply_adjoint(zs)
     x = w
-    y = np.zeros((len(zs), l_op.out_dim))
+    y = None  # the zero dual
+    work = np.empty_like(w)
     x_hat = np.empty_like(w)
     reports: list[SolveReport | None] = [None] * len(zs)
     rows = np.arange(len(zs))  # the measurement each active row solves
     it = 0
     while len(rows):
         it += 1
-        x_new, y = pd_step(a_op, l_op, tau, sigma, w, x, y)[:2]
+        x_new, y = pd_step(a_op, l_op, tau, sigma, w, x, y, work[:len(rows)])[:2]
         rel = _row_norms(x_new - x) / np.maximum(1.0, _row_norms(x))
         # the first primal update from x = A*z is stationary while y is still
         # zero, so the change test only starts once the dual has acted

@@ -34,23 +34,36 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _S31)
 
 
-def derive(seed: int, *tags: int) -> int:
+def derive(seed: int, *tags) -> int | np.ndarray:
     """Derive a child seed from ``seed`` and one or more integer tags.
 
     child = mix64(parent + GOLDEN * (tag + 1)), applied per tag in order.
+    A tag may be an array of nonnegative integers: the result is then a
+    uint64 array of the seeds derived with each of its elements.
     """
     s = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
     for t in tags:
-        t64 = np.array([(int(t) + 1) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+        if isinstance(t, np.ndarray):
+            t64 = t.astype(np.uint64) + np.uint64(1)
+        else:
+            t64 = np.array([(int(t) + 1) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
         s = _mix(s + _GOLDEN * t64)
-    return int(s[0])
+    return s if any(isinstance(t, np.ndarray) for t in tags) else int(s[0])
 
 
 class Stream:
-    """Counter-based SplitMix64 stream of uniforms and normals."""
+    """Counter-based SplitMix64 stream of uniforms and normals.
 
-    def __init__(self, seed: int):
-        self._seed = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    Seeded with a uint64 array, it runs one stream per seed side by side:
+    each draw of ``u64``, ``uniform`` and ``normal`` comes back with one row
+    per seed, and row i holds the bits a stream seeded with ``seed[i]`` draws.
+    """
+
+    def __init__(self, seed: int | np.ndarray):
+        if isinstance(seed, np.ndarray):
+            self._seed = seed.astype(np.uint64)[:, None]
+        else:
+            self._seed = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
         self._count = 0
 
     def u64(self, n: int) -> np.ndarray:
@@ -74,10 +87,10 @@ class Stream:
         u2 = self.uniform(m)
         r = np.sqrt(-2.0 * np.log(u1))
         ang = 2.0 * np.pi * u2
-        out = np.empty(2 * m, dtype=np.float64)
-        out[0::2] = r * np.cos(ang)
-        out[1::2] = r * np.sin(ang)
-        return std * out[:n]
+        out = np.empty(r.shape[:-1] + (2 * m,), dtype=np.float64)
+        out[..., 0::2] = r * np.cos(ang)
+        out[..., 1::2] = r * np.sin(ang)
+        return std * out[..., :n]
 
     def integers(self, n: int, bound: int) -> np.ndarray:
         """``n`` integers uniform on {0, ..., bound-1}."""

@@ -67,7 +67,11 @@ class TrainResult:
 
 
 def sgd_step(params: NetworkParams, grads: Gradients, gamma: float) -> None:
-    """One in-place gradient step in ``params.mode``; rejects non-finite gradients."""
+    """One in-place gradient step in ``params.mode``; rejects non-finite gradients.
+
+    Consumes ``grads``: the weight gradients are scaled in place by
+    ``update_weights``, so they are not reusable afterwards.
+    """
     if not grads.all_finite():
         raise NonFiniteGradientError(
             "non-finite gradient encountered; step rejected"

@@ -1,6 +1,6 @@
 """Helpers that only the tests use: an l1 prox oracle, stroke images, dense
-views of analysis operators and of their weight gradients, and a loss moving
-average.  The library itself never calls them.
+views of analysis operators and of their weight gradients, zero weight
+gradients, and a loss moving average.  The library itself never calls them.
 """
 
 import numpy as np
@@ -31,6 +31,12 @@ def mask_dense(op) -> np.ndarray:
     for w in ones.weight_arrays():
         w[...] = 1.0
     return to_dense(ones)
+
+
+def grad_zeros(op) -> list[np.ndarray]:
+    """Zero weight gradients of analysis operator ``op``, in the layout of
+    its ``weight_arrays``."""
+    return [np.zeros_like(w) for w in op.weight_arrays()]
 
 
 def dense_d_l(grads, params, k: int) -> np.ndarray:

@@ -171,3 +171,32 @@ def test_gradcheck_on_decimation():
     degraded = np.stack([a_op.apply(clean[i]) for i in range(2)])
     analytic, reference = grad_pair(params, clean, degraded)
     assert max(bp.compare_gradients(analytic, reference).values()) <= 1e-5
+
+
+@pytest.mark.parametrize("depth", [1, 4])
+def test_gradient_oracle_one_layer_and_four_layers(depth):
+    # one layer has neither weight-gradient term, four have two middle layers
+    params, clean, degraded = small_instance(18, depth=depth)
+    analytic, reference = grad_pair(params, clean, degraded)
+    assert max(bp.compare_gradients(analytic, reference).values()) <= 1e-5
+    if depth == 1:
+        assert all(not g.any() for g in analytic.d_weights[0])
+
+
+@pytest.mark.parametrize("block", [False, True], ids=["dense", "block"])
+def test_second_pass_leaves_first_trace_and_gradients_intact(block):
+    """Workspaces belong to one call: nothing a pass returns aliases another's."""
+    params, clean, degraded = small_instance(16, depth=3, block=block, batch=3)
+    _, clean2, degraded2 = small_instance(17, depth=3, block=block, batch=3)
+    _, trace = net.forward(params, degraded, keep_trace=True)
+    grads = bp.backward(params, clean, trace)
+    kept = [trace.xs, trace.ys, trace.c_duals, trace.vs,
+            [grads.d_tau, grads.d_sigma], *grads.d_weights]
+    arrays = [a for group in kept for a in group]
+    before = [a.copy() for a in arrays]
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+    _, trace2 = net.forward(params, degraded2, keep_trace=True)
+    grads2 = bp.backward(params, clean2, trace2)
+    assert not np.array_equal(grads2.d_tau, grads.d_tau)
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, before))

@@ -1,6 +1,7 @@
 import base64
 import hashlib
 import inspect
+import io
 import json
 import os
 import warnings
@@ -486,6 +487,56 @@ def test_degraded_dir_rejects_bad_datasets(tmp_path, capsys, mutate, named):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert named in err
+
+
+def _degraded_dir(tmp_path):
+    """A ``degrade`` output dir, its manifest, and its arrays as np.load reads them."""
+    path, cfg = write_config(tmp_path, output_dir=str(tmp_path / "stage1"))
+    assert cli.main(["degrade", "--config", path]) == 0
+    root = cfg["output_dir"]
+    manifest = json.load(open(os.path.join(root, "manifest.json")))
+    arrays = [np.load(os.path.join(root, n)) for n in ("clean.npy", "degraded.npy")]
+    return root, manifest, arrays
+
+
+def _rewrite(root, manifest, name, blob):
+    with open(os.path.join(root, name), "wb") as f:
+        f.write(blob)
+    manifest["files"][name] = sha(os.path.join(root, name))
+    json.dump(manifest, open(os.path.join(root, "manifest.json"), "w"))
+
+
+def _npy_bytes(array, **kwargs):
+    buf = io.BytesIO()
+    np.save(buf, array, **kwargs)
+    return buf.getvalue()
+
+
+def test_degraded_dir_views_fortran_and_big_endian_arrays(tmp_path):
+    root, manifest, (clean, degraded) = _degraded_dir(tmp_path)
+    _rewrite(root, manifest, "clean.npy", _npy_bytes(np.asfortranarray(clean)))
+    _rewrite(root, manifest, "degraded.npy", _npy_bytes(degraded.astype(">f8")))
+    ds = cli._load_degraded_dir(root)
+    assert np.array_equal(ds.clean, clean) and np.array_equal(ds.degraded, degraded)
+    assert ds.clean.flags.writeable and ds.degraded.flags.writeable
+
+
+@pytest.mark.parametrize("blob", [
+    lambda a: _npy_bytes(a)[:-8],
+    lambda a: _npy_bytes(a.astype(object), allow_pickle=True),
+    lambda a: _npy_bytes(a)[:20],
+    lambda a: b"not an npy file",
+], ids=["truncated", "object-dtype", "header-cut", "no-magic"])
+def test_degraded_dir_refuses_unreadable_arrays(tmp_path, capsys, blob):
+    root, manifest, (_, degraded) = _degraded_dir(tmp_path)
+    _rewrite(root, manifest, "degraded.npy", blob(degraded))
+    path2, _ = write_config(
+        tmp_path, name="c2.json", output_dir=str(tmp_path / "stage2"),
+        data={"source": "degraded-dir", "path": root}, degradation=None)
+    capsys.readouterr()
+    assert cli.main(["solve", "--config", path2]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: dataset dir {root}: ")
 
 
 @pytest.mark.parametrize("name,bad", [("clean.npy", float("nan")),

@@ -181,6 +181,29 @@ def test_degrade_set_reproducible():
                               "image_side": 4}
 
 
+_DEGRADE_OPS = {"blur": lambda: ops.UniformBlur(3, 8), "decimation": lambda: ops.Decimation(2, 8),
+                "identity": lambda: ops.IdentityOperator(64)}
+
+
+@pytest.mark.parametrize("alpha", [20.0, 0.0])
+@pytest.mark.parametrize("kind", list(_DEGRADE_OPS))
+def test_degrade_set_rows_equal_degrade_bitwise(kind, alpha):
+    # 150 rows: two full chunks of dm._CHUNK_ROWS and a partial one
+    a = _DEGRADE_OPS[kind]()
+    clean = (Stream(derive(0xDE6, 1)).uniform(150 * 64) * 255).reshape(150, 64)
+    ds = dm.degrade_set(clean, 8, a, alpha, seed=derive(0xDE6, 2))
+    assert len(ds) % dm._CHUNK_ROWS
+    want = np.stack([dm.degrade(clean[s], a, alpha, derive(derive(0xDE6, 2), s))
+                     for s in range(len(clean))])
+    assert ds.degraded.tobytes() == want.tobytes()
+
+
+def test_degrade_set_overflow_raises_overflow_error():
+    a = ops.IdentityOperator(16)
+    with pytest.raises(OverflowError, match="noise level 1e\\+308 overflows float64"):
+        dm.degrade_set(np.full((70, 16), 1e308), 4, a, 1e308, seed=1)
+
+
 def test_split_all_train():
     ds = dm.degrade_set(np.ones((6, 16)), 4, ops.IdentityOperator(16), 0.0, seed=1)
     tr, va, te = dm.split(ds, 1.0, 0.0, seed=2)
@@ -357,6 +380,18 @@ def test_robustness_without_betas_is_the_plain_pass(monkeypatch):
     assert len(rows) == 1 and rows[0]["beta"] == 0.0
     assert rows[0]["psnrs"] == dm.psnr(out, ds.clean).tolist()
     assert rows[0]["ssims"] == dm.ssim(out, ds.clean, side=ds.side).tolist()
+
+
+def test_robustness_noise_is_one_stream_per_row():
+    side = 8
+    a = ops.UniformBlur(3, side)
+    params = net.init_network(a, 2, [net.DenseSpec(6)], "full", seed=3)
+    ds = dm.degrade_set(synthetic_strokes(70, side=side, seed=23), side, a, 10.0, seed=24)
+    eta = np.stack([Stream(derive(9, dm._TAG_EXTRA, s)).normal(side * side)
+                    for s in range(len(ds))])
+    out, _ = dm.forward(params, ds.degraded + 2.0 * eta)
+    rows = dm.robustness_eval(params, ds, [2.0], seed=9)
+    assert rows[1]["psnrs"] == dm.psnr(out, ds.clean).tolist()
 
 
 def test_robustness_deterministic():

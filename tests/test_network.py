@@ -181,10 +181,12 @@ def test_forward_cost_linear_in_nnz_and_depth():
     c1, nnz1 = macs(3, 2)
     c2, nnz2 = macs(3, 4)
     assert nnz2 == 2 * nnz1
-    assert c1 == (2 * 3 - 1) * nnz1  # (K-1) apply+adjoint pairs plus one adjoint
+    # K-1 apply+adjoint pairs plus the last layer's adjoint, less the first
+    # layer's adjoint of the zero dual
+    assert c1 == (2 * 3 - 2) * nnz1
     assert c2 == 2 * c1
     c3, _ = macs(6, 2)
-    assert c3 == (2 * 6 - 1) * nnz1
+    assert c3 == (2 * 6 - 2) * nnz1
 
 
 _PIECE_BATCHES = [60, 99, 100, 180]

@@ -9,7 +9,7 @@ import pytest
 from pdnet import operators as ops
 from pdnet.rng import Stream, derive
 
-from helpers import mask_dense, to_dense
+from helpers import grad_zeros, mask_dense, to_dense
 
 
 def rand(n, tag=0, scale=1.0):
@@ -403,7 +403,7 @@ def test_mask_preserved_under_updates():
     mask = mask_dense(op)
     for t in range(5):
         deltas = [Stream(derive(0x0DD, t)).normal(g.size).reshape(g.shape)
-                  for g in op.grad_zeros()]
+                  for g in grad_zeros(op)]
         op.update_weights(deltas, -0.1)
     assert not to_dense(op)[mask == 0].any()
 
@@ -423,10 +423,9 @@ def test_grad_outer_matches_dense_masked_product():
     b, p, n = 4, op.out_dim, op.in_dim
     left = Stream(1).normal(b * p).reshape(b, p)
     right = Stream(2).normal(b * n).reshape(b, n)
-    acc = op.grad_zeros()
-    op.grad_outer(acc, left, right, 2.0)
+    (got,) = op.grad_outer(2.0 * left, right)
     dense = np.zeros((p, n))
-    dense[mask_dense(op) == 1.0] = acc[0].ravel()
+    dense[mask_dense(op) == 1.0] = got.ravel()
     assert np.allclose(dense, 2.0 * (left.T @ right) * mask_dense(op), atol=1e-12)
 
 
@@ -451,7 +450,7 @@ def _oracle(op):
 
 
 def _oracle_grad(op, left, right, coeff):
-    """coeff * left^T right on each part's mask, in the layout of grad_zeros."""
+    """coeff * left^T right on each part's mask, in the layout of weight_arrays."""
     full, out, row = coeff * (left.T @ right), [], 0
     for part in op.parts():
         rows = full[row:row + part.out_dim]
@@ -502,9 +501,9 @@ def test_masked_products_match_oracle(case, batch):
     _close(op.apply(x), x @ dense.T)
     _close(op.apply_adjoint(y), y @ dense)
     if batch is not None:
-        acc = op.grad_zeros()
-        op.grad_outer(acc, y, x, -0.3)
-        for got, want in zip(acc, _oracle_grad(op, y, x, -0.3)):
+        grads = op.grad_outer(-0.3 * y, x)
+        assert len(grads) == len(op.weight_arrays())
+        for got, want in zip(grads, _oracle_grad(op, y, x, -0.3)):
             _close(got, want)
 
 
@@ -516,8 +515,8 @@ def test_in_place_updates_reach_products_and_clones_are_independent(case):
     twin = op.clone()
     before = op.apply(x), op.apply_adjoint(y)
     deltas = [Stream(derive(0x0AD, 3, i)).normal(g.size).reshape(g.shape)
-              for i, g in enumerate(op.grad_zeros())]
-    op.update_weights(deltas, 0.5)
+              for i, g in enumerate(grad_zeros(op))]
+    op.update_weights([d.copy() for d in deltas], 0.5)  # update_weights consumes them
     dense = _oracle(op)
     _close(op.apply(x), x @ dense.T)
     _close(op.apply_adjoint(y), y @ dense)

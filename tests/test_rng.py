@@ -57,3 +57,17 @@ def test_integers_within_bound():
     v = Stream(13).integers(10_000, 7)
     assert v.min() >= 0 and v.max() <= 6
     assert len(np.unique(v)) == 7
+
+
+def test_array_seeds_draw_one_row_per_stream():
+    rows = np.arange(5, 75)
+    seeds = derive(11, rows, 0x4015E)
+    assert seeds.dtype == np.uint64
+    assert seeds.tolist() == [derive(11, int(r), 0x4015E) for r in rows]
+    for n in (1, 6, 7):
+        batch = Stream(seeds)
+        draws = batch.normal(n), batch.uniform(3), batch.u64(2)
+        for i, seed in enumerate(seeds):
+            one = Stream(int(seed))
+            for got, want in zip(draws, (one.normal(n), one.uniform(3), one.u64(2))):
+                assert got[i].tobytes() == want.tobytes()

@@ -9,7 +9,7 @@ from pdnet.data import degrade_set
 from pdnet.pdhg import check_stepsizes
 from pdnet.rng import Stream, derive
 
-from helpers import mask_dense, synthetic_strokes, to_dense
+from helpers import grad_zeros, mask_dense, synthetic_strokes, to_dense
 
 
 SIDE = 8
@@ -30,7 +30,7 @@ def zero_grads(params):
     return bp.Gradients(
         d_tau=np.zeros(params.depth),
         d_sigma=np.zeros(params.depth),
-        d_weights=[lp.analysis.grad_zeros() for lp in params.layers],
+        d_weights=[grad_zeros(lp.analysis) for lp in params.layers],
     )
 
 
