@@ -56,7 +56,7 @@ class Gradients:
 
 
 def prox_conj_l1_diag_jacobian(c: np.ndarray) -> np.ndarray:
-    """Diagonal Jacobian of the clip: 1 where |c| < 1, else 0 (ties to 0)."""
+    """Diagonal Jacobian of the clip: 1 where |c| < 1, else 0 (ties, NaN); same at clip(c)."""
     c = np.asarray(c, dtype=np.float64)
     return (np.abs(c) < 1.0).astype(np.float64)
 
@@ -115,7 +115,7 @@ def backward(params: NetworkParams, clean: np.ndarray,
         v = trace.vs[k]
         dual = gy is not None  # the last layer has identity activation, no dual row
         if dual:
-            np.multiply(gy, prox_conj_l1_diag_jacobian(trace.c_duals[k]), out=e2)
+            np.multiply(gy, prox_conj_l1_diag_jacobian(trace.ys[k + 1]), out=e2)
             lt_e2 = l_op.apply_adjoint(e2)
             np.multiply(lt_e2, 2.0 * lp.sigma, out=s2)
             s2 += gx  # e1 + 2 sigma L* e2

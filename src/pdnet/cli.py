@@ -372,15 +372,9 @@ def _prepare_output(cfg: dict, config_path: str) -> str:
     return out
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        h.update(f.read())
-    return h.hexdigest()
-
-
-def _fmt(x: float) -> str:
-    return "identical" if math.isinf(x) else f"{x:.4f}"
+def _fmt(x: float, spec: str = ".4f") -> str:
+    """A PSNR as text; ``spec`` "" gives repr's digits."""
+    return "identical" if math.isinf(x) else format(x, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +382,12 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_degrade(cfg: dict, config_path: str, verbose: bool) -> int:
+def cmd_degrade(cfg: dict, args: argparse.Namespace) -> int:
     dataset = _load_dataset(cfg)
-    out = _prepare_output(cfg, config_path)
-    np.save(os.path.join(out, "clean.npy"), dataset.clean)
-    np.save(os.path.join(out, "degraded.npy"), dataset.degraded)
+    out = _prepare_output(cfg, args.config)
+    arrays = {"clean.npy": dataset.clean, "degraded.npy": dataset.degraded}
+    for name, array in arrays.items():
+        np.save(os.path.join(out, name), array)
     manifest = {
         "side": dataset.side,
         "count": len(dataset),
@@ -400,15 +395,13 @@ def cmd_degrade(cfg: dict, config_path: str, verbose: bool) -> int:
         "seed": dataset.seed,
         "degradation": dataset.degradation.spec(),
         "norm_a": dataset.degradation.cached_norm,
-        "files": {
-            "clean.npy": _sha256(os.path.join(out, "clean.npy")),
-            "degraded.npy": _sha256(os.path.join(out, "degraded.npy")),
-        },
+        "files": {name: hashlib.sha256(_read_blob(os.path.join(out, name))).hexdigest()
+                  for name in arrays},
     }
     with open(os.path.join(out, "manifest.json"), "w", encoding="ascii") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
-    if verbose:
+    if args.verbose:
         print(f"wrote {len(dataset)} pairs to {out}")
     return 0
 
@@ -420,10 +413,6 @@ def _build_network(cfg: dict, a_op):
     if not 0 < net["init_stddev"] < math.inf:
         raise ConfigError("network.init_stddev must be positive and finite")
     specs = [parse_l_spec(e) for e in net["L"]]
-    side = getattr(a_op, "side", None)
-    for s in specs:
-        if isinstance(s, BlockSpec) and side is not None and s.q > side:
-            raise ConfigError(f"L window {s.q} exceeds image side {side}")
     try:
         return netmod.init_network(a_op, net["K"], specs, net["mode"],
                                    derive(cfg["seed"], 5), stddev=net["init_stddev"])
@@ -442,15 +431,11 @@ def export_filter_grids(params: netmod.NetworkParams, out_dir: str) -> list[str]
     """
     written = []
     for i, part in enumerate(params.layers[-1].analysis.parts()):
-        bs = getattr(part, "block_spec", None)
-        if bs is not None:
-            q = bs["q"]
-            tiles = part.weight_arrays()[0].reshape(part.out_dim, q, q)
-        else:
-            q = int(round(math.sqrt(part.in_dim)))
-            if q * q != part.in_dim:
-                continue
-            tiles = part.weight_arrays()[0].reshape(part.out_dim, q, q)
+        weights = part.weight_arrays()[0]  # one row of N or Q^2 weights per filter
+        q = math.isqrt(weights.shape[1])
+        if q * q != weights.shape[1]:
+            continue
+        tiles = weights.reshape(part.out_dim, q, q)
         count = tiles.shape[0]
         grid_cols = int(math.ceil(math.sqrt(count)))
         grid_rows = int(math.ceil(count / grid_cols))
@@ -468,7 +453,7 @@ def export_filter_grids(params: netmod.NetworkParams, out_dir: str) -> list[str]
     return written
 
 
-def cmd_train(cfg: dict, config_path: str, verbose: bool) -> int:
+def cmd_train(cfg: dict, args: argparse.Namespace) -> int:
     # only the train and val copies stay alive: no training step reads the rest
     train_set, val_set = _split_dataset(cfg, _load_dataset(cfg))[:2]
     if len(train_set) == 0 or len(val_set) == 0:
@@ -479,14 +464,14 @@ def cmd_train(cfg: dict, config_path: str, verbose: bool) -> int:
         raise ConfigError("learning rate gamma must be positive and finite")
     if not 0 < recipe["lr_decay_factor"] <= 1:
         raise ConfigError("train.lr_decay_factor must be in (0, 1]")
-    out = _prepare_output(cfg, config_path)
+    out = _prepare_output(cfg, args.config)
     result = train(params, train_set.clean, train_set.degraded, val_set.clean,
                    val_set.degraded, train_set.side, seed=derive(cfg["seed"], 6), **recipe)
     netmod.serialize(result.final_params, os.path.join(out, "model_final.json"))
     netmod.serialize(result.best_params, os.path.join(out, "model_best.json"))
     result.history.to_csv(os.path.join(out, "history.csv"))
     export_filter_grids(result.final_params, out)
-    if verbose:
+    if args.verbose:
         last = result.history.records[-1]
         print(f"trained {recipe['max_iter']} iterations in {result.seconds:.1f}s; "
               f"final val PSNR {_fmt(last['val_psnr'])} dB "
@@ -494,9 +479,21 @@ def cmd_train(cfg: dict, config_path: str, verbose: bool) -> int:
     return 0
 
 
-def cmd_eval(cfg: dict, config_path: str, model_path: str, betas: list[float],
-             verbose: bool) -> int:
-    params = netmod.deserialize(model_path)
+def _betas(text: str | None) -> list[float]:
+    """The levels of ``--beta``: comma-separated, nonnegative and finite."""
+    try:
+        betas = [float(b) for b in text.split(",")] if text else []
+    except ValueError as exc:
+        raise ConfigError(f"--beta takes comma-separated numbers: {exc}") from exc
+    for beta in betas:
+        if not 0 <= beta < math.inf:  # NaN fails this test too
+            raise ConfigError(f"--beta levels must be nonnegative and finite, got {beta!r}")
+    return betas
+
+
+def cmd_eval(cfg: dict, args: argparse.Namespace) -> int:
+    betas = _betas(args.beta)
+    params = netmod.deserialize(args.model)
     dataset = _load_dataset(cfg)
     if dataset.degradation.spec() != params.degradation.spec():
         raise ConfigError(
@@ -508,27 +505,26 @@ def cmd_eval(cfg: dict, config_path: str, model_path: str, betas: list[float],
         table = datamod.robustness_eval(params, subset, betas, derive(cfg["seed"], 7))
     except OverflowError as exc:
         raise ConfigError(f"--beta level too large: {exc}") from exc
-    out = _prepare_output(cfg, config_path)
+    out = _prepare_output(cfg, args.config)
     mean_psnr, mean_ssim = table[0]["psnr"], table[0]["ssim"]  # beta = 0: the plain pass
     with open(os.path.join(out, "metrics.csv"), "w", encoding="ascii") as f:
         f.write("image,psnr,ssim\n")
         for i, (p, s) in enumerate(zip(table[0]["psnrs"], table[0]["ssims"])):
-            f.write(f"{i},{'identical' if math.isinf(p) else repr(p)},{repr(s)}\n")
-        f.write(f"mean,{'identical' if math.isinf(mean_psnr) else repr(mean_psnr)},"
-                f"{repr(mean_ssim)}\n")
+            f.write(f"{i},{_fmt(p, '')},{repr(s)}\n")
+        f.write(f"mean,{_fmt(mean_psnr, '')},{repr(mean_ssim)}\n")
     if betas:
         with open(os.path.join(out, "robustness.csv"), "w", encoding="ascii") as f:
             f.write("beta,psnr,ssim,psnr_drop_pct,ssim_drop_pct\n")
             for r in table:
                 f.write(f"{repr(r['beta'])},{repr(r['psnr'])},{repr(r['ssim'])},"
                         f"{repr(r['psnr_drop_pct'])},{repr(r['ssim_drop_pct'])}\n")
-    if verbose:
+    if args.verbose:
         print(f"evaluated {len(subset)} images: mean PSNR {_fmt(mean_psnr)} dB, "
               f"mean SSIM {mean_ssim:.4f}")
     return 0
 
 
-def cmd_solve(cfg: dict, config_path: str, verbose: bool) -> int:
+def cmd_solve(cfg: dict, args: argparse.Namespace) -> int:
     s = _section(cfg, "solve")
     dataset = _load_dataset(cfg)
     subset = _eval_subset(cfg, dataset)
@@ -554,7 +550,7 @@ def cmd_solve(cfg: dict, config_path: str, verbose: bool) -> int:
         raise ConfigError(f"sigma must be positive and finite, got {sigma!r}")
     if not check_stepsizes(tau, sigma, norm_a, l_op.norm()) > 0:  # the solver's own rule
         raise ConfigError("sigma too large: 1/tau - sigma ||L||^2 must exceed ||A||^2 / 2")
-    out = _prepare_output(cfg, config_path)
+    out = _prepare_output(cfg, args.config)
     reports = pdhg_solve(a_op, l_op, subset.degraded, tau, sigma, tol=s["tol"],
                          max_iter=max_iter)
     for i, rep in enumerate(reports):
@@ -565,9 +561,9 @@ def cmd_solve(cfg: dict, config_path: str, verbose: bool) -> int:
         f.write("image,iterations,final_residual,converged,psnr\n")
         for i, (rep, p) in enumerate(zip(reports, psnrs.tolist())):
             f.write(f"{i},{rep.iterations},{repr(rep.final_residual)},{int(rep.converged)},"
-                    f"{'identical' if math.isinf(p) else repr(p)}\n")
+                    f"{_fmt(p, '')}\n")
     n_bad = sum(1 for rep in reports if not rep.converged)
-    if verbose:
+    if args.verbose:
         print(f"solved {len(reports)} images "
               f"({n_bad} not converged within {max_iter} iterations)")
     return 0
@@ -578,7 +574,7 @@ def cmd_solve(cfg: dict, config_path: str, verbose: bool) -> int:
 _GRADCHECK_EPSILON = 1e-4
 
 
-def cmd_gradcheck(cfg: dict, config_path: str, verbose: bool) -> int:
+def cmd_gradcheck(cfg: dict, args: argparse.Namespace) -> int:
     given = cfg["data"]["image_side"] if "data" in cfg else None
     side = 4 if given is None else given
     if side * side > 64:
@@ -600,11 +596,11 @@ def cmd_gradcheck(cfg: dict, config_path: str, verbose: bool) -> int:
     return 0 if ok else 3
 
 
-def cmd_export_filters(model_path: str, out_dir: str, verbose: bool) -> int:
-    params = netmod.deserialize(model_path)
-    os.makedirs(out_dir, exist_ok=True)
-    written = export_filter_grids(params, out_dir)
-    if verbose:
+def cmd_export_filters(cfg: None, args: argparse.Namespace) -> int:
+    params = netmod.deserialize(args.model)
+    os.makedirs(args.output, exist_ok=True)
+    written = export_filter_grids(params, args.output)
+    if args.verbose:
         for path in written:
             print(f"wrote {path}")
     return 0
@@ -614,63 +610,39 @@ def cmd_export_filters(model_path: str, out_dir: str, verbose: bool) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+# Each subcommand's handler(config, or None for export-filters; parsed arguments).
+_COMMANDS = {"degrade": cmd_degrade, "train": cmd_train, "eval": cmd_eval,
+             "solve": cmd_solve, "gradcheck": cmd_gradcheck,
+             "export-filters": cmd_export_filters}
+
 
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="pdnet",
                                 description="unrolled primal-dual network driver")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, needs_config=True, needs_model=False):
+    for name in _COMMANDS:
         sp = sub.add_parser(name)
-        if needs_config:
+        if name != "export-filters":
             sp.add_argument("--config", required=True)
             sp.add_argument("--seed", type=int, default=None)
             sp.add_argument("--output", default=None)
-        if needs_model:
+        if name in ("eval", "export-filters"):
             sp.add_argument("--model", required=True)
+        if name == "export-filters":
+            sp.add_argument("--output", required=True)
         sp.add_argument("-v", "--verbose", action="store_true")
-        return sp
-
-    add("degrade")
-    add("train")
-    ev = add("eval", needs_model=True)
-    ev.add_argument("--beta", default=None,
-                    help="comma-separated extra-noise levels, e.g. 2,5,10,20")
-    add("solve")
-    add("gradcheck")
-    ef = sub.add_parser("export-filters")
-    ef.add_argument("--model", required=True)
-    ef.add_argument("--output", required=True)
-    ef.add_argument("-v", "--verbose", action="store_true")
+        if name == "eval":
+            sp.add_argument("--beta", default=None,
+                            help="comma-separated extra-noise levels, e.g. 2,5,10,20")
     return p
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "export-filters":
-            return cmd_export_filters(args.model, args.output, args.verbose)
-        cfg = load_config(args.config, seed_override=args.seed,
-                          output_override=args.output)
-        if args.command == "degrade":
-            return cmd_degrade(cfg, args.config, args.verbose)
-        if args.command == "train":
-            return cmd_train(cfg, args.config, args.verbose)
-        if args.command == "eval":
-            try:
-                betas = [float(b) for b in args.beta.split(",")] if args.beta else []
-            except ValueError as exc:
-                raise ConfigError(f"--beta takes comma-separated numbers: {exc}") from exc
-            for beta in betas:
-                if not 0 <= beta < math.inf:  # NaN fails this test too
-                    raise ConfigError(f"--beta levels must be nonnegative and finite, "
-                                      f"got {beta!r}")
-            return cmd_eval(cfg, args.config, args.model, betas, args.verbose)
-        if args.command == "solve":
-            return cmd_solve(cfg, args.config, args.verbose)
-        if args.command == "gradcheck":
-            return cmd_gradcheck(cfg, args.config, args.verbose)
-        raise ConfigError(f"unknown command {args.command!r}")
+        cfg = None if args.command == "export-filters" else load_config(
+            args.config, seed_override=args.seed, output_override=args.output)
+        return _COMMANDS[args.command](cfg, args)
     except (ConfigError, ModelFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

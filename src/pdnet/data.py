@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import _PIECE_ROWS, NetworkParams, forward
+from .network import NetworkParams, forward, row_pieces
 from .operators import LinearOperator
 from .rng import Stream, derive
 
@@ -21,9 +21,6 @@ _TAG_NOISE = 0x4015E
 _TAG_PATCH = 0x9A7C8
 _TAG_SYNTH = 0x57207
 _TAG_EXTRA = 0xBE7A0
-# Rows per chunk of the per-sample noise draws: their temporaries stay
-# under about 2 MB at 28 x 28.
-_CHUNK_ROWS = 64
 
 
 class IdxParseError(ValueError):
@@ -205,17 +202,16 @@ def degrade_set(clean: np.ndarray, side: int, a_op: LinearOperator, alpha: float
     """Degrade a stack of images, one derived noise stream per sample.
 
     Row s is ``degrade(clean[s], a_op, alpha, derive(seed, s))`` bit for
-    bit, formed ``_CHUNK_ROWS`` rows at a time.
+    bit, formed in the pieces of :func:`network.row_pieces`.
     """
     if alpha < 0:
         raise ValueError("noise level alpha must be nonnegative")
     clean = np.atleast_2d(np.asarray(clean, dtype=np.float64))
     degraded = np.empty((clean.shape[0], a_op.out_dim))
-    for lo in range(0, len(clean), _CHUNK_ROWS):
-        part = slice(lo, lo + _CHUNK_ROWS)
+    for part in row_pieces(len(clean)):
         z = a_op.apply(clean[part])
         if alpha:
-            rows = np.arange(lo, lo + len(z))
+            rows = np.arange(part.start, part.stop)
             z = _add_noise(z, alpha, Stream(derive(seed, rows, _TAG_NOISE)).normal(z.shape[1]))
         degraded[part] = z
     return Dataset(side=side, clean=clean, degraded=degraded,
@@ -253,7 +249,7 @@ _PEAK = 255.0
 
 def _scores(score_rows, x_hat: np.ndarray, x_ref: np.ndarray, name: str):
     """``score_rows`` over a 1-D pair (a float) or a ``(B, N)`` stack (``B``
-    scores), taken in the 50-99-row pieces of :func:`network.forward`."""
+    scores), taken in the pieces of :func:`network.row_pieces`."""
     a = np.asarray(x_hat, dtype=np.float64)
     b = np.asarray(x_ref, dtype=np.float64)
     if a.shape != b.shape:
@@ -261,9 +257,8 @@ def _scores(score_rows, x_hat: np.ndarray, x_ref: np.ndarray, name: str):
     if a.ndim not in (1, 2):
         raise ValueError(f"{name} takes one image or a (B, N) stack, got shape {a.shape}")
     stack_a, stack_b = np.atleast_2d(a, b)
-    cuts = max(1, len(stack_a) // _PIECE_ROWS)
-    scores = np.concatenate([score_rows(pa, pb) for pa, pb in
-                             zip(np.array_split(stack_a, cuts), np.array_split(stack_b, cuts))])
+    scores = np.concatenate([score_rows(stack_a[rows], stack_b[rows])
+                             for rows in row_pieces(len(stack_a))])
     return float(scores[0]) if a.ndim == 1 else scores
 
 
@@ -362,9 +357,9 @@ def robustness_eval(params: NetworkParams, dataset: Dataset, beta_list: list[flo
     betas = [float(b) for b in beta_list if b != 0]
     if betas:
         eta = np.empty_like(dataset.degraded)
-        for lo in range(0, len(eta), _CHUNK_ROWS):
-            rows = np.arange(lo, min(lo + _CHUNK_ROWS, len(eta)))
-            eta[rows] = Stream(derive(seed, _TAG_EXTRA, rows)).normal(eta.shape[1])
+        for part in row_pieces(len(eta)):
+            rows = np.arange(part.start, part.stop)
+            eta[part] = Stream(derive(seed, _TAG_EXTRA, rows)).normal(eta.shape[1])
     rows = []
     for beta in [0.0] + betas:
         out, _ = forward(params, _add_noise(dataset.degraded, beta, eta) if beta

@@ -38,8 +38,6 @@ from .rng import derive
 MODEL_VERSION = "2"
 MODEL_PENALTY = "l1"  # g; the clip to [-1, 1] of each layer is its conjugate's prox
 _SEPARATORS = (",", ":")
-# Untraced forward passes run in pieces of this many rows (up to twice it).
-_PIECE_ROWS = 50
 
 
 class ModelFormatError(ValueError):
@@ -113,15 +111,14 @@ class LayerTrace:
     """Cached forward quantities needed by backpropagation.
 
     xs[k] / ys[k] are the primal/dual inputs of layer k+1 (ys[0] is zero);
-    xs[depth] is the network output.  c_duals[k] is the dual pre-activation
-    of layer k+1 (absent for the last layer), vs[k] is
+    xs[depth] is the network output.  |ys[k+1]| < 1 marks where the clip of
+    layer k+1 was inactive, as backpropagation needs.  vs[k] is
     V = w - A*A xs[k] - L_{k+1}* ys[k] as the forward pass formed it, with
     w = A* z the backprojected input.
     """
 
     xs: list = field(repr=False)
     ys: list = field(repr=False)
-    c_duals: list = field(repr=False)
     vs: list = field(repr=False)
 
 
@@ -173,9 +170,9 @@ def forward(params: NetworkParams, z: np.ndarray, keep_trace: bool = False):
     ``z`` is (M,) or (B, M); the restored image(s) come back with matching
     shape.  With ``keep_trace`` the per-layer activations are returned too;
     without it the pass keeps no per-layer arrays, the trace is None, and a
-    batch runs in pieces of 50-99 rows: a batch below 100 rows is one piece,
-    and the temporaries of a larger one stay small enough to be reused
-    instead of being mapped and page-faulted afresh on every product.
+    batch runs in the pieces of :func:`row_pieces`: the temporaries of a
+    large batch then stay small enough to be reused instead of being mapped
+    and page-faulted afresh on every product.
     The dual starts at zero, so the first layer forms no L* y: a pass takes
     2K - 2 analysis products per piece, and every layer of every piece
     reuses one (B, N) scratch buffer.
@@ -185,11 +182,20 @@ def forward(params: NetworkParams, z: np.ndarray, keep_trace: bool = False):
     zb = z[None, :] if single else z
     if zb.shape[-1] != params.degradation.out_dim:
         raise ValueError(f"measurement length {zb.shape[-1]} != {params.degradation.out_dim}")
-    pieces = [zb] if keep_trace else np.array_split(zb, max(1, len(zb) // _PIECE_ROWS))
+    pieces = [zb] if keep_trace else [zb[rows] for rows in row_pieces(len(zb))]
     work = np.empty((max(len(p) for p in pieces), params.image_dim))
     runs = [_unroll(params, piece, keep_trace, work[:len(piece)]) for piece in pieces]
     out = runs[0][0] if len(runs) == 1 else np.concatenate([o for o, _ in runs])
     return (out[0] if single else out), runs[0][1]
+
+
+def row_pieces(n: int) -> list[slice]:
+    """``np.array_split``'s slices of ``n`` rows into 50-99-row pieces (one below
+    100 rows), in which forward passes, scores and noise draws take a batch."""
+    count = max(1, n // 50)
+    size, extra = divmod(n, count)  # the first ``extra`` pieces take one row more
+    return [slice(i * size + min(i, extra), (i + 1) * size + min(i + 1, extra))
+            for i in range(count)]
 
 
 def _unroll(params: NetworkParams, zb: np.ndarray, keep_trace: bool,
@@ -201,16 +207,15 @@ def _unroll(params: NetworkParams, zb: np.ndarray, keep_trace: bool,
     x = w
     y = None
     trace = LayerTrace(xs=[x], ys=[np.zeros((zb.shape[0], params.feature_dim))],
-                       c_duals=[], vs=[]) if keep_trace else None
+                       vs=[]) if keep_trace else None
     for lp in params.layers[:-1]:
-        x, y, c_dual, v = pdhg.pd_step(a_op, lp.analysis, lp.tau, lp.sigma, w, x, y, work)
+        x, y, v = pdhg.pd_step(a_op, lp.analysis, lp.tau, lp.sigma, w, x, y, work)
         if trace is not None:
             trace.xs.append(x)
             trace.ys.append(y)
-            trace.c_duals.append(c_dual)
             trace.vs.append(v)
     last = params.layers[-1]
-    out, v = pdhg.pd_primal(a_op, last.analysis, last.tau, w, x, y, a_op.gram(x), work)
+    out, v = pdhg.pd_primal(a_op, last.analysis, last.tau, w, x, y, work)
     if trace is not None:
         trace.xs.append(out)
         trace.vs.append(v)
@@ -333,9 +338,9 @@ def _part_from_record(rec: dict, n: int) -> AnalysisOperator:
         filters = _int(rec["filters_per_site"], "block filters_per_site")
         _require(side * side == n, f"block part side {side} inconsistent with N={n}")
         sites = rec["sites"]
-        _require(isinstance(sites, list) and all(
+        _require(isinstance(sites, list) and sites and all(
             isinstance(s, list) and len(s) == 2 for s in sites),
-            "block sites must be a list of [row, col] pairs")
+            "block sites must be a nonempty list of [row, col] pairs")
         sites = [tuple(_int(v, "site coordinate") for v in s) for s in sites]
         stride = _int(rec["stride"], "block stride")
         _require(stride >= 1, f"block stride must be >= 1, got {stride}")

@@ -565,13 +565,12 @@ def block_sparse_analysis(q: int, stride: int, filters_per_site: int, image_side
         raise ValueError("filters_per_site must be >= 1")
     n = image_side * image_side
     window = (np.arange(q)[:, None] * image_side + np.arange(q)[None, :]).ravel()
-    rows = []
-    for (r, c) in sites:
-        if r < 0 or c < 0 or r + q > image_side or c + q > image_side:
-            raise ValueError(f"site ({r}, {c}) puts a {q}x{q} window out of bounds")
-        base = r * image_side + c
-        rows.extend([base + window] * s)
-    cols = np.asarray(rows, dtype=np.int64)
+    corners = np.asarray(sites, dtype=np.int64).reshape(-1, 2)
+    outside = ((corners < 0) | (corners + q > image_side)).any(axis=1)
+    if outside.any():
+        r, c = sites[int(np.argmax(outside))]
+        raise ValueError(f"site ({r}, {c}) puts a {q}x{q} window out of bounds")
+    cols = np.repeat((corners[:, 0] * image_side + corners[:, 1])[:, None] + window, s, axis=0)
     spec = {
         "q": q,
         "stride": stride,
@@ -604,20 +603,13 @@ def make_first_difference(image_side: int, scale: float = 1.0) -> MaskedRowAnaly
     """Periodic horizontal+vertical first differences, scaled by ``scale``."""
     side = int(image_side)
     n = side * side
-    cols = np.empty((2 * n, 2), dtype=np.int64)
-    vals = np.empty((2 * n, 2))
-    row = 0
-    for i in range(side):
-        for j in range(side):
-            here = i * side + j
-            right = i * side + (j + 1) % side
-            down = ((i + 1) % side) * side + j
-            for other in (right, down):
-                pair = sorted([(here, -scale), (other, scale)])
-                cols[row] = [pair[0][0], pair[1][0]]
-                vals[row] = [pair[0][1], pair[1][1]]
-                row += 1
-    return MaskedRowAnalysis(cols, vals, n)
+    i, j = np.divmod(np.arange(n), side)
+    # rows 2p, 2p + 1: pixel p (-scale), its right/lower neighbour (+scale), columns sorted
+    here = np.repeat(np.arange(n), 2)
+    other = np.stack([i * side + (j + 1) % side, (i + 1) % side * side + j], axis=1).ravel()
+    first = np.where(here < other, -scale, scale)
+    return MaskedRowAnalysis(np.sort(np.stack([here, other], axis=1), axis=1),
+                             np.stack([first, -first], axis=1), n)
 
 
 def fuse_analysis(parts: list[AnalysisOperator]) -> AnalysisOperator:

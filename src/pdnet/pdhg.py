@@ -73,14 +73,15 @@ def prox_conj_l1(v: np.ndarray) -> np.ndarray:
 
 def pd_primal(a_op: LinearOperator, l_op: AnalysisOperator, tau: float,
               w: np.ndarray, x: np.ndarray, y: np.ndarray | None,
-              gram_x: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x - tau (A*A x - A*z) - tau L* y, with A*A x precomputed in ``gram_x``.
+              work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x - tau (A*A x - A*z) - tau L* y.
 
-    Returns (x_new, V) with V = w - A*A x - L* y, formed in ``gram_x``'s
-    buffer.  ``work`` is scratch of x's shape.  ``y`` None is the zero dual
-    of the first iteration: L* y is then not formed.
+    Returns (x_new, V) with V = w - A*A x - L* y, formed in the buffer of the
+    new array ``a_op.gram(x)``.  ``work`` is scratch of x's shape.  ``y``
+    None is the zero dual of the first iteration: L* y is then not formed.
     """
-    v = np.subtract(w, gram_x, out=gram_x)
+    v = a_op.gram(x)
+    np.subtract(w, v, out=v)
     x_new = np.multiply(v, tau)  # x + tau (w - A*A x) rounds as x - tau (A*A x - w)
     x_new += x
     if y is not None:
@@ -94,19 +95,19 @@ def pd_step(a_op: LinearOperator, l_op: AnalysisOperator, tau: float, sigma: flo
             w: np.ndarray, x: np.ndarray, y: np.ndarray | None, work: np.ndarray):
     """One full primal-dual iteration.
 
-    Returns (x_new, y_new, c_dual, V) where c_dual is the dual pre-activation
-    (before the clip) and V = w - A*A x - L* y.  ``y`` None is the zero
-    dual: the step then takes one L product, not two.  ``work`` is scratch
-    of x's shape; a caller reuses it across iterations.
+    Returns (x_new, y_new, V): y_new = clip(y + sigma L (2 x_new - x)), inside
+    (-1, 1) where the clip is inactive, and V = w - A*A x - L* y.  ``y`` None
+    is the zero dual: the step then takes one L product, not two.  ``work``
+    is scratch of x's shape; a caller reuses it across iterations.
     """
-    x_new, v = pd_primal(a_op, l_op, tau, w, x, y, a_op.gram(x), work)
+    x_new, v = pd_primal(a_op, l_op, tau, w, x, y, work)
     np.multiply(x_new, 2.0, out=work)
     work -= x
-    c_dual = l_op.apply(work)
-    c_dual *= sigma
+    c = l_op.apply(work)
+    c *= sigma
     if y is not None:
-        c_dual += y
-    return x_new, prox_conj_l1(c_dual), c_dual, v
+        c += y
+    return x_new, prox_conj_l1(c), v
 
 
 def objective(a_op: LinearOperator, l_op: AnalysisOperator, z: np.ndarray,

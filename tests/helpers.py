@@ -1,6 +1,8 @@
 """Helpers that only the tests use: an l1 prox oracle, stroke images, dense
 views of analysis operators and of their weight gradients, zero weight
-gradients, and a loss moving average.  The library itself never calls them.
+gradients, a loss moving average, and loop-built reference index tables for
+the first-difference and block-sparse constructors.  The library itself never
+calls them.
 """
 
 import numpy as np
@@ -48,6 +50,37 @@ def dense_d_l(grads, params, k: int) -> np.ndarray:
         dense[mask == 1.0] = grad.ravel()
         out.append(dense)
     return np.vstack(out)
+
+
+def first_difference_tables(side: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (cols, vals) of periodic first differences, built pixel by pixel:
+    rows 2p and 2p + 1 pair pixel p (-scale) with its right and its lower
+    neighbour (+scale), each row's columns in increasing order."""
+    n = side * side
+    cols = np.empty((2 * n, 2), dtype=np.int64)
+    vals = np.empty((2 * n, 2))
+    row = 0
+    for i in range(side):
+        for j in range(side):
+            here = i * side + j
+            right = i * side + (j + 1) % side
+            down = ((i + 1) % side) * side + j
+            for other in (right, down):
+                pair = sorted([(here, -scale), (other, scale)])
+                cols[row] = [pair[0][0], pair[1][0]]
+                vals[row] = [pair[0][1], pair[1][1]]
+                row += 1
+    return cols, vals
+
+
+def block_columns(q: int, filters_per_site: int, image_side: int, sites) -> np.ndarray:
+    """The column table of a block-sparse part, built site by site: each
+    site's Q x Q window of pixel indices, repeated once per filter."""
+    window = (np.arange(q)[:, None] * image_side + np.arange(q)[None, :]).ravel()
+    rows = []
+    for (r, c) in sites:
+        rows.extend([r * image_side + c + window] * filters_per_site)
+    return np.asarray(rows, dtype=np.int64)
 
 
 def moving_average(losses: np.ndarray, at_iter: int, window: int = 100) -> float:

@@ -98,7 +98,7 @@ def test_gradient_oracle_20_instances():
 def test_sigma_gradient_nonzero_when_duals_active():
     params, clean, degraded = small_instance(12, depth=3)
     out, trace = net.forward(params, degraded, keep_trace=True)
-    inside = [float(np.mean(np.abs(c) < 1)) for c in trace.c_duals]
+    inside = [float(np.mean(np.abs(y) < 1)) for y in trace.ys[1:]]
     assert any(f > 0.05 for f in inside), "fixture lost its active duals"
     grads = bp.backward(params, clean, trace)
     assert np.abs(grads.d_sigma[:-1]).max() > 0
@@ -190,7 +190,7 @@ def test_second_pass_leaves_first_trace_and_gradients_intact(block):
     _, clean2, degraded2 = small_instance(17, depth=3, block=block, batch=3)
     _, trace = net.forward(params, degraded, keep_trace=True)
     grads = bp.backward(params, clean, trace)
-    kept = [trace.xs, trace.ys, trace.c_duals, trace.vs,
+    kept = [trace.xs, trace.ys, trace.vs,
             [grads.d_tau, grads.d_sigma], *grads.d_weights]
     arrays = [a for group in kept for a in group]
     before = [a.copy() for a in arrays]

@@ -1,3 +1,4 @@
+import argparse
 import base64
 import hashlib
 import inspect
@@ -61,6 +62,39 @@ def test_oversized_window_rejected(tmp_path):
     path, _ = write_config(tmp_path, network={"K": 2, "mode": "full",
                                               "L": ["f9s9n2"]})
     assert cli.main(["train", "--config", path]) == 1
+
+
+@pytest.mark.parametrize("degradation", [
+    {"kind": "uniform-blur", "size": 3, "alpha": 10.0},
+    {"kind": "identity", "alpha": 10.0}], ids=["blur", "identity"])
+def test_window_wider_than_the_image_exits_1_with_one_line(tmp_path, capsys, degradation):
+    path, _ = write_config(tmp_path, degradation=degradation,
+                           network={"K": 2, "mode": "full", "L": ["dense:4", "f9s9n2"]})
+    assert cli.main(["train", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: window size 9 exceeds image side 8\n"
+
+
+_HELP = {"-h": False, "--help": False, "-v": False, "--verbose": False}
+_CONFIG_OPTIONS = {**_HELP, "--config": True, "--seed": False, "--output": False}
+
+
+def test_subcommand_options_are_pinned():
+    # the parser is built from one table: each subcommand keeps exactly these
+    # option strings, with these required
+    parser = cli._parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: {opt: action.required for action in sp._actions
+                      for opt in action.option_strings}
+               for name, sp in sub.choices.items()}
+    assert options == {
+        "degrade": _CONFIG_OPTIONS, "train": _CONFIG_OPTIONS, "solve": _CONFIG_OPTIONS,
+        "gradcheck": _CONFIG_OPTIONS,
+        "eval": {**_CONFIG_OPTIONS, "--model": True, "--beta": False},
+        "export-filters": {**_HELP, "--model": True, "--output": True},
+    }
+    args = parser.parse_args(["train", "--config", "c.json", "--seed", "7"])
+    assert (args.command, args.seed, args.output, args.verbose) == ("train", 7, None, False)
 
 
 def test_bad_l_spec_rejected(tmp_path):

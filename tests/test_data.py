@@ -188,11 +188,11 @@ _DEGRADE_OPS = {"blur": lambda: ops.UniformBlur(3, 8), "decimation": lambda: ops
 @pytest.mark.parametrize("alpha", [20.0, 0.0])
 @pytest.mark.parametrize("kind", list(_DEGRADE_OPS))
 def test_degrade_set_rows_equal_degrade_bitwise(kind, alpha):
-    # 150 rows: two full chunks of dm._CHUNK_ROWS and a partial one
+    # 150 rows: three of network.row_pieces' 50-row pieces
     a = _DEGRADE_OPS[kind]()
     clean = (Stream(derive(0xDE6, 1)).uniform(150 * 64) * 255).reshape(150, 64)
     ds = dm.degrade_set(clean, 8, a, alpha, seed=derive(0xDE6, 2))
-    assert len(ds) % dm._CHUNK_ROWS
+    assert len(net.row_pieces(len(ds))) == 3
     want = np.stack([dm.degrade(clean[s], a, alpha, derive(derive(0xDE6, 2), s))
                      for s in range(len(clean))])
     assert ds.degraded.tobytes() == want.tobytes()

@@ -115,10 +115,12 @@ def test_trace_consistency():
     out, trace = net.forward(params, zb, keep_trace=True)
     assert np.array_equal(trace.xs[-1], out)
     for k in range(params.depth - 1):
-        assert np.array_equal(trace.ys[k + 1], prox_conj_l1(trace.c_duals[k]))
+        lp = params.layers[k]
+        c = lp.sigma * lp.analysis.apply(2.0 * trace.xs[k + 1] - trace.xs[k]) + trace.ys[k]
+        assert np.array_equal(trace.ys[k + 1], prox_conj_l1(c))
     # pre-activation primal equals stored next primal by construction;
     # dual activations replay exactly through the clip
-    assert len(trace.c_duals) == params.depth - 1
+    assert len(trace.ys) == params.depth
     assert len(trace.vs) == params.depth
 
 
@@ -187,6 +189,13 @@ def test_forward_cost_linear_in_nnz_and_depth():
     assert c2 == 2 * c1
     c3, _ = macs(6, 2)
     assert c3 == (2 * 6 - 2) * nnz1
+
+
+@pytest.mark.parametrize("n", [1, 49, 99, 100, 150, 180, 600])
+def test_row_pieces_are_array_split_cuts(n):
+    cuts = np.array_split(np.arange(n), max(1, n // 50))
+    assert [(s.start, s.stop) for s in net.row_pieces(n)] == \
+        [(int(c[0]), int(c[-1]) + 1) for c in cuts]
 
 
 _PIECE_BATCHES = [60, 99, 100, 180]

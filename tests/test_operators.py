@@ -9,7 +9,7 @@ import pytest
 from pdnet import operators as ops
 from pdnet.rng import Stream, derive
 
-from helpers import grad_zeros, mask_dense, to_dense
+from helpers import block_columns, first_difference_tables, grad_zeros, mask_dense, to_dense
 
 
 def rand(n, tag=0, scale=1.0):
@@ -354,6 +354,36 @@ def test_explicit_site_injection():
                                    Stream(2).normal(len(sites) * 4 * 9, std=ops.INIT_STDDEV))
     assert op.out_dim == 8
     assert op.block_spec["sites"] == [(0, 0), (2, 3)]
+
+
+def _bitwise_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1.5, -0.7, 0.0])
+@pytest.mark.parametrize("side", [2, 3, 4, 5, 6, 7, 8, 9, 27, 28])
+def test_first_difference_tables_match_the_pixel_loop(side, scale):
+    # bytewise, so the signbit of a zero scale's weights counts too
+    op = ops.make_first_difference(side, scale=scale)
+    cols, vals = first_difference_tables(side, scale)
+    assert _bitwise_equal(op._cols, cols)
+    assert _bitwise_equal(op._vals, vals)
+
+
+@pytest.mark.parametrize("q,stride,filters,side,rule", [
+    (5, 2, 10, 28, "fit"), (9, 4, 10, 28, "interior"), (3, 2, 2, 8, "fit"),
+    (28, 28, 10, 28, "fit")])
+def test_block_columns_match_the_site_loop(q, stride, filters, side, rule):
+    op = ops.make_block_sparse_analysis(q, stride, filters, side, seed=3, site_rule=rule)
+    want = block_columns(q, filters, side, ops.block_sites(side, q, stride, rule))
+    assert _bitwise_equal(op._cols, want)
+
+
+@pytest.mark.parametrize("bad", [(4, 0), (0, -1), (-2, 3)])
+def test_out_of_bounds_site_is_named(bad):
+    sites = [(0, 0), bad, (5, 5)]
+    with pytest.raises(ValueError, match=rf"site \({bad[0]}, {bad[1]}\) puts a 3x3 window"):
+        ops.block_sparse_analysis(3, 1, 2, 6, sites, np.ones(len(sites) * 2 * 9))
 
 
 # ---------------------------------------------------------------------------
