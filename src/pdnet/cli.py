@@ -55,10 +55,10 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 # The one config model.  Each leaf is (type or set of allowed values,
-# default), or (int, default, least value); a ``float`` leaf takes any JSON
-# number.  A default of None means "not given": the command that needs the
-# key says so when it is missing.  ``null`` in a config also reads as "not
-# given".
+# default), (int, default, least value) or (float, default, range word of
+# ``_RANGES``); a ``float`` leaf takes any JSON number.  A default of None
+# means "not given": the command that needs the key says so when it is
+# missing.  ``null`` in a config also reads as "not given".
 _SCHEMA = {
     "task": ({"deblur", "sr"}, None),
     "seed": (int, None),
@@ -67,7 +67,7 @@ _SCHEMA = {
         "kind": ({"uniform-blur", "decimation", "identity"}, None),
         "size": (int, None),
         "factor": (int, None),
-        "alpha": (float, 0.0),
+        "alpha": (float, 0.0, "nonnegative and finite"),
     },
     "data": {
         "source": ({"synthetic", "idx", "pgm-dir", "degraded-dir"}, None),
@@ -88,24 +88,24 @@ _SCHEMA = {
         "K": (int, None),
         "mode": ({"full", "partial"}, "full"),
         "L": (list, None),
-        "init_stddev": (float, INIT_STDDEV),
+        "init_stddev": (float, INIT_STDDEV, "positive and finite"),
     },
     # the keyword arguments of training.train, less its seed
     "train": {
-        "gamma": (float, 1e-9),
+        "gamma": (float, 1e-9, "positive and finite"),
         "batch_size": (int, 50, 1),
         "max_iter": (int, 1000, 1),
         "val_cadence": (int, 100, 1),
         "lr_decay_every": (int, None, 1),
-        "lr_decay_factor": (float, 0.5),
+        "lr_decay_factor": (float, 0.5, "in (0, 1]"),
     },
     "solve": {
         "prior": ({"identity", "first-diff"}, "first-diff"),
-        "lambda": (float, 1.0),
-        "tau": (float, 1.0),
+        "lambda": (float, 1.0, "positive and finite"),
+        "tau": (float, 1.0, "positive"),
         # None: 0.9 times the largest sigma the step-size condition allows
-        "sigma": (float, None),
-        "tol": (float, 1e-5),
+        "sigma": (float, None, "positive and finite"),
+        "tol": (float, 1e-5, "positive"),
         "max_iter": (int, 10_000, 1),
     },
 }
@@ -116,7 +116,14 @@ _L_ENTRY = {"spec": (str, None), "site_rule": ({"fit", "interior"}, "fit")}
 _REQUIRED = {"seed", "output_dir"}
 
 
-def _check_value(name: str, value, kind, least=None):
+# The range words of float leaves; NaN is in none of them.
+_RANGES = {"positive": lambda v: v > 0,
+           "positive and finite": lambda v: 0 < v < math.inf,
+           "nonnegative and finite": lambda v: 0 <= v < math.inf,
+           "in (0, 1]": lambda v: 0 < v <= 1}
+
+
+def _check_value(name: str, value, kind, bound=None):
     """``value`` checked against a leaf's type or allowed values and range."""
     if isinstance(kind, set):
         if not isinstance(value, str) or value not in kind:
@@ -125,9 +132,12 @@ def _check_value(name: str, value, kind, least=None):
     numeric = (int, float) if kind is float else kind
     if isinstance(value, bool) or not isinstance(value, numeric):
         raise ConfigError(f"{name}: expected {kind.__name__}, got {type(value).__name__}")
-    if least is not None and value < least:
-        raise ConfigError(f"{name}: must be >= {least}, got {value}")
-    return float(value) if kind is float else value
+    value = float(value) if kind is float else value
+    if isinstance(bound, str) and not _RANGES[bound](value):
+        raise ConfigError(f"{name} must be {bound}, got {value!r}")
+    if isinstance(bound, int) and value < bound:
+        raise ConfigError(f"{name}: must be >= {bound}, got {value}")
+    return value
 
 
 def _fill_section(name: str, value, schema: dict) -> dict:
@@ -138,8 +148,8 @@ def _fill_section(name: str, value, schema: dict) -> dict:
         if key not in schema:
             raise ConfigError(f"{name}.{key}: unknown key")
     return {key: default if value.get(key) is None
-            else _check_value(f"{name}.{key}", value[key], kind, *least)
-            for key, (kind, default, *least) in schema.items()}
+            else _check_value(f"{name}.{key}", value[key], kind, *bound)
+            for key, (kind, default, *bound) in schema.items()}
 
 
 def load_config(path: str, seed_override=None, output_override=None) -> dict:
@@ -208,8 +218,6 @@ def parse_l_spec(entry) -> DenseSpec | BlockSpec:
 def _build_degradation(cfg: dict, side: int):
     d = _section(cfg, "degradation")
     kind, alpha = d["kind"], d["alpha"]
-    if not 0 <= alpha < math.inf:  # NaN fails this test too
-        raise ConfigError(f"alpha must be nonnegative and finite, got {alpha!r}")
     key = {"uniform-blur": "size", "decimation": "factor"}.get(kind)
     if key is None:  # identity, or no kind given
         spec = {"kind": kind, "image_side": side * side}
@@ -410,8 +418,6 @@ def _build_network(cfg: dict, a_op):
     net = _section(cfg, "network")
     if net["K"] is None or not net["L"]:
         raise ConfigError("network section needs 'K' and a nonempty 'L' list")
-    if not 0 < net["init_stddev"] < math.inf:
-        raise ConfigError("network.init_stddev must be positive and finite")
     specs = [parse_l_spec(e) for e in net["L"]]
     try:
         return netmod.init_network(a_op, net["K"], specs, net["mode"],
@@ -460,10 +466,6 @@ def cmd_train(cfg: dict, args: argparse.Namespace) -> int:
         raise ConfigError("train and val splits must both be nonempty")
     params = _build_network(cfg, train_set.degradation)
     recipe = _section(cfg, "train")
-    if not 0 < recipe["gamma"] < math.inf:  # NaN fails this test too
-        raise ConfigError("learning rate gamma must be positive and finite")
-    if not 0 < recipe["lr_decay_factor"] <= 1:
-        raise ConfigError("train.lr_decay_factor must be in (0, 1]")
     out = _prepare_output(cfg, args.config)
     result = train(params, train_set.clean, train_set.degraded, val_set.clean,
                    val_set.degraded, train_set.side, seed=derive(cfg["seed"], 6), **recipe)
@@ -530,25 +532,25 @@ def cmd_solve(cfg: dict, args: argparse.Namespace) -> int:
     subset = _eval_subset(cfg, dataset)
     a_op = dataset.degradation
     lam, tau, max_iter = s["lambda"], s["tau"], s["max_iter"]
-    if not 0 < lam < math.inf:  # NaN fails this test too
-        raise ConfigError(f"lambda must be positive and finite, got {lam!r}")
-    if not s["tol"] > 0:
-        raise ConfigError("tol must be positive")
     if s["prior"] == "identity":
         l_op = make_scaled_identity_analysis(a_op.in_dim, lam)
     else:
         l_op = make_first_difference(dataset.side, scale=lam)
-    if not tau > 0:  # NaN fails this test too
-        raise ConfigError("tau must be positive")
     norm_a = a_op.cached_norm
     if 1.0 / tau <= norm_a**2 / 2.0:
         raise ConfigError("tau too large: 1/tau must exceed ||A||^2 / 2")
+    try:
+        norm_l = l_op.norm()
+        if not norm_l**2 > 0:
+            raise ConfigError(f"solve.lambda {lam!r} is too small: ||L||^2 underflows to 0")
+    except (NonFiniteNormError, OverflowError) as exc:
+        raise ConfigError(f"solve.lambda {lam!r} is too large: ||L||^2 overflows") from exc
     sigma = s["sigma"]
     if sigma is None:
-        sigma = 0.9 * (1.0 / tau - norm_a**2 / 2.0) / l_op.norm() ** 2
+        sigma = 0.9 * (1.0 / tau - norm_a**2 / 2.0) / norm_l**2
     if not 0 < sigma < math.inf:
         raise ConfigError(f"sigma must be positive and finite, got {sigma!r}")
-    if not check_stepsizes(tau, sigma, norm_a, l_op.norm()) > 0:  # the solver's own rule
+    if not check_stepsizes(tau, sigma, norm_a, norm_l) > 0:
         raise ConfigError("sigma too large: 1/tau - sigma ||L||^2 must exceed ||A||^2 / 2")
     out = _prepare_output(cfg, args.config)
     reports = pdhg_solve(a_op, l_op, subset.degraded, tau, sigma, tol=s["tol"],

@@ -27,6 +27,7 @@ from .operators import (
     AnalysisOperator,
     DenseAnalysis,
     LinearOperator,
+    NonFiniteNormError,
     block_sparse_analysis,
     degradation_from_spec,
     fuse_analysis,
@@ -160,6 +161,8 @@ def init_network(degradation: LinearOperator, depth: int, l_specs: list,
             raise ValueError(
                 "||L|| is zero at initialization; use a nonzero weight stddev"
             )
+        if not np.isfinite(norm_l):
+            raise NonFiniteNormError(f"||L|| bound is not finite ({norm_l!r})")
         layers.append(LayerParams(tau, saturating_sigma(tau, norm_a, norm_l), analysis))
     return NetworkParams(degradation, layers, mode=mode)
 
@@ -223,10 +226,10 @@ def _unroll(params: NetworkParams, zb: np.ndarray, keep_trace: bool,
 
 
 def distance_report(params: NetworkParams) -> np.ndarray:
-    """Per-layer squared-hinge distance to the step-size condition."""
+    """Per-layer squared hinge of the step-size margin (0 where it holds)."""
     norm_a = params.degradation.cached_norm
     return np.array([
-        pdhg.constraint_distance(lp.tau, lp.sigma, norm_a, lp.analysis.norm())
+        max(0.0, -pdhg.check_stepsizes(lp.tau, lp.sigma, norm_a, lp.analysis.norm())) ** 2
         for lp in params.layers
     ])
 

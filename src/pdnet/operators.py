@@ -342,9 +342,9 @@ class DenseAnalysis(AnalysisOperator):
         m, n = sorted(w.shape)
         with np.errstate(over="ignore", invalid="ignore"):
             gram = w @ w.T if w.shape[0] <= w.shape[1] else w.T @ w
+            slack = _gamma(n) * np.vdot(w, w) + _gamma(m) * np.linalg.norm(gram)
         if not np.isfinite(gram).all():
             raise NonFiniteNormError("spectral norm bound is not finite (Gram overflow or NaN)")
-        slack = _gamma(n) * np.vdot(w, w) + _gamma(m) * np.linalg.norm(gram)
         return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0) + slack)
 
 
@@ -630,6 +630,7 @@ def _gamma(n: int) -> float:
     return n * u / (1.0 - n * u)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite step raises below
 def _lanczos_bound(op: LinearOperator, start: np.ndarray) -> tuple[float, np.ndarray]:
     """Upper bound on ``||op||`` by Lanczos on ``op* op``: (bound, Ritz vector).
 

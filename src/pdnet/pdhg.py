@@ -16,7 +16,6 @@ reproduces K solver iterations bit for bit.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +35,6 @@ class SolveReport:
 def check_stepsizes(tau: float, sigma: float, norm_a: float, norm_l: float) -> float:
     """Margin 1/tau - sigma ||L||^2 - ||A||^2 / 2; positive iff convergent."""
     return 1.0 / tau - sigma * norm_l**2 - norm_a**2 / 2.0
-
-
-def constraint_distance(tau: float, sigma: float, norm_a: float, norm_l: float) -> float:
-    """Squared hinge of the step-size condition violation (0 when satisfied)."""
-    return max(0.0, -check_stepsizes(tau, sigma, norm_a, norm_l)) ** 2
 
 
 def saturating_sigma(tau: float, norm_a: float, norm_l: float) -> float:
@@ -128,8 +122,8 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
 
 
 def pdhg_solve(a_op: LinearOperator, l_op: AnalysisOperator, z: np.ndarray,
-               tau: float, sigma: float, tol: float, max_iter: int,
-               warn_only: bool = False) -> SolveReport | list[SolveReport]:
+               tau: float, sigma: float, tol: float,
+               max_iter: int) -> SolveReport | list[SolveReport]:
     """Iterate to convergence from (A* z, 0), for one measurement or a batch.
 
     ``z`` is (M,), which returns one report, or (B, M), which returns a list
@@ -143,8 +137,8 @@ def pdhg_solve(a_op: LinearOperator, l_op: AnalysisOperator, z: np.ndarray,
     rounds a dense product's rows differently with the batch's row count;
     there each row's ``x_hat`` is within ``tol * max(1, ||x_hat||)`` of a
     solo solve's in the Euclidean norm.
-    Step sizes must be positive and finite; a nonpositive step-size margin
-    raises unless ``warn_only`` is set.
+    Step sizes must be positive and finite.  As in ``network.forward``, the
+    step-size margin is not checked: ``pdnet solve`` refuses steps that break it.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim not in (1, 2) or z.shape[-1] != a_op.out_dim:
@@ -156,14 +150,6 @@ def pdhg_solve(a_op: LinearOperator, l_op: AnalysisOperator, z: np.ndarray,
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if not (0 < tau < np.inf and 0 < sigma < np.inf):  # NaN fails too
         raise ValueError(f"step sizes must be positive and finite: {tau!r}, {sigma!r}")
-    margin = check_stepsizes(tau, sigma, a_op.cached_norm, l_op.norm())
-    if margin <= 0:
-        msg = (f"step sizes violate the convergence condition "
-               f"(margin {margin:.3e}); iterates may not converge")
-        if warn_only:
-            warnings.warn(msg)
-        else:
-            raise ValueError(msg)
 
     # 2-D even for one measurement: identical arithmetic to the unrolled network
     zs = z.reshape(-1, a_op.out_dim)

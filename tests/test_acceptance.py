@@ -119,7 +119,6 @@ def test_criterion_1_gradient_oracle():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.filterwarnings("ignore:step sizes violate")
 def test_criterion_2_unrolled_equivalence():
     side = 8
     a_op = ops.UniformBlur(3, side)
@@ -136,7 +135,7 @@ def test_criterion_2_unrolled_equivalence():
         out, _ = net.forward(shared, z)
         rep = pdhg.pdhg_solve(a_op, lp.analysis, z,
                               lp.tau, lp.sigma,
-                              tol=0.0, max_iter=depth, warn_only=True)
+                              tol=0.0, max_iter=depth)
         worst = max(worst, float(np.abs(out - rep.x_hat).max()))
     _report(2, worst <= 1e-12,
             f"K in {{1,2,6}} on 8x8 images, max |forward - solver| = {worst:.3e} "

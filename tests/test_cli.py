@@ -668,6 +668,12 @@ def test_eval_refuses_a_degraded_dir_with_no_rows(tmp_path, capsys):
     ("solve", {"solve": {"lambda": float("inf")}}, 1, "lambda must be positive and finite"),
     ("train", {"data": {"train_frac": float("nan")}}, 1, "train_frac and val_frac"),
     ("train", {"network": {"init_stddev": 1e200}}, 1, "network.init_stddev"),
+    ("train", {"network": {"init_stddev": 1e150}}, 1, "network.init_stddev 1e+150 is too large"),
+    # ranges are checked at load, in every section present
+    ("degrade", {"train": {"gamma": 0}}, 1, "train.gamma must be positive and finite"),
+    # ||L||^2 of first differences underflows to 0, or overflows
+    ("solve", {"solve": {"lambda": 1e-300}}, 1, "solve.lambda 1e-300 is too small"),
+    ("solve", {"solve": {"lambda": 1e300}}, 1, "solve.lambda 1e+300 is too large"),
 ], ids=["beta-not-a-number", "tau-0", "sigma-0", "train_frac-2", "K-null",
         "gamma-null", "size-null", "count-null", "image_side-null", "lambda-null",
         "count-0", "patches_per_image-0", "limit-negative", "max_iter-0",
@@ -675,7 +681,8 @@ def test_eval_refuses_a_degraded_dir_with_no_rows(tmp_path, capsys):
         "tau-inf", "patch_size-0", "batch_size-0", "train-max_iter-0", "val_cadence-0",
         "lr_decay_every-0", "lr_decay_every-negative", "gamma-0", "gamma-nan",
         "sigma-too-large", "alpha-nan", "gamma-inf", "lr_decay_factor-negative",
-        "init_stddev-inf", "lambda-inf", "train_frac-nan", "init_stddev-huge"])
+        "init_stddev-inf", "lambda-inf", "train_frac-nan", "init_stddev-huge",
+        "init_stddev-1e150", "degrade-gamma-0", "lambda-1e-300", "lambda-1e300"])
 def test_config_values_exit_cleanly(tmp_path, capsys, command, edit, code, named):
     path, cfg = write_config(tmp_path, **edit)
     argv = [command, "--config", path]
@@ -691,6 +698,34 @@ def test_config_values_exit_cleanly(tmp_path, capsys, command, edit, code, named
         assert named in err
     else:
         assert err == ""
+
+
+_COMMAND_OF = {"degradation": "degrade", "network": "train", "train": "train", "solve": "solve"}
+_RANGED_FLOATS = [("degradation", "alpha"), ("network", "init_stddev"), ("train", "gamma"),
+                  ("train", "lr_decay_factor"), ("solve", "lambda"), ("solve", "tau"),
+                  ("solve", "sigma"), ("solve", "tol")]
+
+
+@pytest.mark.parametrize("section,key,value", [
+    (section, key, value) for section, key in _RANGED_FLOATS
+    for value in [float("nan"), float("inf"), -float("inf"), -1, 0]
+    + ([1e-300, 1e300] if key in ("lambda", "init_stddev") else [])])
+def test_float_leaves_exit_0_or_with_one_error_line(tmp_path, capsys, section, key, value):
+    path, _ = write_config(tmp_path, **{section: {key: value}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning escapes as an exception
+        code = cli.main([_COMMAND_OF[section], "--config", path])
+    err = capsys.readouterr().err
+    assert code == 0 and err == "" or (
+        code == 1 and len(err.splitlines()) == 1 and err.startswith("error: "))
+
+
+def test_every_float_leaf_but_the_split_fractions_has_a_range():
+    floats = {(section, key): bound for section, leaves in cli._SCHEMA.items()
+              if isinstance(leaves, dict)
+              for key, (kind, _, *bound) in leaves.items() if kind is float}
+    assert {leaf for leaf, bound in floats.items() if bound} == set(_RANGED_FLOATS)
+    assert set(floats) - set(_RANGED_FLOATS) == {("data", "train_frac"), ("data", "val_frac")}
 
 
 def test_train_section_matches_train_keywords():

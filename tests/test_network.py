@@ -60,7 +60,6 @@ def test_init_rejects_zero_stddev():
         net.init_network(a, 2, [net.DenseSpec(4)], "full", seed=1, stddev=0.0)
 
 
-@pytest.mark.filterwarnings("ignore:step sizes violate")
 @pytest.mark.parametrize("side", [4, 8])
 @pytest.mark.parametrize("depth", [1, 2, 6])
 def test_unrolled_equivalence(side, depth):
@@ -70,7 +69,7 @@ def test_unrolled_equivalence(side, depth):
     out, _ = net.forward(params, z)
     lp = params.layers[0]
     rep = pdhg.pdhg_solve(a, lp.analysis, z, lp.tau, lp.sigma,
-                          tol=0.0, max_iter=depth, warn_only=True)
+                          tol=0.0, max_iter=depth)
     assert np.abs(out - rep.x_hat).max() <= 1e-12
 
 
@@ -164,6 +163,23 @@ def test_distance_report_after_doubling_sigma():
     norm_l = lp.analysis.norm()
     assert report[-1] == pytest.approx((sigma0 * norm_l**2) ** 2, rel=1e-6)
     assert np.all(report[:-1] <= 1e-18)
+
+
+def _one_layer(sigma, scale):
+    """tau = 1 and sigma over the identity degradation and ``scale`` * Id as L."""
+    return net.NetworkParams(ops.IdentityOperator(4), [net.LayerParams(
+        1.0, sigma, ops.make_scaled_identity_analysis(4, scale))], "full")
+
+
+def test_distance_report_values():
+    assert net.distance_report(_one_layer(0.1, 1.0))[0] == 0.0
+    assert net.distance_report(_one_layer(1.0, 1.0))[0] == pytest.approx(0.25)
+
+
+def test_distance_report_monotone_in_sigma():
+    grid = np.linspace(0.0, 3.0, 50)
+    vals = [net.distance_report(_one_layer(s, 1.2))[0] for s in grid]
+    assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
 def test_forward_cost_linear_in_nnz_and_depth():

@@ -20,17 +20,6 @@ def test_partial_sigma_saturates_margin():
             assert pdhg.check_stepsizes(tau, sigma, 1.0, norm_l) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_constraint_distance_values():
-    assert pdhg.constraint_distance(1.0, 0.1, 1.0, 1.0) == 0.0
-    assert pdhg.constraint_distance(1.0, 1.0, 1.0, 1.0) == pytest.approx(0.25)
-
-
-def test_constraint_distance_monotone_in_sigma():
-    grid = np.linspace(0.0, 3.0, 50)
-    vals = [pdhg.constraint_distance(1.0, s, 1.0, 1.2) for s in grid]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-
 @pytest.mark.parametrize("tau", [3.0, 2.0])
 def test_saturating_sigma_rejects_tau_without_positive_sigma(tau):
     # 1/tau <= ||A||^2 / 2: sigma would be negative (tau 3) or zero (tau 2)
@@ -53,8 +42,7 @@ def test_solve_rejects_stepsizes_not_positive_and_finite(tau, sigma):
     ident = ops.IdentityOperator(4)
     l_id = ops.make_scaled_identity_analysis(4, 1.0)
     with pytest.raises(ValueError, match="positive and finite"):
-        pdhg.pdhg_solve(ident, l_id, np.ones(4), tau, sigma, tol=1e-5, max_iter=10_000,
-                        warn_only=True)
+        pdhg.pdhg_solve(ident, l_id, np.ones(4), tau, sigma, tol=1e-5, max_iter=10_000)
 
 
 def test_solve_identity_no_prior_returns_measurement():
@@ -128,16 +116,6 @@ def test_solver_flags_non_convergence():
                           tol=1e-12, max_iter=3)
     assert not rep.converged
     assert rep.iterations == 3
-
-
-def test_solver_rejects_bad_stepsizes_unless_warned():
-    ident = ops.IdentityOperator(4)
-    l_id = ops.make_scaled_identity_analysis(4, 1.0)
-    bad = 1.0, 10.0
-    with pytest.raises(ValueError):
-        pdhg.pdhg_solve(ident, l_id, np.ones(4), *bad, tol=1e-5, max_iter=10_000)
-    with pytest.warns(UserWarning):
-        pdhg.pdhg_solve(ident, l_id, np.ones(4), *bad, tol=1e-5, max_iter=5, warn_only=True)
 
 
 def test_tightening_tol_changes_objective_little():
