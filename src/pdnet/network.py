@@ -45,6 +45,10 @@ class ModelFormatError(ValueError):
     """Raised for malformed, mis-sized, or wrong-version model files."""
 
 
+class ZeroNormError(ValueError):
+    """||L|| is zero at initialization: the weights are zero or underflow."""
+
+
 @dataclass
 class DenseSpec:
     """Request for a dense P x N analysis part."""
@@ -158,9 +162,7 @@ def init_network(degradation: LinearOperator, depth: int, l_specs: list,
         tau = 1.0
         norm_l = analysis.norm()
         if norm_l == 0.0:
-            raise ValueError(
-                "||L|| is zero at initialization; use a nonzero weight stddev"
-            )
+            raise ZeroNormError("||L|| is zero at initialization; use a nonzero weight stddev")
         if not np.isfinite(norm_l):
             raise NonFiniteNormError(f"||L|| bound is not finite ({norm_l!r})")
         layers.append(LayerParams(tau, saturating_sigma(tau, norm_a, norm_l), analysis))
@@ -240,53 +242,45 @@ def distance_report(params: NetworkParams) -> np.ndarray:
 
 
 def _part_record(part: AnalysisOperator) -> dict:
-    """The model-file record of one analysis part; read by :func:`_part_from_record`.
-
-    ``weights`` is the standard base64 (with padding) of the row-major
-    ``<f8`` bytes of the part's weight array.
-    """
+    """The model-file record of one analysis part, less its ``weights``; read
+    by :func:`_part_from_record`."""
     bs = getattr(part, "block_spec", None)
     if isinstance(part, DenseAnalysis):
-        rec = {"kind": "dense", "rows": part.out_dim, "cols": part.in_dim}
-    elif bs is not None:
-        rec = {"kind": "block-sparse", **bs,
-               "sites": [[int(r), int(c)] for r, c in bs["sites"]]}
-    else:
-        raise ValueError("only dense or block-sparse parts are serializable")
-    raw = part.weight_arrays()[0].astype("<f8").tobytes()
-    return {**rec, "weights": base64.b64encode(raw).decode("ascii")}
-
-
-def _layer_record(lp: LayerParams) -> dict:
-    return {
-        "tau": float(lp.tau),
-        "sigma": float(lp.sigma),
-        "parts": [_part_record(p) for p in lp.analysis.parts()],
-    }
+        return {"kind": "dense", "rows": part.out_dim, "cols": part.in_dim}
+    if bs is not None:
+        return {"kind": "block-sparse", **bs,
+                "sites": [[int(r), int(c)] for r, c in bs["sites"]]}
+    raise ValueError("only dense or block-sparse parts are serializable")
 
 
 def serialize(params: NetworkParams, path: str) -> None:
     """Write the model file; see README for the exact schema.
 
     The bytes are those of ``json.dumps(doc, separators=(",", ":")) + "\\n"``
-    for the whole document, but each layer record is encoded (by the C
-    encoder) and written on its own, so at most one layer's text is held.
+    for the whole document, in which each part record ends with
+    ``"weights"``: the standard base64 (with padding) of the row-major
+    ``<f8`` bytes of the part's weight array.  Base64 needs no JSON escape,
+    so each weight string is written as it is encoded, never rescanned, and
+    the JSON encoder sees only the small fields.
     """
-    head = json.dumps({
-        "version": MODEL_VERSION,
-        "degradation": params.degradation.spec(),
-        "K": params.depth,
-        "mode": params.mode,
-        "g": MODEL_PENALTY,
-    }, separators=_SEPARATORS)
+    def dumps(doc: dict) -> bytes:  # the object's text without its closing brace
+        return json.dumps(doc, separators=_SEPARATORS)[:-1].encode("ascii")
+
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="ascii") as f:
-        f.write(head[:-1] + ',"layers":[')
+    with open(tmp, "wb") as f:
+        f.write(dumps({"version": MODEL_VERSION, "degradation": params.degradation.spec(),
+                       "K": params.depth, "mode": params.mode, "g": MODEL_PENALTY})
+                + b',"layers":[')
         for k, lp in enumerate(params.layers):
-            if k:
-                f.write(",")
-            f.write(json.dumps(_layer_record(lp), separators=_SEPARATORS))
-        f.write("]}\n")
+            f.write(b"," * (k > 0) + dumps({"tau": float(lp.tau), "sigma": float(lp.sigma)})
+                    + b',"parts":[')
+            for i, part in enumerate(lp.analysis.parts()):
+                f.write(b"," * (i > 0) + dumps(_part_record(part)) + b',"weights":"')
+                f.write(base64.b64encode(
+                    np.ascontiguousarray(part.weight_arrays()[0], dtype="<f8")))
+                f.write(b'"}')
+            f.write(b"]}")
+        f.write(b"]}\n")
     os.replace(tmp, path)
 
 

@@ -16,13 +16,14 @@ batch ``(B, n)`` both work.  ``AnalysisOperator.norm`` returns an upper
 bound on the spectral norm: exact for a dense part (``eigvalsh`` of its
 smaller Gram, raised by its rounding bound), and for every other operator a
 Lanczos bound on ``L* L``, cold from a seeded start vector, then warm from
-the previous Ritz vector.  The bound is cached and invalidated whenever
-weights change.
+the previous Ritz vector; a block-sparse part runs it on its explicit
+window Gram.  The bound is cached and invalidated whenever weights change.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
@@ -38,6 +39,10 @@ _LANCZOS_TOL = 1e-7
 
 # Lanczos basis vectors kept before a restart from the current Ritz vector.
 _LANCZOS_BASIS = 40
+
+# A warm Lanczos call solves its tridiagonal first this many steps before the
+# step at which the operator's previous call converged.
+_WARM_LEAD = 2
 
 # Standard deviation of the Normal(0, stddev^2) initial analysis weights.
 INIT_STDDEV = 1e-2
@@ -233,7 +238,8 @@ class AnalysisOperator(LinearOperator):
 
     def __init__(self):
         self._norm_cache: float | None = None
-        self._norm_vec: np.ndarray | None = None
+        self._norm_vec: np.ndarray | None = None  # Ritz vector of the last bound
+        self._norm_step = 0  # the Lanczos step at which the last bound converged
 
     def parts(self) -> list["AnalysisOperator"]:
         return [self]
@@ -276,21 +282,40 @@ class AnalysisOperator(LinearOperator):
         """Upper bound on the spectral norm, cached until the next weight update.
 
         A dense part takes the Gram route (:meth:`DenseAnalysis._norm_bound`),
-        a certain bound.  Every other operator runs :func:`_lanczos_bound`,
-        warm-started from the Ritz vector of its previous call or, cold, from
-        a seeded Gaussian vector; that bound holds with high probability over
-        the start vector, not with certainty, and is at most ~5e-8 above the
-        true norm.  Raises :class:`NonFiniteNormError` on overflow or NaN.
+        a certain bound.  Every other operator runs :func:`_lanczos_bound` on
+        ``L* L``, warm-started from the Ritz vector of its previous call or,
+        cold, from a seeded Gaussian vector; a block-sparse part with F > 1
+        rows per window runs it on its explicit window Gram, raised by that
+        Gram's rounding bound (:meth:`MaskedRowAnalysis._lanczos_product`).
+        The bound holds with high probability over the start vector, not with
+        certainty, and is at most ~5e-8 above the true norm.  Raises
+        :class:`NonFiniteNormError` on overflow or NaN.
         """
         if self._norm_cache is None:
             self._norm_cache = self._norm_bound()
         return self._norm_cache
 
+    def _lanczos_product(self):
+        """(product, slack) for :func:`_lanczos_bound`: ``product(v)`` is
+        ``(v . L* L v, L* L v)``, here from one ``apply`` and one
+        ``apply_adjoint``, and ``slack`` bounds the rounding of ``L* L``
+        beyond that of the products (none here)."""
+        def product(v):
+            lv = self.apply(v)
+            return float(np.dot(lv, lv)), self.apply_adjoint(lv)
+
+        return product, 0.0
+
     def _norm_bound(self) -> float:
-        start = self._norm_vec
+        start, first_check = self._norm_vec, 0
         if start is None:
             start = Stream(derive(_NORM_SEED, self.out_dim, self.in_dim)).normal(self.in_dim)
-        value, self._norm_vec = _lanczos_bound(self, start)
+        else:  # warm: the weights moved little since the previous call
+            first_check = max(0, self._norm_step - _WARM_LEAD)
+        product, slack = self._lanczos_product()
+        allowance = _gamma(2 * (self.in_dim + self.out_dim))  # twice a step's two products
+        value, self._norm_vec, self._norm_step = _lanczos_bound(
+            product, start, allowance, slack, first_check)
         return value
 
 
@@ -362,10 +387,87 @@ def _window_matmul(a: np.ndarray, b: np.ndarray, batch: bool) -> np.ndarray:
     return np.matmul(a, np.concatenate([b, np.zeros_like(b)], axis=-1))[..., :1]
 
 
+class MaskLayout:
+    """The columns of a :class:`MaskedRowAnalysis` and the index structure
+    derived from them: the window size F, each window's columns, and the
+    CSR pattern (F = 1) or the adjoint's scatter matrix (F > 1).
+
+    A layout never changes after construction, so operators with one column
+    set share one: the K layers of a network, their clones and the models
+    read back from a file.  :func:`mask_layout` finds the live one.
+    """
+
+    def __init__(self, col_index: np.ndarray, n: int):
+        import scipy.sparse as sp  # here, not at module top: see MaskedRowAnalysis
+
+        cols = np.ascontiguousarray(col_index, dtype=np.int64)
+        if cols.ndim != 2:
+            raise ValueError("col_index must be a (P, nnz) array")
+        if cols.size and (cols.min() < 0 or cols.max() >= n):
+            raise ValueError("column index out of range")
+        if np.any(np.diff(cols, axis=1) <= 0):
+            raise ValueError("row columns must be strictly increasing")
+        self.cols = cols
+        self.n = int(n)
+        p, k = cols.shape
+        # F divides every run of consecutive rows with one column set
+        starts = np.flatnonzero(np.r_[True, np.any(cols[1:] != cols[:-1], axis=1)])
+        self.f = int(np.gcd.reduce(np.diff(np.r_[starts, p]))) if p else 1
+        self.site_cols = cols[::self.f]  # (S, k): each window's columns
+        if self.f == 1:
+            # int32 as scipy stores them, so every operator's CSR shares them
+            self.csr_pattern = (cols.ravel().astype(np.int32),
+                                np.arange(0, (p + 1) * k, k, dtype=np.int32))
+        else:
+            m = self.site_cols.size
+            self.scatter = sp.csr_matrix((np.ones(m), (self.site_cols.ravel(), np.arange(m))),
+                                         shape=(n, m))
+        self._gram = None
+
+    def gram_pattern(self):
+        """(indices, indptr, assembly, c) of the window Gram ``L* L`` (F > 1).
+
+        ``L* L = sum_s P_s^T (W_s^T W_s) P_s`` has a nonzero where two pixels
+        share a window.  ``indices``/``indptr`` are its CSR pattern, and the
+        0/1 ``assembly`` matrix sums the (S, k, k) window blocks, raveled,
+        into the CSR values; ``c`` is the most windows sharing one pixel
+        pair.  Built on first use: ``np.unique`` over the S k^2 pixel pairs.
+        """
+        if self._gram is None:
+            import scipy.sparse as sp
+
+            n, (s, k) = self.n, self.site_cols.shape
+            keys = (np.repeat(self.site_cols, k, axis=1) * n
+                    + np.tile(self.site_cols, (1, k))).ravel()  # block entry (s, a, b)
+            pairs, slot, counts = np.unique(keys, return_inverse=True, return_counts=True)
+            indptr = np.r_[0, np.cumsum(np.bincount(pairs // n, minlength=n))]
+            assembly = sp.csr_matrix((np.ones(keys.size), (slot.ravel(), np.arange(keys.size))),
+                                     shape=(pairs.size, keys.size))
+            self._gram = ((pairs % n).astype(np.int32), indptr.astype(np.int32), assembly,
+                          int(counts.max()))
+        return self._gram
+
+
+# Live layouts by (N, column bytes).  An operator holds its layout, so a
+# layout lives exactly as long as some operator uses it; a layout holds only
+# what the columns determine, so sharing one changes no result.
+_LAYOUTS = weakref.WeakValueDictionary()
+
+
+def mask_layout(col_index: np.ndarray, n: int) -> MaskLayout:
+    """The shared :class:`MaskLayout` of these columns, built on first use."""
+    cols = np.ascontiguousarray(col_index, dtype=np.int64)
+    key = (int(n), cols.shape, cols.tobytes())
+    layout = _LAYOUTS.get(key)
+    if layout is None:
+        layout = _LAYOUTS[key] = MaskLayout(cols, n)
+    return layout
+
+
 class MaskedRowAnalysis(AnalysisOperator):
     """Analysis operator whose rows each carry a fixed set of active columns.
 
-    ``col_index[p]`` lists the unmasked columns of row p (sorted, the same
+    ``layout.cols[p]`` lists the unmasked columns of row p (sorted, the same
     count k for every row); ``values`` holds the matching weights.
 
     Runs of F consecutive rows that share one column set form a window: a
@@ -377,47 +479,37 @@ class MaskedRowAnalysis(AnalysisOperator):
     window results back with a fixed 0/1 matrix.  With F = 1 a window is a
     single row, and a CSR matrix sharing the value buffer is 2-3x faster at
     the solver's batch sizes, so ``apply`` and ``apply_adjoint`` stay on it.
+    With F > 1 the norm bound runs on the explicit N x N Gram instead of a
+    product pair (:meth:`_lanczos_product`).
 
-    This class is the one user of ``scipy.sparse`` and imports it on first
-    construction, so a process with dense parts only never loads it.
+    This class and its :class:`MaskLayout` are the only users of
+    ``scipy.sparse`` and import it on first construction, so a process with
+    dense parts only never loads it.
     """
 
-    def __init__(self, col_index: np.ndarray, values: np.ndarray, n: int,
+    def __init__(self, layout: MaskLayout, values: np.ndarray,
                  block_spec: dict | None = None):
-        import scipy.sparse as sp  # here, not at module top: see the class docstring
-
         super().__init__()
-        cols = np.ascontiguousarray(col_index, dtype=np.int64)
         vals = np.ascontiguousarray(values, dtype=np.float64)
-        if cols.shape != vals.shape or cols.ndim != 2:
-            raise ValueError("col_index and values must share a (P, nnz) shape")
-        if cols.size and (cols.min() < 0 or cols.max() >= n):
-            raise ValueError("column index out of range")
-        if np.any(np.diff(cols, axis=1) <= 0):
-            raise ValueError("row columns must be strictly increasing")
-        self._cols = cols
-        self.out_dim = cols.shape[0]
-        self.in_dim = int(n)
+        if vals.shape != layout.cols.shape:
+            raise ValueError("values must match the layout's (P, nnz) column index shape")
+        self._layout = layout
+        self._cols = layout.cols
+        self._site_cols = layout.site_cols
+        self.out_dim, k = vals.shape
+        self.in_dim = layout.n
         self.block_spec = block_spec
-        p, k = cols.shape
-        # F divides every run of consecutive rows with one column set
-        starts = np.flatnonzero(np.r_[True, np.any(cols[1:] != cols[:-1], axis=1)])
-        f = int(np.gcd.reduce(np.diff(np.r_[starts, p]))) if p else 1
-        site_cols = cols[::f]  # (S, k): each window's columns
-        if f == 1:
-            self._csr = sp.csr_matrix(
-                (vals.ravel(), cols.ravel(), np.arange(0, (p + 1) * k, k)), shape=(p, n))
+        if layout.f == 1:
+            import scipy.sparse as sp
+
+            self._csr = sp.csr_matrix((vals.ravel(), *layout.csr_pattern),
+                                      shape=(self.out_dim, self.in_dim))
             # keep the learnable buffer authoritative even if scipy copied it
-            vals = self._csr.data.reshape(p, k)
+            vals = self._csr.data.reshape(self.out_dim, k)
             # the CSC transpose shares that buffer, so weight updates reach it too
             self._csr_t = self._csr.T
-        else:
-            m = site_cols.size
-            self._scatter = sp.csr_matrix((np.ones(m), (site_cols.ravel(), np.arange(m))),
-                                          shape=(n, m))
         self._vals = vals
-        self._site_cols = site_cols
-        self._site_w = vals.reshape(-1, f, k)  # (S, F, k) view: updates reach it
+        self._site_w = vals.reshape(-1, layout.f, k)  # (S, F, k) view: updates reach it
 
     @property
     def nnz(self) -> int:
@@ -443,7 +535,7 @@ class MaskedRowAnalysis(AnalysisOperator):
         if f > 1:
             windows = _window_matmul(self._site_w.transpose(0, 2, 1), wb.T.reshape(s, f, -1),
                                      w.ndim > 1)
-            out = self._scatter @ windows.reshape(s * k, -1)
+            out = self._layout.scatter @ windows.reshape(s * k, -1)
         elif w.ndim == 1:
             return self._csr_t @ w
         else:
@@ -451,10 +543,9 @@ class MaskedRowAnalysis(AnalysisOperator):
         return out.T.reshape(w.shape[:-1] + (self.in_dim,))
 
     def clone(self):
-        return MaskedRowAnalysis(
-            self._cols.copy(), self._vals.copy(), self.in_dim,
-            block_spec=None if self.block_spec is None else dict(self.block_spec),
-        )
+        """A copy of the weights on the same (shared) layout."""
+        return MaskedRowAnalysis(self._layout, self._vals.copy(),
+                                 None if self.block_spec is None else dict(self.block_spec))
 
     def weight_arrays(self):
         return [self._vals]
@@ -466,6 +557,39 @@ class MaskedRowAnalysis(AnalysisOperator):
         outer = np.matmul(left.T.reshape(s, f, -1),
                           right.T[self._site_cols].transpose(0, 2, 1))
         return [outer.reshape(self.out_dim, k)]
+
+    def _lanczos_product(self):
+        """With F > 1, ``G v`` for the explicit Gram G = L* L, refreshed here.
+
+        The (S, k, k) blocks ``W_s^T W_s`` come from one batched product and
+        reach G's CSR values through one product with the layout's assembly
+        matrix; both count in ``ANALYSIS_MACS``, as does each ``G v``.  An
+        entry of G sums at most F + c products, c the most windows sharing a
+        pixel pair, so the computed G is off by at most gamma_{F+c} ||L||_F^2
+        in 2-norm (Higham, Accuracy and Stability, sec. 3.5): the slack.
+        """
+        s, f, k = self._site_w.shape
+        if f == 1:
+            return super()._lanczos_product()
+        import scipy.sparse as sp
+
+        indices, indptr, assembly, c = self._layout.gram_pattern()
+        with np.errstate(over="ignore", invalid="ignore"):  # checked by the bound
+            # the contiguous copy takes numpy's faster batched kernel
+            blocks = np.matmul(np.ascontiguousarray(self._site_w.transpose(0, 2, 1)),
+                               self._site_w)
+            values = assembly @ blocks.ravel()
+            slack = _gamma(f + c) * float(np.vdot(self._vals, self._vals))
+        ANALYSIS_MACS.add(s * f * k * k + assembly.nnz)
+        gram = sp.csr_matrix((values, indices, indptr), shape=(self.in_dim, self.in_dim))
+        nnz = values.size
+
+        def product(v):
+            ANALYSIS_MACS.add(nnz)
+            w = gram @ v
+            return float(np.dot(v, w)), w
+
+        return product, slack
 
 
 class FusedAnalysis(AnalysisOperator):
@@ -578,7 +702,8 @@ def block_sparse_analysis(q: int, stride: int, filters_per_site: int, image_side
         "image_side": int(image_side),
         "sites": [(int(r), int(c)) for r, c in sites],
     }
-    return MaskedRowAnalysis(cols, np.reshape(weights, cols.shape), n, block_spec=spec)
+    return MaskedRowAnalysis(mask_layout(cols, n), np.reshape(weights, cols.shape),
+                             block_spec=spec)
 
 
 def make_block_sparse_analysis(q: int, stride: int, filters_per_site: int,
@@ -596,7 +721,7 @@ def make_scaled_identity_analysis(n: int, scale: float) -> MaskedRowAnalysis:
     """lambda * Id as an analysis operator (one weight per row)."""
     cols = np.arange(n, dtype=np.int64)[:, None]
     vals = np.full((n, 1), float(scale))
-    return MaskedRowAnalysis(cols, vals, n)
+    return MaskedRowAnalysis(mask_layout(cols, n), vals)
 
 
 def make_first_difference(image_side: int, scale: float = 1.0) -> MaskedRowAnalysis:
@@ -608,8 +733,8 @@ def make_first_difference(image_side: int, scale: float = 1.0) -> MaskedRowAnaly
     here = np.repeat(np.arange(n), 2)
     other = np.stack([i * side + (j + 1) % side, (i + 1) % side * side + j], axis=1).ravel()
     first = np.where(here < other, -scale, scale)
-    return MaskedRowAnalysis(np.sort(np.stack([here, other], axis=1), axis=1),
-                             np.stack([first, -first], axis=1), n)
+    return MaskedRowAnalysis(mask_layout(np.sort(np.stack([here, other], axis=1), axis=1), n),
+                             np.stack([first, -first], axis=1))
 
 
 def fuse_analysis(parts: list[AnalysisOperator]) -> AnalysisOperator:
@@ -631,42 +756,48 @@ def _gamma(n: int) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite step raises below
-def _lanczos_bound(op: LinearOperator, start: np.ndarray) -> tuple[float, np.ndarray]:
-    """Upper bound on ``||op||`` by Lanczos on ``op* op``: (bound, Ritz vector).
+def _lanczos_bound(product, start: np.ndarray, allowance: float, slack: float,
+                   first_check: int) -> tuple[float, np.ndarray, int]:
+    """Upper bound on ``sqrt(lambda_max(G))`` for a symmetric positive
+    semidefinite G = ``L* L``, by Lanczos: (bound, Ritz vector, last step).
 
-    Each step takes one ``apply`` and one ``apply_adjoint`` and
-    reorthogonalizes against the whole basis twice, which keeps the basis
-    orthogonal to working precision even when a degenerate spectrum (first
-    differences) ends the Krylov space early.  The largest Ritz value theta
-    of the tridiagonal T, with unit Ritz vector y, has the residual
-    ``rho = ||op* op y - theta y|| = beta * |s_last|`` (Parlett, The
-    Symmetric Eigenvalue Problem, ch. 11), and some eigenvalue of ``op* op``
-    lies within rho of theta.  Iteration stops once rho <= ``_LANCZOS_TOL *
-    theta``.  A breakdown, beta <= ``_LANCZOS_TOL`` times the largest
-    diagonal entry of T (that entry is <= theta), leaves the Krylov space
-    invariant and passes that test too, since rho <= beta.  A full basis
-    restarts from y.
-    The bound is sqrt(theta + rho), with rho raised to a rounding allowance
-    of the products.  That the eigenvalue near theta is the largest holds
-    with high probability over the start vector, not with certainty
-    (Kuczynski & Wozniakowski 1992, SIAM J. Matrix Anal. Appl. 13(4)).
+    ``product(v)`` returns ``(v . G v, G v)``: one ``apply`` and one
+    ``apply_adjoint``, or one product with an explicit G whose rounding
+    ``slack`` bounds.  Each step takes one product and reorthogonalizes
+    against the whole basis twice, which keeps the basis orthogonal to
+    working precision even when a degenerate spectrum (first differences)
+    ends the Krylov space early.  The largest Ritz value theta of the
+    tridiagonal T, with unit Ritz vector y, has the residual
+    ``rho = ||G y - theta y|| = beta * |s_last|`` (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 11), and some eigenvalue of G lies within rho of
+    theta.  Iteration stops once rho <= ``_LANCZOS_TOL * theta``.  A
+    breakdown, beta <= ``_LANCZOS_TOL`` times the largest diagonal entry of T
+    (that entry is <= theta), leaves the Krylov space invariant and passes
+    that test too, since rho <= beta.  A full basis restarts from y.
+    The bound is sqrt(theta + rho + slack), with rho raised to the rounding
+    ``allowance`` of the products times theta.  That the eigenvalue near
+    theta is the largest holds with high probability over the start vector,
+    not with certainty (Kuczynski & Wozniakowski 1992, SIAM J. Matrix Anal.
+    Appl. 13(4)).
 
-    ``eigh`` of T costs more than a step's two products once T passes about
-    20 rows, so T is solved only at checkpoints: the first two steps, then
-    half-way to where the residual's geometric rate since the last
-    checkpoint predicts it reaches the tolerance.
+    ``eigh`` of T costs more than a step's products once T passes about 20
+    rows, so T is solved only at checkpoints: at step ``first_check`` (0
+    cold; for a warm call a few steps before the step at which the previous
+    call converged, which is returned as the last step), at the next step,
+    then half-way to where the residual's geometric rate since the last
+    checkpoint predicts it reaches the tolerance.  A restart keeps the cold
+    schedule.
     """
-    allowance = _gamma(2 * (op.in_dim + op.out_dim))  # twice a step's two products
     y = start / np.linalg.norm(start)
+    n = y.size
+    check = min(first_check, _LANCZOS_BASIS - 1)
     while True:
-        basis = np.empty((_LANCZOS_BASIS, op.in_dim))
+        basis = np.empty((_LANCZOS_BASIS, n))
         t = np.zeros((_LANCZOS_BASIS, _LANCZOS_BASIS))
         basis[0] = y
-        check, last, top = 0, None, 0.0
+        last, top = None, 0.0
         for j in range(_LANCZOS_BASIS):
-            lq = op.apply(basis[j])
-            alpha = float(np.dot(lq, lq))
-            w = op.apply_adjoint(lq)
+            alpha, w = product(basis[j])
             q = basis[:j + 1]
             for _ in range(2):
                 w -= (q @ w) @ q
@@ -691,4 +822,8 @@ def _lanczos_bound(op: LinearOperator, start: np.ndarray) -> tuple[float, np.nda
         y = evecs[:, -1] @ q
         y /= np.linalg.norm(y)
         if rho <= _LANCZOS_TOL * theta:
-            return math.sqrt(theta + max(rho, allowance * theta)), y
+            bound = math.sqrt(theta + max(rho, allowance * theta) + slack)
+            if not math.isfinite(bound):
+                raise NonFiniteNormError(f"spectral norm bound is not finite ({bound})")
+            return bound, y, j
+        check = 0

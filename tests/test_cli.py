@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import io
 import json
+import math
 import os
 import warnings
 
@@ -443,6 +444,36 @@ def test_filter_grid_tile_shapes(tmp_path):
     assert block_grid.shape == (9 * 10 + 1, 10 * 10 + 1)
 
 
+def test_filter_grid_tile_content(tmp_path):
+    from pdnet import network as net
+    from pdnet import operators as ops
+    from pdnet.data import load_pgm
+
+    params = net.init_network(ops.Decimation(2, 12), 1, [net.BlockSpec(3, 2, 3, "fit")],
+                              "full", seed=4)
+    (weights,) = params.layers[-1].analysis.weight_arrays()
+    weights[4] = 0.25  # a constant tile
+    (path,) = cli.export_filter_grids(params, str(tmp_path))
+    grid = load_pgm(path)
+    count, q = len(weights), 3
+    columns = math.ceil(math.sqrt(count))
+    assert grid.shape == (math.ceil(count / columns) * (q + 1) + 1, columns * (q + 1) + 1)
+    covered = np.zeros(grid.shape, dtype=bool)
+    for t in range(count):
+        r, c = t // columns, t % columns
+        window = (slice(r * (q + 1) + 1, (r + 1) * (q + 1)),
+                  slice(c * (q + 1) + 1, (c + 1) * (q + 1)))
+        tile = grid[window]
+        covered[window] = True
+        if t == 4:
+            assert not tile.any()
+        else:
+            assert tile.min() == 0 and tile.max() == 255
+            w = weights[t].reshape(q, q)
+            assert np.array_equal(tile, np.rint((w - w.min()) / (w.max() - w.min()) * 255))
+    assert not grid[~covered].any()  # separators and unused cells stay 0
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_exits_2(tmp_path):
     path, _ = write_config(tmp_path, train={"gamma": 1e3, "batch_size": 6,
@@ -708,8 +739,10 @@ _RANGED_FLOATS = [("degradation", "alpha"), ("network", "init_stddev"), ("train"
 
 @pytest.mark.parametrize("section,key,value", [
     (section, key, value) for section, key in _RANGED_FLOATS
-    for value in [float("nan"), float("inf"), -float("inf"), -1, 0]
-    + ([1e-300, 1e300] if key in ("lambda", "init_stddev") else [])])
+    # 10**400: a JSON integer past float64
+    for value in [float("nan"), float("inf"), -float("inf"), -1, 0, 10**400]
+    + ([1e-300, 1e300] if key in ("lambda", "init_stddev") else [])],
+    ids=lambda v: "int-1e400" if v == 10**400 else None)
 def test_float_leaves_exit_0_or_with_one_error_line(tmp_path, capsys, section, key, value):
     path, _ = write_config(tmp_path, **{section: {key: value}})
     with warnings.catch_warnings():
@@ -717,7 +750,8 @@ def test_float_leaves_exit_0_or_with_one_error_line(tmp_path, capsys, section, k
         code = cli.main([_COMMAND_OF[section], "--config", path])
     err = capsys.readouterr().err
     assert code == 0 and err == "" or (
-        code == 1 and len(err.splitlines()) == 1 and err.startswith("error: "))
+        code == 1 and len(err.splitlines()) == 1 and err.startswith("error: ")
+        and f"{section}.{key}" in err)
 
 
 def test_every_float_leaf_but_the_split_fractions_has_a_range():

@@ -214,18 +214,48 @@ def test_norm_stops_at_first_non_finite_estimate(weight):
     ops.ANALYSIS_MACS.reset()
 
 
-_LANCZOS_CASES = {f"first-diff-{side}": (ops.make_first_difference, side)
+def _read_back(tmp_path):
+    """Layer 1's L of a block-sparse network after a serialize/deserialize
+    round trip, built while the written network (whose layout has built its
+    Gram pattern) is still alive."""
+    from pdnet import network as net
+
+    params = net.init_network(ops.Decimation(2, 16), 2, [net.BlockSpec(5, 2, 10, "fit")],
+                              "partial", seed=5)
+    path = str(tmp_path / "m.json")
+    net.serialize(params, path)
+    return net.deserialize(path).layers[0].analysis
+
+
+# builders of the operators under test, each given a scratch directory
+_LANCZOS_CASES = {f"first-diff-{side}": lambda _, side=side: ops.make_first_difference(side)
                   for side in range(4, 29)}
-_LANCZOS_CASES.update({f"scaled-identity-{lam:g}": (ops.make_scaled_identity_analysis, 16, lam)
-                       for lam in (0.1, 1.0, 5.0)})
+_LANCZOS_CASES.update({
+    f"scaled-identity-{lam:g}": lambda _, lam=lam: ops.make_scaled_identity_analysis(16, lam)
+    for lam in (0.1, 1.0, 5.0)})
+# window parts (F > 1): the bound runs on their explicit Gram
+_LANCZOS_CASES.update({
+    "window-f5s2n10-28": lambda _: ops.make_block_sparse_analysis(5, 2, 10, 28, seed=21,
+                                                                  site_rule="fit"),
+    "window-f3s2n2-8": lambda _: ops.make_block_sparse_analysis(3, 2, 2, 8, seed=22,
+                                                                site_rule="fit"),
+    "window-f5s2n10-12-interior": lambda _: ops.make_block_sparse_analysis(
+        5, 2, 10, 12, seed=23, site_rule="interior"),
+    "window-read-back": _read_back,
+})
 
 
-@pytest.mark.parametrize("case", _LANCZOS_CASES.values(), ids=_LANCZOS_CASES.keys())
-def test_lanczos_norm_bound_is_at_most_1e7_above_svd(case):
+@pytest.mark.parametrize("build", _LANCZOS_CASES.values(), ids=_LANCZOS_CASES.keys())
+def test_lanczos_norm_bound_is_at_most_1e7_above_svd(build, tmp_path):
     # first differences at an even side have a simple top eigenvalue, at an
-    # odd side a four-fold one; both end the Krylov space early
-    make, *args = case
-    op = make(*args)
+    # odd side a four-fold one; both end the Krylov space early.  Each bound
+    # is checked cold, then warm after a weight update of a tenth of the
+    # weights' own scale
+    op = build(tmp_path)
+    svd = np.linalg.svd(to_dense(op), compute_uv=False)[0]
+    assert svd <= op.norm() <= svd * (1 + 1e-7)
+    (w,) = op.weight_arrays()
+    op.update_weights([0.1 * np.abs(w).max() * Stream(24).normal(w.size).reshape(w.shape)], 1.0)
     svd = np.linalg.svd(to_dense(op), compute_uv=False)[0]
     assert svd <= op.norm() <= svd * (1 + 1e-7)
 
@@ -567,6 +597,36 @@ def test_mac_counter_tracks_nnz_exactly():
     op.apply_adjoint(np.zeros((5, op.out_dim)))
     assert ops.ANALYSIS_MACS.count == op.nnz + 5 * op.nnz
     ops.ANALYSIS_MACS.reset()
+
+
+def test_gram_route_macs_per_norm_call_are_exact():
+    # N = 25 < the Lanczos basis, so the Krylov space ends within one cycle
+    op = ops.make_block_sparse_analysis(3, 2, 2, 5, seed=7, site_rule="fit")
+    s, f, k = op._site_w.shape
+    mask = mask_dense(op)
+    gram_nnz = np.count_nonzero(mask.T @ mask)  # pixel pairs sharing a window
+    for call in ("cold", "warm"):
+        ops.ANALYSIS_MACS.reset()
+        op.norm()
+        # the (S, k, k) blocks, their S k^2 assembly terms, one G v per step
+        steps = op._norm_step + 1
+        assert ops.ANALYSIS_MACS.count == s * f * k * k + s * k * k + steps * gram_nnz, call
+        op.update_weights([np.full((op.out_dim, k), 1e-3)], 1.0)
+    ops.ANALYSIS_MACS.reset()
+
+
+def test_window_layouts_are_shared_by_layers_clones_and_read_back_models(tmp_path):
+    from pdnet import network as net
+
+    params = net.init_network(ops.Decimation(2, 12), 3, [net.BlockSpec(3, 2, 2, "fit")],
+                              "partial", seed=3)
+    path = str(tmp_path / "m.json")
+    net.serialize(params, path)
+    analyses = [lp.analysis for lp in params.layers]
+    analyses += [lp.analysis for lp in params.clone().layers]
+    analyses += [lp.analysis for lp in net.deserialize(path).layers]
+    assert len({id(op._layout) for op in analyses}) == 1
+    assert len({id(op._vals) for op in analyses}) == len(analyses)
 
 
 def test_first_difference_on_constant_is_zero():
