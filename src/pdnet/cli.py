@@ -142,6 +142,8 @@ def _check_value(name: str, value, kind, bound=None):
         raise ConfigError(f"{name} must be {bound}, got {value!r}")
     if isinstance(bound, int) and value < bound:
         raise ConfigError(f"{name}: must be >= {bound}, got {value}")
+    if kind is int and value > 2**63 - 1:  # array sizes and seeds hold 64 bits
+        raise ConfigError(f"{name}: must be at most 2**63 - 1 (int64)")
     return value
 
 
@@ -665,8 +667,8 @@ def main(argv=None) -> int:
     except (ConfigError, ModelFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (TrainingDivergedError, RuntimeError, ValueError) as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
+    except (TrainingDivergedError, RuntimeError, ValueError, MemoryError) as exc:
+        print(f"runtime failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -172,22 +172,6 @@ def extract_patches(source: np.ndarray, q: int, count: int, seed: int) -> np.nda
                     dtype=np.float64).reshape(count, q * q)
 
 
-def degrade(clean: np.ndarray, a_op: LinearOperator, alpha: float,
-            seed: int) -> np.ndarray:
-    """z = A x + alpha * eta with seeded standard-normal eta (never clipped).
-
-    Raises ``OverflowError`` when ``alpha * eta`` overflows float64.
-    """
-    if alpha < 0:
-        raise ValueError("noise level alpha must be nonnegative")
-    x = np.asarray(clean, dtype=np.float64)
-    z = a_op.apply(x)
-    if alpha == 0:
-        return z
-    eta = Stream(derive(seed, _TAG_NOISE)).normal(z.size).reshape(z.shape)
-    return _add_noise(z, alpha, eta)
-
-
 def _add_noise(z: np.ndarray, level: float, eta: np.ndarray) -> np.ndarray:
     """``z + level * eta`` of finite ``z``; ``OverflowError`` if not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -201,8 +185,9 @@ def degrade_set(clean: np.ndarray, side: int, a_op: LinearOperator, alpha: float
                 seed: int) -> Dataset:
     """Degrade a stack of images, one derived noise stream per sample.
 
-    Row s is ``degrade(clean[s], a_op, alpha, derive(seed, s))`` bit for
-    bit, formed in the pieces of :func:`network.row_pieces`.
+    Row s is ``A clean[s] + alpha * eta`` (never clipped), with ``eta`` the
+    standard normals of ``Stream(derive(seed, s, _TAG_NOISE))``, formed in the
+    pieces of :func:`network.row_pieces`; ``OverflowError`` if it overflows.
     """
     if alpha < 0:
         raise ValueError("noise level alpha must be nonnegative")
@@ -277,17 +262,13 @@ def psnr(x_hat: np.ndarray, x_ref: np.ndarray) -> float | np.ndarray:
     return _scores(_psnr_rows, x_hat, x_ref, "psnr")
 
 
-def _gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
-    t = np.arange(size) - (size - 1) / 2.0
-    g = np.exp(-(t**2) / (2.0 * sigma**2))
-    return g / g.sum()
-
-
 @functools.lru_cache(maxsize=None)
 def _ssim_band(side: int) -> np.ndarray:
     """The read-only matrix of :func:`ssim`'s valid 1-D Gaussian smoothing."""
-    kernel = _gaussian_window()
-    k = kernel.size
+    k = 11
+    t = np.arange(k) - (k - 1) / 2.0
+    kernel = np.exp(-(t**2) / (2.0 * 1.5**2))  # sigma 1.5
+    kernel /= kernel.sum()
     m = np.zeros((side - k + 1, side))
     for i in range(side - k + 1):
         m[i, i:i + k] = kernel

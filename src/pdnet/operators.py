@@ -23,6 +23,7 @@ window Gram.  The bound is cached and invalidated whenever weights change.
 from __future__ import annotations
 
 import math
+import types
 import weakref
 
 import numpy as np
@@ -48,20 +49,8 @@ _WARM_LEAD = 2
 INIT_STDDEV = 1e-2
 
 
-class _MacCounter:
-    """Multiply-accumulate counter for analysis-operator applications."""
-
-    def __init__(self):
-        self.count = 0
-
-    def add(self, n: int):
-        self.count += int(n)
-
-    def reset(self):
-        self.count = 0
-
-
-ANALYSIS_MACS = _MacCounter()
+# Multiply-accumulates (an int) of analysis products, for the benchmark; tests zero it.
+ANALYSIS_MACS = types.SimpleNamespace(count=0)
 
 
 class NonFiniteNormError(RuntimeError):
@@ -336,12 +325,12 @@ class DenseAnalysis(AnalysisOperator):
 
     def apply(self, v):
         v = _check_dim(v, self.in_dim, "analysis apply")
-        ANALYSIS_MACS.add(self.nnz * max(1, v.size // self.in_dim))
+        ANALYSIS_MACS.count += self.nnz * max(1, v.size // self.in_dim)
         return v @ self._weights.T
 
     def apply_adjoint(self, w):
         w = _check_dim(w, self.out_dim, "analysis adjoint")
-        ANALYSIS_MACS.add(self.nnz * max(1, w.size // self.out_dim))
+        ANALYSIS_MACS.count += self.nnz * max(1, w.size // self.out_dim)
         return w @ self._weights
 
     def clone(self):
@@ -379,8 +368,8 @@ def _window_matmul(a: np.ndarray, b: np.ndarray, batch: bool) -> np.ndarray:
     numpy hands a one-column ``b`` to GEMV, whose sums round differently.
     For a batch that column is padded to two, so a row gets the same bits in
     a batch of one as in a larger batch (``pdhg_solve`` drops finished
-    rows); a single vector, as in the Lanczos norm bound, keeps the faster
-    GEMV.
+    rows); a single vector, as in a fused operator's Lanczos bound, keeps
+    the faster GEMV.
     """
     if b.shape[-1] > 1 or not batch:
         return np.matmul(a, b)
@@ -494,8 +483,6 @@ class MaskedRowAnalysis(AnalysisOperator):
         if vals.shape != layout.cols.shape:
             raise ValueError("values must match the layout's (P, nnz) column index shape")
         self._layout = layout
-        self._cols = layout.cols
-        self._site_cols = layout.site_cols
         self.out_dim, k = vals.shape
         self.in_dim = layout.n
         self.block_spec = block_spec
@@ -517,10 +504,10 @@ class MaskedRowAnalysis(AnalysisOperator):
 
     def apply(self, v):
         v = _check_dim(v, self.in_dim, "analysis apply")
-        ANALYSIS_MACS.add(self.nnz * max(1, v.size // self.in_dim))
+        ANALYSIS_MACS.count += self.nnz * max(1, v.size // self.in_dim)
         vb = v.reshape(-1, self.in_dim)
         if self._site_w.shape[1] > 1:
-            out = _window_matmul(self._site_w, vb.T[self._site_cols], v.ndim > 1)
+            out = _window_matmul(self._site_w, vb.T[self._layout.site_cols], v.ndim > 1)
         elif v.ndim == 1:
             return self._csr @ v
         else:
@@ -529,7 +516,7 @@ class MaskedRowAnalysis(AnalysisOperator):
 
     def apply_adjoint(self, w):
         w = _check_dim(w, self.out_dim, "analysis adjoint")
-        ANALYSIS_MACS.add(self.nnz * max(1, w.size // self.out_dim))
+        ANALYSIS_MACS.count += self.nnz * max(1, w.size // self.out_dim)
         s, f, k = self._site_w.shape
         wb = w.reshape(-1, self.out_dim)
         if f > 1:
@@ -555,7 +542,7 @@ class MaskedRowAnalysis(AnalysisOperator):
         # every window's inputs over all R rows, one GEMM per window
         s, f, k = self._site_w.shape
         outer = np.matmul(left.T.reshape(s, f, -1),
-                          right.T[self._site_cols].transpose(0, 2, 1))
+                          right.T[self._layout.site_cols].transpose(0, 2, 1))
         return [outer.reshape(self.out_dim, k)]
 
     def _lanczos_product(self):
@@ -580,12 +567,12 @@ class MaskedRowAnalysis(AnalysisOperator):
                                self._site_w)
             values = assembly @ blocks.ravel()
             slack = _gamma(f + c) * float(np.vdot(self._vals, self._vals))
-        ANALYSIS_MACS.add(s * f * k * k + assembly.nnz)
+        ANALYSIS_MACS.count += s * f * k * k + assembly.nnz
         gram = sp.csr_matrix((values, indices, indptr), shape=(self.in_dim, self.in_dim))
         nnz = values.size
 
         def product(v):
-            ANALYSIS_MACS.add(nnz)
+            ANALYSIS_MACS.count += nnz
             w = gram @ v
             return float(np.dot(v, w)), w
 

@@ -92,12 +92,6 @@ def sgd_step(params: NetworkParams, grads: Gradients, gamma: float) -> None:
             lp.sigma = saturating_sigma(lp.tau, norm_a, norm_l)
 
 
-def _validation_scores(params: NetworkParams, clean: np.ndarray,
-                       degraded: np.ndarray, side: int) -> tuple[float, float]:
-    out, _ = forward(params, degraded)
-    return float(np.mean(psnr(out, clean))), float(np.mean(ssim(out, clean, side=side)))
-
-
 def train(params: NetworkParams, train_clean: np.ndarray, train_degraded: np.ndarray,
           val_clean: np.ndarray, val_degraded: np.ndarray, side: int, *,
           gamma: float, batch_size: int, max_iter: int, val_cadence: int,
@@ -127,7 +121,9 @@ def train(params: NetworkParams, train_clean: np.ndarray, train_degraded: np.nda
 
     def record(it: int, batch_loss: float):
         nonlocal best_psnr, best_params, best_iter
-        vp, vs = _validation_scores(params, val_clean, val_degraded, side)
+        out, _ = forward(params, val_degraded)
+        vp = float(np.mean(psnr(out, val_clean)))
+        vs = float(np.mean(ssim(out, val_clean, side=side)))
         records.append({"iter": it, "loss": batch_loss, "val_psnr": vp,
                         "val_ssim": vs, "dc": distance_report(params).tolist()})
         if vp > best_psnr:

@@ -1,5 +1,6 @@
-"""Helpers that only the tests use: an l1 prox oracle, stroke images, dense
-views of analysis operators and of their weight gradients, zero weight
+"""Helpers that only the tests use: an l1 prox oracle, the one-image
+degradation that ``data.degrade_set`` is checked against, stroke images,
+dense views of analysis operators and of their weight gradients, zero weight
 gradients, a loss moving average, and loop-built reference index tables for
 the first-difference and block-sparse constructors.  The library itself never
 calls them.
@@ -7,8 +8,8 @@ calls them.
 
 import numpy as np
 
-from pdnet.data import _TAG_SYNTH
-from pdnet.operators import UniformBlur
+from pdnet.data import _TAG_NOISE, _TAG_SYNTH, _add_noise
+from pdnet.operators import LinearOperator, UniformBlur
 from pdnet.rng import Stream, derive
 
 
@@ -18,6 +19,22 @@ def prox_l1(v: np.ndarray, t: float) -> np.ndarray:
         raise ValueError(f"threshold must be positive, got {t}")
     v = np.asarray(v, dtype=np.float64)
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
+def degrade(clean: np.ndarray, a_op: LinearOperator, alpha: float,
+            seed: int) -> np.ndarray:
+    """z = A x + alpha * eta with seeded standard-normal eta (never clipped).
+
+    Raises ``OverflowError`` when ``alpha * eta`` overflows float64.
+    """
+    if alpha < 0:
+        raise ValueError("noise level alpha must be nonnegative")
+    x = np.asarray(clean, dtype=np.float64)
+    z = a_op.apply(x)
+    if alpha == 0:
+        return z
+    eta = Stream(derive(seed, _TAG_NOISE)).normal(z.size).reshape(z.shape)
+    return _add_noise(z, alpha, eta)
 
 
 def to_dense(op) -> np.ndarray:

@@ -20,7 +20,7 @@ from pdnet import training as tr
 from pdnet.pdhg import prox_conj_l1
 from pdnet.rng import Stream, derive
 
-from helpers import mask_dense, moving_average, prox_l1, synthetic_strokes, to_dense
+from helpers import degrade, mask_dense, moving_average, prox_l1, synthetic_strokes, to_dense
 
 DESK_SEED = 1001
 DESK_GAMMA = 4e-7
@@ -101,7 +101,7 @@ def test_criterion_1_gradient_oracle():
                                   seed=derive(0xACCE, t), stddev=0.5)
         clean = (Stream(derive(0xACCE, t, 1)).uniform(2 * n) * 8.0).reshape(2, n)
         degraded = np.stack([
-            dm.degrade(clean[i], a_op, 0.5, derive(0xACCE, t, 2, i))
+            degrade(clean[i], a_op, 0.5, derive(0xACCE, t, 2, i))
             for i in range(2)
         ])
         out, trace = net.forward(params, degraded, keep_trace=True)
@@ -317,7 +317,7 @@ def test_criterion_9_property_suites(tmp_path):
     params = net.init_network(a_op, 2, [net.BlockSpec(3, 3, 2, "fit")], "full", seed=5)
     mask = [mask_dense(lp.analysis) for lp in params.layers]
     clean = synthetic_strokes(8, side=8, seed=6)
-    zb = np.stack([dm.degrade(clean[i], a_op, 10.0, derive(7, i)) for i in range(8)])
+    zb = np.stack([degrade(clean[i], a_op, 10.0, derive(7, i)) for i in range(8)])
     for _ in range(5):
         out, trace = net.forward(params, zb, keep_trace=True)
         grads = bp.backward(params, clean, trace)

@@ -4,10 +4,9 @@ import pytest
 from pdnet import backprop as bp
 from pdnet import network as net
 from pdnet import operators as ops
-from pdnet.data import degrade
 from pdnet.rng import Stream, derive
 
-from helpers import dense_d_l, mask_dense
+from helpers import degrade, dense_d_l, mask_dense
 
 
 def small_instance(seed, depth=2, side=4, p=4, block=False, blur=True, batch=2):

@@ -705,6 +705,10 @@ def test_eval_refuses_a_degraded_dir_with_no_rows(tmp_path, capsys):
     # ||L||^2 of first differences underflows to 0, or overflows
     ("solve", {"solve": {"lambda": 1e-300}}, 1, "solve.lambda 1e-300 is too small"),
     ("solve", {"solve": {"lambda": 1e300}}, 1, "solve.lambda 1e+300 is too large"),
+    # integers past int64, refused at load without their 401 digits
+    ("degrade", {"data": {"count": 10**400}}, 1, "data.count: must be at most 2**63 - 1"),
+    ("train", {"train": {"max_iter": 10**400}}, 1, "train.max_iter: must be at most"),
+    ("degrade", {"seed": 10**400}, 1, "seed: must be at most 2**63 - 1"),
 ], ids=["beta-not-a-number", "tau-0", "sigma-0", "train_frac-2", "K-null",
         "gamma-null", "size-null", "count-null", "image_side-null", "lambda-null",
         "count-0", "patches_per_image-0", "limit-negative", "max_iter-0",
@@ -713,7 +717,8 @@ def test_eval_refuses_a_degraded_dir_with_no_rows(tmp_path, capsys):
         "lr_decay_every-0", "lr_decay_every-negative", "gamma-0", "gamma-nan",
         "sigma-too-large", "alpha-nan", "gamma-inf", "lr_decay_factor-negative",
         "init_stddev-inf", "lambda-inf", "train_frac-nan", "init_stddev-huge",
-        "init_stddev-1e150", "degrade-gamma-0", "lambda-1e-300", "lambda-1e300"])
+        "init_stddev-1e150", "degrade-gamma-0", "lambda-1e-300", "lambda-1e300",
+        "count-1e400", "max_iter-1e400", "seed-1e400"])
 def test_config_values_exit_cleanly(tmp_path, capsys, command, edit, code, named):
     path, cfg = write_config(tmp_path, **edit)
     argv = [command, "--config", path]
@@ -729,6 +734,21 @@ def test_config_values_exit_cleanly(tmp_path, capsys, command, edit, code, named
         assert named in err
     else:
         assert err == ""
+
+
+def test_out_of_memory_is_one_runtime_failure_line(tmp_path, capsys, monkeypatch):
+    # data.count 10**12 asks synthetic_digits for 466 TiB; the patched
+    # allocation fails as numpy would, without allocating or relying on overcommit
+    from pdnet import data as datamod
+
+    def no_memory(count, **_):
+        assert count == 10**12
+        raise MemoryError()
+
+    monkeypatch.setattr(datamod, "synthetic_digits", no_memory)
+    path, _ = write_config(tmp_path, data={"count": 10**12})
+    assert cli.main(["degrade", "--config", path]) == 2
+    assert capsys.readouterr().err == "runtime failure: out of memory\n"
 
 
 _COMMAND_OF = {"degradation": "degrade", "network": "train", "train": "train", "solve": "solve"}

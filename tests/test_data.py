@@ -9,7 +9,7 @@ from pdnet import network as net
 from pdnet import operators as ops
 from pdnet.rng import Stream, derive
 
-from helpers import synthetic_strokes
+from helpers import degrade, synthetic_strokes
 
 
 # ---------------------------------------------------------------------------
@@ -150,22 +150,22 @@ def test_patches_stay_in_bounds_and_deterministic():
 def test_degrade_identity_zero_noise():
     ident = ops.IdentityOperator(10)
     x = Stream(5).uniform(10) * 255
-    assert np.array_equal(dm.degrade(x, ident, 0.0, seed=1), x)
+    assert np.array_equal(degrade(x, ident, 0.0, seed=1), x)
 
 
 def test_degrade_deterministic():
     a = ops.UniformBlur(3, 4)
     x = Stream(6).uniform(16) * 255
-    z1 = dm.degrade(x, a, 20.0, seed=44)
-    z2 = dm.degrade(x, a, 20.0, seed=44)
+    z1 = degrade(x, a, 20.0, seed=44)
+    z2 = degrade(x, a, 20.0, seed=44)
     assert np.array_equal(z1, z2)
-    assert not np.array_equal(z1, dm.degrade(x, a, 20.0, seed=45))
+    assert not np.array_equal(z1, degrade(x, a, 20.0, seed=45))
 
 
 def test_degrade_noise_variance():
     ident = ops.IdentityOperator(1_000_000)
     x = np.zeros(1_000_000)
-    z = dm.degrade(x, ident, 20.0, seed=7)
+    z = degrade(x, ident, 20.0, seed=7)
     var = z.var()
     bound = 3.0 * 400.0 * np.sqrt(2.0 / 1_000_000)  # 3 sigma of the var estimate
     assert abs(var - 400.0) <= bound
@@ -193,7 +193,7 @@ def test_degrade_set_rows_equal_degrade_bitwise(kind, alpha):
     clean = (Stream(derive(0xDE6, 1)).uniform(150 * 64) * 255).reshape(150, 64)
     ds = dm.degrade_set(clean, 8, a, alpha, seed=derive(0xDE6, 2))
     assert len(net.row_pieces(len(ds))) == 3
-    want = np.stack([dm.degrade(clean[s], a, alpha, derive(derive(0xDE6, 2), s))
+    want = np.stack([degrade(clean[s], a, alpha, derive(derive(0xDE6, 2), s))
                      for s in range(len(clean))])
     assert ds.degraded.tobytes() == want.tobytes()
 

@@ -207,11 +207,11 @@ def test_zero_operator_norm_is_zero():
 @pytest.mark.parametrize("weight", [np.nan, 1e200])
 def test_norm_stops_at_first_non_finite_estimate(weight):
     op = ops.DenseAnalysis(np.full((3, 4), weight))
-    ops.ANALYSIS_MACS.reset()
+    ops.ANALYSIS_MACS.count = 0
     with pytest.raises(ops.NonFiniteNormError, match="not finite"):
         op.norm()
     assert ops.ANALYSIS_MACS.count <= 2 * op.nnz  # at most one product pair
-    ops.ANALYSIS_MACS.reset()
+    ops.ANALYSIS_MACS.count = 0
 
 
 def _read_back(tmp_path):
@@ -396,7 +396,7 @@ def test_first_difference_tables_match_the_pixel_loop(side, scale):
     # bytewise, so the signbit of a zero scale's weights counts too
     op = ops.make_first_difference(side, scale=scale)
     cols, vals = first_difference_tables(side, scale)
-    assert _bitwise_equal(op._cols, cols)
+    assert _bitwise_equal(op._layout.cols, cols)
     assert _bitwise_equal(op._vals, vals)
 
 
@@ -406,7 +406,7 @@ def test_first_difference_tables_match_the_pixel_loop(side, scale):
 def test_block_columns_match_the_site_loop(q, stride, filters, side, rule):
     op = ops.make_block_sparse_analysis(q, stride, filters, side, seed=3, site_rule=rule)
     want = block_columns(q, filters, side, ops.block_sites(side, q, stride, rule))
-    assert _bitwise_equal(op._cols, want)
+    assert _bitwise_equal(op._layout.cols, want)
 
 
 @pytest.mark.parametrize("bad", [(4, 0), (0, -1), (-2, 3)])
@@ -495,7 +495,7 @@ def test_grad_outer_matches_dense_masked_product():
 
 
 def _oracle(op):
-    """The (P, N) matrix of ``op`` placed from each part's ``_cols`` and
+    """The (P, N) matrix of ``op`` placed from each part's ``_layout.cols`` and
     weights, never from a product."""
     blocks = []
     for part in op.parts():
@@ -504,7 +504,7 @@ def _oracle(op):
             blocks.append(w.copy())
             continue
         m = np.zeros((part.out_dim, part.in_dim))
-        np.put_along_axis(m, part._cols, w, axis=1)
+        np.put_along_axis(m, part._layout.cols, w, axis=1)
         blocks.append(m)
     return np.vstack(blocks)
 
@@ -516,7 +516,7 @@ def _oracle_grad(op, left, right, coeff):
         rows = full[row:row + part.out_dim]
         row += part.out_dim
         out.append(rows.copy() if isinstance(part, ops.DenseAnalysis)
-                   else np.take_along_axis(rows, part._cols, axis=1))
+                   else np.take_along_axis(rows, part._layout.cols, axis=1))
     return out
 
 
@@ -591,12 +591,12 @@ def test_in_place_updates_reach_products_and_clones_are_independent(case):
 
 def test_mac_counter_tracks_nnz_exactly():
     op = ops.make_block_sparse_analysis(3, 3, 2, 6, seed=7, site_rule="fit")
-    ops.ANALYSIS_MACS.reset()
+    ops.ANALYSIS_MACS.count = 0
     op.apply(np.zeros(36))
     assert ops.ANALYSIS_MACS.count == op.nnz
     op.apply_adjoint(np.zeros((5, op.out_dim)))
     assert ops.ANALYSIS_MACS.count == op.nnz + 5 * op.nnz
-    ops.ANALYSIS_MACS.reset()
+    ops.ANALYSIS_MACS.count = 0
 
 
 def test_gram_route_macs_per_norm_call_are_exact():
@@ -606,13 +606,13 @@ def test_gram_route_macs_per_norm_call_are_exact():
     mask = mask_dense(op)
     gram_nnz = np.count_nonzero(mask.T @ mask)  # pixel pairs sharing a window
     for call in ("cold", "warm"):
-        ops.ANALYSIS_MACS.reset()
+        ops.ANALYSIS_MACS.count = 0
         op.norm()
         # the (S, k, k) blocks, their S k^2 assembly terms, one G v per step
         steps = op._norm_step + 1
         assert ops.ANALYSIS_MACS.count == s * f * k * k + s * k * k + steps * gram_nnz, call
         op.update_weights([np.full((op.out_dim, k), 1e-3)], 1.0)
-    ops.ANALYSIS_MACS.reset()
+    ops.ANALYSIS_MACS.count = 0
 
 
 def test_window_layouts_are_shared_by_layers_clones_and_read_back_models(tmp_path):
