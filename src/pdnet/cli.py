@@ -138,12 +138,13 @@ def _check_value(name: str, value, kind, bound=None):
         except OverflowError:  # a JSON integer past float64
             raise ConfigError(f"{name}: {len(str(abs(value)))}-digit integer "
                               f"overflows float64") from None
+    if kind is int and not -2**63 <= value <= 2**63 - 1:  # array sizes and seeds hold 64 bits
+        raise ConfigError(f"{name}: must be at {'most 2**63 - 1' if value > 0 else 'least -2**63'}"
+                          " (int64)")
     if isinstance(bound, str) and not _RANGES[bound](value):
         raise ConfigError(f"{name} must be {bound}, got {value!r}")
     if isinstance(bound, int) and value < bound:
         raise ConfigError(f"{name}: must be >= {bound}, got {value}")
-    if kind is int and value > 2**63 - 1:  # array sizes and seeds hold 64 bits
-        raise ConfigError(f"{name}: must be at most 2**63 - 1 (int64)")
     return value
 
 
@@ -528,17 +529,14 @@ def cmd_eval(cfg: dict, args: argparse.Namespace) -> int:
         raise ConfigError(f"--beta level too large: {exc}") from exc
     out = _prepare_output(cfg, args.config)
     mean_psnr, mean_ssim = table[0]["psnr"], table[0]["ssim"]  # beta = 0: the plain pass
-    with open(os.path.join(out, "metrics.csv"), "w", encoding="ascii") as f:
-        f.write("image,psnr,ssim\n")
-        for i, (p, s) in enumerate(zip(table[0]["psnrs"], table[0]["ssims"])):
-            f.write(f"{i},{_fmt(p, '')},{repr(s)}\n")
-        f.write(f"mean,{_fmt(mean_psnr, '')},{repr(mean_ssim)}\n")
+    rows = zip([*range(len(subset)), "mean"], table[0]["psnrs"] + [mean_psnr],
+               table[0]["ssims"] + [mean_ssim])
+    datamod.save_csv(os.path.join(out, "metrics.csv"), ["image", "psnr", "ssim"],
+                     ([i, _fmt(p, ""), s] for i, p, s in rows))
     if betas:
-        with open(os.path.join(out, "robustness.csv"), "w", encoding="ascii") as f:
-            f.write("beta,psnr,ssim,psnr_drop_pct,ssim_drop_pct\n")
-            for r in table:
-                f.write(f"{repr(r['beta'])},{repr(r['psnr'])},{repr(r['ssim'])},"
-                        f"{repr(r['psnr_drop_pct'])},{repr(r['ssim_drop_pct'])}\n")
+        cols = ["beta", "psnr", "ssim", "psnr_drop_pct", "ssim_drop_pct"]
+        datamod.save_csv(os.path.join(out, "robustness.csv"), cols,
+                         ([r[c] for c in cols] for r in table))
     if args.verbose:
         print(f"evaluated {len(subset)} images: mean PSNR {_fmt(mean_psnr)} dB, "
               f"mean SSIM {mean_ssim:.4f}")
@@ -578,11 +576,10 @@ def cmd_solve(cfg: dict, args: argparse.Namespace) -> int:
         datamod.save_pgm(os.path.join(out, f"restored_{i:04d}.pgm"),
                          rep.x_hat.reshape(subset.side, subset.side))
     psnrs = datamod.psnr(np.stack([rep.x_hat for rep in reports]), subset.clean)
-    with open(os.path.join(out, "solve_report.csv"), "w", encoding="ascii") as f:
-        f.write("image,iterations,final_residual,converged,psnr\n")
-        for i, (rep, p) in enumerate(zip(reports, psnrs.tolist())):
-            f.write(f"{i},{rep.iterations},{repr(rep.final_residual)},{int(rep.converged)},"
-                    f"{_fmt(p, '')}\n")
+    datamod.save_csv(os.path.join(out, "solve_report.csv"),
+                     ["image", "iterations", "final_residual", "converged", "psnr"],
+                     ([i, rep.iterations, rep.final_residual, int(rep.converged), _fmt(p, "")]
+                      for i, (rep, p) in enumerate(zip(reports, psnrs.tolist()))))
     n_bad = sum(1 for rep in reports if not rep.converged)
     if args.verbose:
         print(f"solved {len(reports)} images "

@@ -7,7 +7,7 @@ images are clipped only when exported to files.
 
 from __future__ import annotations
 
-import functools
+import re
 import struct
 from dataclasses import dataclass
 
@@ -97,26 +97,18 @@ def load_idx(images_path: str, labels_path: str | None = None) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8).astype(np.float64).reshape(count, rows, cols)
 
 
+# Four times: whitespace and # comments, then a token.  The lookaheads end a
+# comment only at its newline and a token only at whitespace, so a failed
+# match cannot backtrack into splitting either.
+_PGM_HEADER = re.compile(rb"(?:\s|#[^\n]*(?![^\n]))*([^\s#]\S*)(?!\S)" * 4)
+
+
 def _pgm_tokens(data: bytes):
     """Header tokens of a PGM, skipping whitespace and # comments."""
-    i = 0
-    tokens = []
-    while len(tokens) < 4:
-        if i >= len(data):
-            raise PgmParseError("unexpected end of PGM header")
-        c = data[i:i + 1]
-        if c.isspace():
-            i += 1
-        elif c == b"#":
-            while i < len(data) and data[i:i + 1] != b"\n":
-                i += 1
-        else:
-            j = i
-            while j < len(data) and not data[j:j + 1].isspace():
-                j += 1
-            tokens.append(data[i:j])
-            i = j
-    return tokens, i + 1  # single whitespace byte terminates the header
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise PgmParseError("unexpected end of PGM header")
+    return list(header.groups()), header.end() + 1  # one whitespace byte ends the header
 
 
 def load_pgm(path: str) -> np.ndarray:
@@ -154,6 +146,13 @@ def save_pgm(path: str, raster_2d: np.ndarray) -> None:
         f.write(body.tobytes())
 
 
+def save_csv(path: str, header: list[str], rows) -> None:
+    """Write a header line, then one comma-separated line per row, each field
+    as ``str`` gives it (for a Python float, ``repr``'s digits)."""
+    with open(path, "w", encoding="ascii") as f:
+        f.write("".join(",".join(map(str, row)) + "\n" for row in [header, *rows]))
+
+
 # ---------------------------------------------------------------------------
 # Patches, degradation, splits
 # ---------------------------------------------------------------------------
@@ -168,8 +167,8 @@ def extract_patches(source: np.ndarray, q: int, count: int, seed: int) -> np.nda
     stream = Stream(derive(seed, _TAG_PATCH))
     rr = stream.integers(count, rows - q + 1)
     cc = stream.integers(count, cols - q + 1)
-    return np.array([source[r:r + q, c:c + q].ravel() for r, c in zip(rr, cc)],
-                    dtype=np.float64).reshape(count, q * q)
+    windows = np.lib.stride_tricks.sliding_window_view(np.asarray(source, np.float64), (q, q))
+    return windows[rr, cc].reshape(count, q * q)
 
 
 def _add_noise(z: np.ndarray, level: float, eta: np.ndarray) -> np.ndarray:
@@ -262,17 +261,15 @@ def psnr(x_hat: np.ndarray, x_ref: np.ndarray) -> float | np.ndarray:
     return _scores(_psnr_rows, x_hat, x_ref, "psnr")
 
 
-@functools.lru_cache(maxsize=None)
 def _ssim_band(side: int) -> np.ndarray:
-    """The read-only matrix of :func:`ssim`'s valid 1-D Gaussian smoothing."""
+    """The matrix of :func:`ssim`'s valid 1-D Gaussian smoothing."""
     k = 11
     t = np.arange(k) - (k - 1) / 2.0
     kernel = np.exp(-(t**2) / (2.0 * 1.5**2))  # sigma 1.5
     kernel /= kernel.sum()
     m = np.zeros((side - k + 1, side))
-    for i in range(side - k + 1):
-        m[i, i:i + k] = kernel
-    m.flags.writeable = False
+    i = np.arange(side - k + 1)[:, None]
+    m[i, i + np.arange(k)] = kernel
     return m
 
 
@@ -364,6 +361,7 @@ def robustness_eval(params: NetworkParams, dataset: Dataset, beta_list: list[flo
 _JITTER_FRAC = 0.05
 _SEGMENTS = {0: "ABCDEF", 1: "BC", 2: "ABGED", 3: "ABGCD", 4: "FGBC",
              5: "AFGCD", 6: "AFGEDC", 7: "ABC", 8: "ABCDEFG", 9: "ABCDFG"}
+_LIT = np.array([[seg in _SEGMENTS[d] for seg in "ABCDEFG"] for d in range(10)])
 
 
 def synthetic_digits(count: int, side: int, seed: int) -> np.ndarray:
@@ -371,45 +369,31 @@ def synthetic_digits(count: int, side: int, seed: int) -> np.ndarray:
 
     Bright strokes on a dark background, roughly centered, values in
     [0, 255] - a deterministic stand-in for handwritten-digit data in
-    desk-scale experiments.  Returns (count, side*side).
+    desk-scale experiments.  Returns (count, side*side).  Image s takes its
+    geometry from the stream ``Stream(derive(seed, _TAG_SYNTH, s, 1))``.
     """
-    out = np.zeros((count, side * side))
-    for s in range(count):
-        stream = Stream(derive(seed, _TAG_SYNTH, s, 1))
-        u = stream.uniform(6)
-        digit = min(int(u[0] * 10), 9)
-        w = max(4, int(side * (0.40 + 0.10 * u[1])))
-        h = max(6, int(side * (0.60 + 0.10 * u[2])))
-        jit = max(1, int(side * _JITTER_FRAC))
-        x0 = (side - w) // 2 + int((u[3] - 0.5) * 2 * jit)
-        y0 = (side - h) // 2 + int((u[4] - 0.5) * 2 * jit)
-        x0 = min(max(x0, 0), side - w)
-        y0 = min(max(y0, 0), side - h)
-        t = max(2, side // 12)
-        level = 200.0 + 55.0 * u[5]
-        img = np.zeros((side, side))
-        midy = y0 + h // 2
-
-        def hseg(y):
-            img[max(y, 0):y + t, x0:x0 + w] = level
-
-        def vseg(x, y1, y2):
-            img[y1:y2, max(x, 0):x + t] = level
-
-        for seg in _SEGMENTS[digit]:
-            if seg == "A":
-                hseg(y0)
-            elif seg == "D":
-                hseg(y0 + h - t)
-            elif seg == "G":
-                hseg(midy - t // 2)
-            elif seg == "F":
-                vseg(x0, y0, midy)
-            elif seg == "B":
-                vseg(x0 + w - t, y0, midy)
-            elif seg == "E":
-                vseg(x0, midy, y0 + h)
-            elif seg == "C":
-                vseg(x0 + w - t, midy, y0 + h)
-        out[s] = img.ravel()
-    return out
+    u = Stream(derive(seed, _TAG_SYNTH, np.arange(count), 1)).uniform(6)
+    jit = max(1, int(side * _JITTER_FRAC))
+    t = max(2, side // 12)
+    pixel = np.arange(side)
+    out = np.empty((count, side, side))
+    for part in row_pieces(count):
+        ud, uw, uh, ux, uy, ul = u[part].T[..., None]  # each (piece, 1)
+        w = np.maximum(4, (side * (0.40 + 0.10 * uw)).astype(np.int64))
+        h = np.maximum(6, (side * (0.60 + 0.10 * uh)).astype(np.int64))
+        left = np.clip((side - w) // 2 + ((ux - 0.5) * 2 * jit).astype(np.int64), 0, side - w)
+        top = np.clip((side - h) // 2 + ((uy - 0.5) * 2 * jit).astype(np.int64), 0, side - h)
+        right, bottom, mid = left + w, top + h, top + h // 2
+        # segment: the rows [r0, r1) and columns [c0, c1) of its stroke, in _LIT's order
+        strokes = {"A": (top, top + t, left, right), "B": (top, mid, right - t, right),
+                   "C": (mid, bottom, right - t, right), "D": (bottom - t, bottom, left, right),
+                   "E": (mid, bottom, left, left + t), "F": (top, mid, left, left + t),
+                   "G": (mid - t // 2, mid - t // 2 + t, left, right)}
+        r0, r1, c0, c1 = np.array(list(strokes.values())).transpose(1, 2, 0, 3)
+        lit = _LIT[np.minimum((ud[:, 0] * 10).astype(np.int64), 9), :, None]
+        rows = (r0 <= pixel) & (pixel < r1) & lit  # (piece, 7, side), as are cols
+        cols = (c0 <= pixel) & (pixel < c1)
+        # pixel (r, c) is lit when some lit segment covers row r and column c
+        cover = np.matmul(rows.transpose(0, 2, 1), cols, dtype=np.float64)
+        np.multiply(cover > 0, 200.0 + 55.0 * ul[..., None], out=out[part])
+    return out.reshape(count, side * side)

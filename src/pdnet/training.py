@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backprop import Gradients, backward
-from .data import psnr, ssim
+from .data import psnr, save_csv, ssim
 from .network import NetworkParams, distance_report, forward
 from .pdhg import saturating_sigma
 from .rng import Stream, derive
@@ -44,16 +44,10 @@ class History:
     depth: int
 
     def to_csv(self, path: str) -> None:
-        cols = ["iter", "loss", "val_psnr", "val_ssim"]
-        cols += [f"dc_layer_{k + 1}" for k in range(self.depth)]
-        lines = [",".join(cols)]
-        for r in self.records:
-            row = [str(r["iter"]), repr(r["loss"]), repr(r["val_psnr"]),
-                   repr(r["val_ssim"])]
-            row += [repr(v) for v in r["dc"]]
-            lines.append(",".join(row))
-        with open(path, "w", encoding="ascii") as f:
-            f.write("\n".join(lines) + "\n")
+        save_csv(path, ["iter", "loss", "val_psnr", "val_ssim"]
+                 + [f"dc_layer_{k + 1}" for k in range(self.depth)],
+                 ([r["iter"], r["loss"], r["val_psnr"], r["val_ssim"], *r["dc"]]
+                  for r in self.records))
 
 
 @dataclass

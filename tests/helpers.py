@@ -1,14 +1,17 @@
 """Helpers that only the tests use: an l1 prox oracle, the one-image
 degradation that ``data.degrade_set`` is checked against, stroke images,
 dense views of analysis operators and of their weight gradients, zero weight
-gradients, a loss moving average, and loop-built reference index tables for
-the first-difference and block-sparse constructors.  The library itself never
-calls them.
+gradients, a loss moving average, loop-built reference index tables for the
+first-difference and block-sparse constructors, and the image-by-image
+digits and byte-by-byte PGM header tokens that ``data.synthetic_digits`` and
+``data._pgm_tokens`` are checked against.  The library itself never calls
+them.
 """
 
 import numpy as np
 
-from pdnet.data import _TAG_NOISE, _TAG_SYNTH, _add_noise
+from pdnet.data import (_JITTER_FRAC, _SEGMENTS, _TAG_NOISE, _TAG_SYNTH, PgmParseError,
+                        _add_noise)
 from pdnet.operators import LinearOperator, UniformBlur
 from pdnet.rng import Stream, derive
 
@@ -135,3 +138,71 @@ def synthetic_strokes(count: int, side: int = 28, seed: int = 0) -> np.ndarray:
                 c = min(max(c + np.cos(ang), 1.0), side - 2.0)
         images[s] = blur.apply(img.ravel())
     return np.clip(images, 0.0, 255.0)
+
+
+def synthetic_digits_per_image(count: int, side: int, seed: int) -> np.ndarray:
+    """``data.synthetic_digits`` drawn and painted one image at a time, each
+    segment by slicing; sides 3-5 wrap where a slice start is negative."""
+    out = np.zeros((count, side * side))
+    for s in range(count):
+        stream = Stream(derive(seed, _TAG_SYNTH, s, 1))
+        u = stream.uniform(6)
+        digit = min(int(u[0] * 10), 9)
+        w = max(4, int(side * (0.40 + 0.10 * u[1])))
+        h = max(6, int(side * (0.60 + 0.10 * u[2])))
+        jit = max(1, int(side * _JITTER_FRAC))
+        x0 = (side - w) // 2 + int((u[3] - 0.5) * 2 * jit)
+        y0 = (side - h) // 2 + int((u[4] - 0.5) * 2 * jit)
+        x0 = min(max(x0, 0), side - w)
+        y0 = min(max(y0, 0), side - h)
+        t = max(2, side // 12)
+        level = 200.0 + 55.0 * u[5]
+        img = np.zeros((side, side))
+        midy = y0 + h // 2
+
+        def hseg(y):
+            img[max(y, 0):y + t, x0:x0 + w] = level
+
+        def vseg(x, y1, y2):
+            img[y1:y2, max(x, 0):x + t] = level
+
+        for seg in _SEGMENTS[digit]:
+            if seg == "A":
+                hseg(y0)
+            elif seg == "D":
+                hseg(y0 + h - t)
+            elif seg == "G":
+                hseg(midy - t // 2)
+            elif seg == "F":
+                vseg(x0, y0, midy)
+            elif seg == "B":
+                vseg(x0 + w - t, y0, midy)
+            elif seg == "E":
+                vseg(x0, midy, y0 + h)
+            elif seg == "C":
+                vseg(x0 + w - t, midy, y0 + h)
+        out[s] = img.ravel()
+    return out
+
+
+def pgm_tokens_per_byte(data: bytes):
+    """``data._pgm_tokens`` read byte by byte: the four header tokens and the
+    payload offset, or ``PgmParseError``."""
+    i = 0
+    tokens = []
+    while len(tokens) < 4:
+        if i >= len(data):
+            raise PgmParseError("unexpected end of PGM header")
+        c = data[i:i + 1]
+        if c.isspace():
+            i += 1
+        elif c == b"#":
+            while i < len(data) and data[i:i + 1] != b"\n":
+                i += 1
+        else:
+            j = i
+            while j < len(data) and not data[j:j + 1].isspace():
+                j += 1
+            tokens.append(data[i:j])
+            i = j
+    return tokens, i + 1

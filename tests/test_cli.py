@@ -709,6 +709,9 @@ def test_eval_refuses_a_degraded_dir_with_no_rows(tmp_path, capsys):
     ("degrade", {"data": {"count": 10**400}}, 1, "data.count: must be at most 2**63 - 1"),
     ("train", {"train": {"max_iter": 10**400}}, 1, "train.max_iter: must be at most"),
     ("degrade", {"seed": 10**400}, 1, "seed: must be at most 2**63 - 1"),
+    ("degrade", {"seed": -10**400}, 1, "seed: must be at least -2**63 (int64)"),
+    ("degrade", {"degradation": {"size": -10**400}}, 1,
+     "degradation.size: must be at least -2**63 (int64)"),
 ], ids=["beta-not-a-number", "tau-0", "sigma-0", "train_frac-2", "K-null",
         "gamma-null", "size-null", "count-null", "image_side-null", "lambda-null",
         "count-0", "patches_per_image-0", "limit-negative", "max_iter-0",
@@ -718,7 +721,7 @@ def test_eval_refuses_a_degraded_dir_with_no_rows(tmp_path, capsys):
         "sigma-too-large", "alpha-nan", "gamma-inf", "lr_decay_factor-negative",
         "init_stddev-inf", "lambda-inf", "train_frac-nan", "init_stddev-huge",
         "init_stddev-1e150", "degrade-gamma-0", "lambda-1e-300", "lambda-1e300",
-        "count-1e400", "max_iter-1e400", "seed-1e400"])
+        "count-1e400", "max_iter-1e400", "seed-1e400", "seed-neg1e400", "size-neg1e400"])
 def test_config_values_exit_cleanly(tmp_path, capsys, command, edit, code, named):
     path, cfg = write_config(tmp_path, **edit)
     argv = [command, "--config", path]

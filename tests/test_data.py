@@ -9,7 +9,7 @@ from pdnet import network as net
 from pdnet import operators as ops
 from pdnet.rng import Stream, derive
 
-from helpers import degrade, synthetic_strokes
+from helpers import degrade, pgm_tokens_per_byte, synthetic_strokes
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +120,25 @@ def test_pgm_fuzz_never_crashes(tmp_path):
             pass
 
 
+def _tokens_or_error(parse, blob):
+    try:
+        return parse(blob)
+    except dm.PgmParseError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("alphabet", [b" \t\n\r\x0b\x0c##\n\n0123456789P5", bytes(range(256))],
+                         ids=["header-bytes", "any-byte"])
+def test_pgm_tokens_equal_the_per_byte_reference(alphabet):
+    # header-like blobs, comments ending the file among them, and random bytes
+    for t in range(10_000):
+        stream = Stream(derive(0x7E4, len(alphabet), t))
+        picks = stream.integers(int(stream.integers(1, 40)[0]), len(alphabet))
+        blob = bytes(alphabet[i] for i in picks.tolist())
+        assert _tokens_or_error(dm._pgm_tokens, blob) \
+            == _tokens_or_error(pgm_tokens_per_byte, blob), blob
+
+
 # ---------------------------------------------------------------------------
 # patches / degradation / splits
 # ---------------------------------------------------------------------------
@@ -131,6 +150,18 @@ def test_patches_whole_image():
     assert len(patches) == 3
     for p in patches:
         assert np.array_equal(p, img.ravel())
+
+
+def test_patches_are_the_windows_at_the_drawn_corners():
+    raster = (Stream(4).uniform(11 * 17) * 256).astype(np.uint8).reshape(11, 17)
+    q, count, seed = 4, 60, 12
+    stream = Stream(derive(seed, dm._TAG_PATCH))
+    rr = stream.integers(count, 11 - q + 1)
+    cc = stream.integers(count, 17 - q + 1)
+    patches = dm.extract_patches(raster, q, count, seed)
+    assert patches.dtype == np.float64 and patches.shape == (count, q * q)
+    for patch, r, c in zip(patches, rr, cc):
+        assert np.array_equal(patch, raster[r:r + q, c:c + q].ravel())
 
 
 def test_patches_zero_count():

@@ -1,6 +1,10 @@
 import numpy as np
+import pytest
 
 from pdnet.data import synthetic_digits
+from pdnet.rng import derive
+
+from helpers import synthetic_digits_per_image
 
 
 def test_digits_deterministic():
@@ -30,3 +34,13 @@ def test_digits_small_side_still_valid():
     assert imgs.shape == (5, 64)
     assert np.all(np.isfinite(imgs))
     assert imgs.max() > 0
+
+
+@pytest.mark.parametrize("seed", [2, derive(20240601, 1)], ids=["seed-2", "derived-seed"])
+def test_digits_equal_the_per_image_reference(seed):
+    # counts below, at and across the 100-image mark where row pieces split
+    for side in range(6, 65):
+        for count in (0, 1, 99, 100, 150):
+            want = synthetic_digits_per_image(count, side, seed)
+            have = synthetic_digits(count, side, seed)
+            assert have.shape == want.shape and have.tobytes() == want.tobytes(), (side, count)

@@ -10,9 +10,13 @@ super-resolution in partial mode, the first-difference solve) and one is a
 fused ``dense:6`` + ``f3s2n2`` network in partial mode.  Each training
 workload runs ``degrade``, ``train``, ``eval --beta 2,5``, ``eval``
 without ``--beta`` (into ``eval-plain/``), ``export-filters`` and
-``gradcheck``; the solve workload runs ``degrade`` and ``solve``.  Every
-command's stdout and exit code are kept as one more artifact; a command that
-exits 1 or 2 stops the run.
+``gradcheck``; the solve workload runs ``degrade`` and ``solve``.  Two more
+``degrade`` runs read the file sources: ``degrade-pgm-dir`` crops 8 x 8
+patches from two PGMs that ``pdnet.data.save_pgm`` writes, and
+``degrade-idx`` reads an IDX image file and its label file, both written
+with ``struct``; their inputs are artifacts too.  Every command's stdout and
+exit code are kept as one more artifact; a command that exits 1 or 2 stops
+the run.
 
 The output is one ``sha256  path`` line per file under the work directory,
 with paths relative to it and sorted, so two checkouts whose outputs are the
@@ -31,6 +35,7 @@ import io
 import json
 import os
 import shutil
+import struct
 import sys
 import tempfile
 
@@ -38,6 +43,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
                                 "src"))
 
 from pdnet.cli import main  # noqa: E402
+from pdnet.data import save_pgm  # noqa: E402
+from pdnet.rng import Stream  # noqa: E402
 
 SEED = 1001
 BLUR = {"kind": "uniform-blur", "size": 3, "alpha": 20.0}
@@ -61,6 +68,30 @@ GRADCHECK = {
     "sr-blocksparse-partial": (8, {"K": 2, "mode": "partial", "L": ["f3s2n2"]}),
     "fused-partial": (6, {"K": 2, "mode": "partial", "L": ["dense:6", "f3s2n2"]}),
 }
+
+
+def _pgm_dir(folder: str) -> dict:
+    """Two PGMs of other shapes than the 8 x 8 patches cropped from them."""
+    for i, (rows, cols) in enumerate([(20, 13), (11, 16)]):
+        save_pgm(os.path.join(folder, f"raster_{i}.pgm"),
+                 255 * Stream(SEED + i).uniform(rows * cols).reshape(rows, cols))
+    return {"source": "pgm-dir", "path": folder, "patch_size": 8, "patches_per_image": 6}
+
+
+def _idx(folder: str) -> dict:
+    """Seven 9 x 9 images in IDX format, with their labels."""
+    count, side = 7, 9
+    pixels = (256 * Stream(SEED).uniform(count * side * side)).astype("uint8")
+    images, labels = os.path.join(folder, "images.idx"), os.path.join(folder, "labels.idx")
+    with open(images, "wb") as f:
+        f.write(struct.pack(">IIII", 0x803, count, side, side) + pixels.tobytes())
+    with open(labels, "wb") as f:
+        f.write(struct.pack(">II", 0x801, count) + bytes(range(count)))
+    return {"source": "idx", "images": images, "labels": labels}
+
+
+# name: writer of the input files, which returns the data section that reads them
+SOURCES = {"degrade-pgm-dir": _pgm_dir, "degrade-idx": _idx}
 
 
 def _write(path: str, doc: dict) -> str:
@@ -118,6 +149,13 @@ def run() -> None:
             {"task": task, "seed": SEED, "output_dir": path("gradcheck"),
              "degradation": degradation, "data": {"image_side": gc_side},
              "network": gc_network}))
+    for name, source in SOURCES.items():
+        inputs = os.path.join(name, "input")
+        os.makedirs(inputs)
+        _pdnet(os.path.join(name, "degrade.log"), "degrade", "--config", _write(
+            os.path.join(name, "degrade.json"),
+            {"task": "deblur", "seed": SEED, "output_dir": os.path.join(name, "data"),
+             "degradation": BLUR, "data": source(inputs)}))
 
 
 def hashes() -> list[str]:
