@@ -271,10 +271,15 @@ def _load_clean_images(cfg: dict):
         files = sorted(f for f in os.listdir(d["path"]) if f.endswith(".pgm"))[:limit]
         if not files:
             raise ConfigError(f"no .pgm files under {d['path']}")
-        return np.concatenate([
-            datamod.extract_patches(datamod.load_pgm(os.path.join(d["path"], fname)),
-                                    q, d["patches_per_image"], derive(cfg["seed"], 2, i))
-            for i, fname in enumerate(files)]), q
+        patches = []
+        for i, fname in enumerate(files):
+            raster = datamod.load_pgm(os.path.join(d["path"], fname))
+            try:
+                patches.append(datamod.extract_patches(raster, q, d["patches_per_image"],
+                                                       derive(cfg["seed"], 2, i)))
+            except ValueError as exc:  # a raster smaller than the patch
+                raise ConfigError(f"data.patch_size: {exc} ({fname})") from exc
+        return np.concatenate(patches), q
     raise ConfigError(f"unknown data source {source!r}")
 
 
@@ -331,9 +336,13 @@ def _load_degraded_dir(root: str) -> datamod.Dataset:
         if hashlib.sha256(blob).hexdigest() != files.get(name):
             raise ConfigError(f"{name} in {root} does not match its manifest sha256")
     try:
-        a_op = degradation_from_spec(spec)
         clean, degraded = (_npy_view(blob) for blob in blobs)
         finite = [bool(np.isfinite(a).all()) for a in (clean, degraded)]
+        n = spec.get("image_side")  # N for identity, else the side; checked before the build
+        if isinstance(n, int) and clean.shape[1:] != (n if spec.get("kind") == "identity"
+                                                      else n * n,):
+            raise ValueError(f"clean {clean.shape} does not fit degradation image_side {n}")
+        a_op = degradation_from_spec(spec)
     except (EOFError, TypeError, ValueError) as exc:
         raise ConfigError(f"dataset dir {root}: {exc}") from exc
     for name, ok in zip(names, finite):
@@ -570,20 +579,19 @@ def cmd_solve(cfg: dict, args: argparse.Namespace) -> int:
     if not check_stepsizes(tau, sigma, norm_a, norm_l) > 0:
         raise ConfigError("sigma too large: 1/tau - sigma ||L||^2 must exceed ||A||^2 / 2")
     out = _prepare_output(cfg, args.config)
-    reports = pdhg_solve(a_op, l_op, subset.degraded, tau, sigma, tol=s["tol"],
-                         max_iter=max_iter)
-    for i, rep in enumerate(reports):
+    x_hat, iterations, residual, converged = pdhg_solve(
+        a_op, l_op, subset.degraded, tau, sigma, tol=s["tol"], max_iter=max_iter)
+    for i, x in enumerate(x_hat):
         datamod.save_pgm(os.path.join(out, f"restored_{i:04d}.pgm"),
-                         rep.x_hat.reshape(subset.side, subset.side))
-    psnrs = datamod.psnr(np.stack([rep.x_hat for rep in reports]), subset.clean)
+                         x.reshape(subset.side, subset.side))
+    psnrs = [_fmt(p, "") for p in datamod.psnr(x_hat, subset.clean).tolist()]
     datamod.save_csv(os.path.join(out, "solve_report.csv"),
                      ["image", "iterations", "final_residual", "converged", "psnr"],
-                     ([i, rep.iterations, rep.final_residual, int(rep.converged), _fmt(p, "")]
-                      for i, (rep, p) in enumerate(zip(reports, psnrs.tolist()))))
-    n_bad = sum(1 for rep in reports if not rep.converged)
+                     zip(range(len(x_hat)), iterations.tolist(), residual.tolist(),
+                         converged.astype(int).tolist(), psnrs))
     if args.verbose:
-        print(f"solved {len(reports)} images "
-              f"({n_bad} not converged within {max_iter} iterations)")
+        print(f"solved {len(x_hat)} images "
+              f"({(~converged).sum()} not converged within {max_iter} iterations)")
     return 0
 
 
@@ -661,7 +669,8 @@ def main(argv=None) -> int:
         cfg = None if args.command == "export-filters" else load_config(
             args.config, seed_override=args.seed, output_override=args.output)
         return _COMMANDS[args.command](cfg, args)
-    except (ConfigError, ModelFormatError, OSError) as exc:
+    except (ConfigError, ModelFormatError, OSError, datamod.IdxParseError,
+            datamod.PgmParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (TrainingDivergedError, RuntimeError, ValueError, MemoryError) as exc:

@@ -231,19 +231,16 @@ def split(dataset: Dataset, train_frac: float, val_frac: float,
 _PEAK = 255.0
 
 
-def _scores(score_rows, x_hat: np.ndarray, x_ref: np.ndarray, name: str):
-    """``score_rows`` over a 1-D pair (a float) or a ``(B, N)`` stack (``B``
-    scores), taken in the pieces of :func:`network.row_pieces`."""
+def _scores(score_rows, x_hat: np.ndarray, x_ref: np.ndarray, name: str) -> np.ndarray:
+    """``score_rows`` over a ``(B, N)`` stack pair: ``B`` scores, taken in the
+    pieces of :func:`network.row_pieces`."""
     a = np.asarray(x_hat, dtype=np.float64)
     b = np.asarray(x_ref, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"{name} shape mismatch: {a.shape} vs {b.shape}")
-    if a.ndim not in (1, 2):
-        raise ValueError(f"{name} takes one image or a (B, N) stack, got shape {a.shape}")
-    stack_a, stack_b = np.atleast_2d(a, b)
-    scores = np.concatenate([score_rows(stack_a[rows], stack_b[rows])
-                             for rows in row_pieces(len(stack_a))])
-    return float(scores[0]) if a.ndim == 1 else scores
+    if a.ndim != 2:
+        raise ValueError(f"{name} takes a (B, N) stack of images, got shape {a.shape}")
+    return np.concatenate([score_rows(a[rows], b[rows]) for rows in row_pieces(len(a))])
 
 
 def _psnr_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -252,12 +249,15 @@ def _psnr_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return 10.0 * np.log10(_PEAK * _PEAK / mse)
 
 
-def psnr(x_hat: np.ndarray, x_ref: np.ndarray) -> float | np.ndarray:
-    """10 log10(255^2 / MSE); +inf when the images are identical.
+def psnr(x_hat: np.ndarray, x_ref: np.ndarray) -> np.ndarray | float:
+    """10 log10(255^2 / MSE) of each row of a ``(B, N)`` stack of images
+    against its reference: ``B`` scores, +inf where the images are identical.
 
-    Takes one image pair (1-D, returns a float) or a ``(B, N)`` stack of
-    images, one per row (returns ``B`` scores).
+    A lone 1-D pair is scored as a one-row stack and gives its one score as a
+    float: ``perfbench``'s solve workload scores its backprojections so.
     """
+    if np.ndim(x_hat) == 1:
+        return float(_scores(_psnr_rows, [x_hat], [x_ref], "psnr")[0])
     return _scores(_psnr_rows, x_hat, x_ref, "psnr")
 
 
@@ -273,14 +273,12 @@ def _ssim_band(side: int) -> np.ndarray:
     return m
 
 
-def ssim(x_hat: np.ndarray, x_ref: np.ndarray, side: int) -> float | np.ndarray:
-    """Single-scale SSIM of ``side x side`` images: 11x11 Gaussian window
-    (sigma 1.5), K1=0.01, K2=0.03, dynamic range 255, averaged over valid
-    window positions.
-
-    Takes one image pair (1-D, returns a float) or a ``(B, side*side)``
-    stack of images, one per row (returns ``B`` scores).  Images smaller
-    than the window fall back to one uniform global window.
+def ssim(x_hat: np.ndarray, x_ref: np.ndarray, side: int) -> np.ndarray:
+    """Single-scale SSIM of each row of a ``(B, side*side)`` stack of images
+    against its reference (``B`` scores): 11x11 Gaussian window (sigma 1.5),
+    K1=0.01, K2=0.03, dynamic range 255, averaged over valid window
+    positions.  Images smaller than the window fall back to one uniform
+    global window.
     """
     c1 = (0.01 * _PEAK) ** 2
     c2 = (0.03 * _PEAK) ** 2

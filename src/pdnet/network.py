@@ -170,28 +170,25 @@ def init_network(degradation: LinearOperator, depth: int, l_specs: list,
 
 
 def forward(params: NetworkParams, z: np.ndarray, keep_trace: bool = False):
-    """Run the unrolled network on one measurement or a batch of them.
-
-    ``z`` is (M,) or (B, M); the restored image(s) come back with matching
-    shape.  With ``keep_trace`` the per-layer activations are returned too;
-    without it the pass keeps no per-layer arrays, the trace is None, and a
-    batch runs in the pieces of :func:`row_pieces`: the temporaries of a
-    large batch then stay small enough to be reused instead of being mapped
-    and page-faulted afresh on every product.
+    """Run the unrolled network on a (B, M) batch of measurements; the (B, N)
+    restored images come back.  With ``keep_trace`` the per-layer activations
+    are returned too; without it the pass keeps no per-layer arrays, the
+    trace is None, and a batch runs in the pieces of :func:`row_pieces`: the
+    temporaries of a large batch then stay small enough to be reused instead
+    of being mapped and page-faulted afresh on every product.
     The dual starts at zero, so the first layer forms no L* y: a pass takes
     2K - 2 analysis products per piece, and every layer of every piece
     reuses one (B, N) scratch buffer.
     """
     z = np.asarray(z, dtype=np.float64)
-    single = z.ndim == 1
-    zb = z[None, :] if single else z
-    if zb.shape[-1] != params.degradation.out_dim:
-        raise ValueError(f"measurement length {zb.shape[-1]} != {params.degradation.out_dim}")
-    pieces = [zb] if keep_trace else [zb[rows] for rows in row_pieces(len(zb))]
+    if z.ndim != 2 or z.shape[1] != params.degradation.out_dim:
+        raise ValueError(f"measurement must be (B, M) with M = {params.degradation.out_dim}, "
+                         f"got {z.shape}")
+    pieces = [z] if keep_trace else [z[rows] for rows in row_pieces(len(z))]
     work = np.empty((max(len(p) for p in pieces), params.image_dim))
     runs = [_unroll(params, piece, keep_trace, work[:len(piece)]) for piece in pieces]
     out = runs[0][0] if len(runs) == 1 else np.concatenate([o for o, _ in runs])
-    return (out[0] if single else out), runs[0][1]
+    return out, runs[0][1]
 
 
 def row_pieces(n: int) -> list[slice]:
@@ -358,16 +355,15 @@ def _params_from_doc(doc) -> NetworkParams:
              f"unexpected model fields: {sorted(doc)}")
     _require(doc["g"] == MODEL_PENALTY,
              f"only the {MODEL_PENALTY} penalty is supported, got {doc['g']!r}")
-    _require(isinstance(doc["degradation"], dict), "degradation must be an object")
-    try:
-        a_op = degradation_from_spec(doc["degradation"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"bad degradation spec: {exc}") from exc
+    spec = doc["degradation"]
+    _require(isinstance(spec, dict), "degradation must be an object")
     layers_doc = doc["layers"]
     _require(isinstance(layers_doc, list) and layers_doc, "layers must be nonempty")
     _require(_int(doc["K"], "K") == len(layers_doc),
              f"K={doc['K']} but {len(layers_doc)} layer records present")
-    n = a_op.in_dim
+    # the parts check N (identity's image_side) before the degradation is built
+    n = _int(spec.get("image_side"), "degradation image_side")
+    n = n if spec.get("kind") == "identity" else n * n
     layers = []
     for rec in layers_doc:
         _require(isinstance(rec, dict) and set(rec) == {"tau", "sigma", "parts"},
@@ -379,6 +375,10 @@ def _params_from_doc(doc) -> NetworkParams:
         _require(0 <= tau < np.inf and 0 <= sigma < np.inf,  # NaN fails too
                  f"layer step sizes must be finite and nonnegative, got {tau!r}, {sigma!r}")
         layers.append(LayerParams(tau, sigma, fuse_analysis(parts)))
+    try:
+        a_op = degradation_from_spec(spec)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"bad degradation spec: {exc}") from exc
     return NetworkParams(a_op, layers, mode=doc["mode"])
 
 

@@ -16,20 +16,9 @@ reproduces K solver iterations bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .operators import AnalysisOperator, LinearOperator
-
-
-@dataclass
-class SolveReport:
-    """One measurement's solve: the restored image and how the solver stopped."""
-    x_hat: np.ndarray
-    iterations: int
-    final_residual: float
-    converged: bool
 
 
 def check_stepsizes(tau: float, sigma: float, norm_a: float, norm_l: float) -> float:
@@ -122,27 +111,25 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
 
 
 def pdhg_solve(a_op: LinearOperator, l_op: AnalysisOperator, z: np.ndarray,
-               tau: float, sigma: float, tol: float,
-               max_iter: int) -> SolveReport | list[SolveReport]:
-    """Iterate to convergence from (A* z, 0), for one measurement or a batch.
+               tau: float, sigma: float, tol: float, max_iter: int):
+    """Iterate to convergence from (A* z, 0) on a (B, M) batch of measurements.
 
-    ``z`` is (M,), which returns one report, or (B, M), which returns a list
-    of B reports.  Each row stops on its own once the relative primal change
-    ||x+ - x|| / max(1, ||x||) drops below ``tol``; hitting ``max_iter``
-    flags its report as not converged instead of raising.  A stopped row
-    leaves the batch.  With first differences or lambda * Id (CSR products)
-    or block-sparse parts (per-window GEMMs through ``_window_matmul``) as
-    ``l_op``, each row's report is the one a solve of that row alone gives,
-    bit for bit.  A ``DenseAnalysis`` part does not keep that, since BLAS
-    rounds a dense product's rows differently with the batch's row count;
-    there each row's ``x_hat`` is within ``tol * max(1, ||x_hat||)`` of a
-    solo solve's in the Euclidean norm.
+    Returns ``(x_hat, iterations, residual, converged)``: the (B, N) images,
+    and per row the iteration it stopped at, its last relative primal change
+    ||x+ - x|| / max(1, ||x||) and whether that fell below ``tol``.  Each row
+    stops on its own, at ``tol`` or unconverged at ``max_iter``, and leaves
+    the batch.  With first differences or lambda * Id (CSR products) or
+    block-sparse parts (per-window GEMMs through ``_window_matmul``) as
+    ``l_op``, each row's results are a (1, M) solve's of that row, bit for
+    bit.  A ``DenseAnalysis`` part does not keep that, since BLAS rounds a
+    dense product's rows differently with the batch's row count; there each
+    row's ``x_hat`` is within ``tol * max(1, ||x_hat||)`` of a solo solve's.
     Step sizes must be positive and finite.  As in ``network.forward``, the
     step-size margin is not checked: ``pdnet solve`` refuses steps that break it.
     """
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim not in (1, 2) or z.shape[-1] != a_op.out_dim:
-        raise ValueError(f"measurement must be (M,) or (B, M) with M = {a_op.out_dim}")
+    if z.ndim != 2 or z.shape[1] != a_op.out_dim:
+        raise ValueError(f"measurement must be (B, M) with M = {a_op.out_dim}, got {z.shape}")
     if l_op.in_dim != a_op.in_dim:
         raise ValueError("analysis and degradation operators disagree on N")
     max_iter = int(max_iter)
@@ -151,15 +138,15 @@ def pdhg_solve(a_op: LinearOperator, l_op: AnalysisOperator, z: np.ndarray,
     if not (0 < tau < np.inf and 0 < sigma < np.inf):  # NaN fails too
         raise ValueError(f"step sizes must be positive and finite: {tau!r}, {sigma!r}")
 
-    # 2-D even for one measurement: identical arithmetic to the unrolled network
-    zs = z.reshape(-1, a_op.out_dim)
-    w = a_op.apply_adjoint(zs)
+    w = a_op.apply_adjoint(z)
     x = w
     y = None  # the zero dual
     work = np.empty_like(w)
     x_hat = np.empty_like(w)
-    reports: list[SolveReport | None] = [None] * len(zs)
-    rows = np.arange(len(zs))  # the measurement each active row solves
+    iterations = np.zeros(len(z), dtype=np.int64)
+    residual = np.zeros(len(z))
+    converged = np.zeros(len(z), dtype=bool)
+    rows = np.arange(len(z))  # the measurement each active row solves
     it = 0
     while len(rows):
         it += 1
@@ -167,19 +154,13 @@ def pdhg_solve(a_op: LinearOperator, l_op: AnalysisOperator, z: np.ndarray,
         rel = _row_norms(x_new - x) / np.maximum(1.0, _row_norms(x))
         # the first primal update from x = A*z is stationary while y is still
         # zero, so the change test only starts once the dual has acted
-        converged = (rel < tol) & (it >= 2)
-        stop = converged | (it == max_iter)
+        done = (rel < tol) & (it >= 2)
+        stop = done | (it == max_iter)
         if stop.any():
-            for r in np.flatnonzero(stop):
-                i = rows[r]
-                x_hat[i] = x_new[r]
-                reports[i] = SolveReport(
-                    x_hat=x_hat[i],
-                    iterations=it,
-                    final_residual=float(rel[r]),
-                    converged=bool(converged[r]),
-                )
+            i = rows[stop]
+            x_hat[i], iterations[i] = x_new[stop], it
+            residual[i], converged[i] = rel[stop], done[stop]
             keep = ~stop
             rows, x_new, y, w = rows[keep], x_new[keep], y[keep], w[keep]
         x = x_new
-    return reports[0] if z.ndim == 1 else reports
+    return x_hat, iterations, residual, converged

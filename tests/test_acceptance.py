@@ -131,12 +131,12 @@ def test_criterion_2_unrolled_equivalence():
             net.LayerParams(lp.tau, lp.sigma, lp.analysis.clone())
             for _ in range(depth)
         ], "full")
-        z = Stream(derive(0xE02, depth, 1)).uniform(side * side) * 255
+        z = Stream(derive(0xE02, depth, 1)).uniform(side * side)[None] * 255
         out, _ = net.forward(shared, z)
-        rep = pdhg.pdhg_solve(a_op, lp.analysis, z,
-                              lp.tau, lp.sigma,
-                              tol=0.0, max_iter=depth)
-        worst = max(worst, float(np.abs(out - rep.x_hat).max()))
+        x_hat = pdhg.pdhg_solve(a_op, lp.analysis, z,
+                                lp.tau, lp.sigma,
+                                tol=0.0, max_iter=depth)[0]
+        worst = max(worst, float(np.abs(out - x_hat).max()))
     _report(2, worst <= 1e-12,
             f"K in {{1,2,6}} on 8x8 images, max |forward - solver| = {worst:.3e} "
             f"(bound 1e-12)")
@@ -156,9 +156,9 @@ def test_criterion_3_closed_form_oracle():
         sigma = 0.9 * 0.5 / lam**2
         for t in range(100):
             z = Stream(derive(0xC3, t)).normal(n) * 4.0
-            rep = pdhg.pdhg_solve(ident, l_op, z, 1.0, sigma,
-                                  tol=1e-10, max_iter=100_000)
-            worst = max(worst, float(np.abs(rep.x_hat - prox_l1(z, lam)).max()))
+            x_hat = pdhg.pdhg_solve(ident, l_op, z[None], 1.0, sigma,
+                                    tol=1e-10, max_iter=100_000)[0][0]
+            worst = max(worst, float(np.abs(x_hat - prox_l1(z, lam)).max()))
     _report(3, worst <= 1e-6,
             f"lambda in {{0.1,1,5}} x 100 vectors, max |x_hat - soft_threshold| "
             f"= {worst:.3e} (bound 1e-6)")

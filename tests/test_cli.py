@@ -109,13 +109,28 @@ def test_missing_config_file():
 
 
 @pytest.mark.parametrize("case", ["pgm-dir-path-is-a-file", "idx-images-is-a-dir",
-                                  "output_dir-is-a-file", "export-output-is-a-file"])
+                                  "output_dir-is-a-file", "export-output-is-a-file",
+                                  "idx-images-is-a-pgm", "pgm-truncated",
+                                  "patch_size-over-raster"])
 def test_os_errors_exit_cleanly(tmp_path, capsys, case):
+    from pdnet.data import save_pgm
+
     a_file = tmp_path / "a_file"
     a_file.write_bytes(b"")
+    raster = tmp_path / "pgms" / "raster.pgm"  # 9 rows of 5 pixels
+    raster.parent.mkdir()
+    save_pgm(str(raster), np.zeros((9, 5)))
+    truncated = tmp_path / "cut" / "raster.pgm"
+    truncated.parent.mkdir()
+    truncated.write_bytes(raster.read_bytes()[:-1])
     data = {"pgm-dir-path-is-a-file": {"source": "pgm-dir", "path": str(a_file),
                                        "patch_size": 4},
-            "idx-images-is-a-dir": {"source": "idx", "images": str(tmp_path)}}
+            "idx-images-is-a-dir": {"source": "idx", "images": str(tmp_path)},
+            "idx-images-is-a-pgm": {"source": "idx", "images": str(raster)},
+            "pgm-truncated": {"source": "pgm-dir", "path": str(truncated.parent),
+                              "patch_size": 4},
+            "patch_size-over-raster": {"source": "pgm-dir", "path": str(raster.parent),
+                                       "patch_size": 8}}
     path, _ = write_config(tmp_path, data=data.get(case, {}),
                            output_dir=str(a_file if case == "output_dir-is-a-file"
                                           else tmp_path / "out"))
@@ -131,6 +146,9 @@ def test_os_errors_exit_cleanly(tmp_path, capsys, case):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    if case == "patch_size-over-raster":
+        assert err == ("error: data.patch_size: patch size 8 does not fit a 9x5 raster "
+                       "(raster.pgm)\n")
 
 
 def test_degrade_idempotent(tmp_path):
@@ -362,6 +380,19 @@ def test_export_filters_from_model(tmp_path):
     assert os.path.exists(os.path.join(dest, "filters_part1.pgm"))
 
 
+def _record_blur_sides(monkeypatch):
+    """The ``image_side`` of every ``UniformBlur`` built from here on."""
+    sides = []
+    init = ops.UniformBlur.__init__
+
+    def recording(self, size, image_side):
+        sides.append(image_side)
+        init(self, size, image_side)
+
+    monkeypatch.setattr(ops.UniformBlur, "__init__", recording)
+    return sides
+
+
 def _set(path, value):
     """A mutation that sets the entry at ``path`` in the model document."""
     def mutate(doc):
@@ -402,11 +433,13 @@ def _weights_to(index, encode):
     _weights_to(0, lambda w: [True] + w.tolist()[1:]),
     _weights_to(0, lambda w: _b64(w.tobytes())[:76] + "\n" + _b64(w.tobytes())[76:]),
     _weights_to(1, lambda w: _b64(w.tobytes()[:-1])),
+    _set(["degradation", "image_side"], 4000),
 ], ids=["K-null", "rows-null", "tau-list", "sites-number", "degradation-null",
         "weights-non-alphabet", "weights-list", "weights-nan", "stride-0",
         "size_or_factor-string", "g-l2", "stride-off-sites", "tau-negative",
-        "sigma-infinity", "weights-true", "weights-newline", "weights-short-byte"])
-def test_malformed_model_exits_cleanly(tmp_path, capsys, mutate):
+        "sigma-infinity", "weights-true", "weights-newline", "weights-short-byte",
+        "image_side-4000"])
+def test_malformed_model_exits_cleanly(tmp_path, capsys, monkeypatch, mutate):
     from pdnet import network as net
     from pdnet import operators as ops
 
@@ -417,11 +450,13 @@ def test_malformed_model_exits_cleanly(tmp_path, capsys, mutate):
     doc = json.load(open(model))
     mutate(doc)
     json.dump(doc, open(model, "w"))
+    built = _record_blur_sides(monkeypatch)
     with pytest.raises(net.ModelFormatError):
         net.deserialize(model)
     capsys.readouterr()
     assert cli.main(["export-filters", "--model", model,
                      "--output", str(tmp_path / "filters")]) == 1
+    assert set(built) <= {6}  # no blur of a side the parts do not have
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
@@ -535,9 +570,12 @@ def _short_rows(root, manifest):
                                  "image_side": 8}), "size_or_factor"),
     (_edit_manifest(degradation={"kind": "uniform-blur", "size_or_factor": 3.7,
                                  "image_side": 8}), "size_or_factor"),
+    (_edit_manifest(degradation={"kind": "uniform-blur", "size_or_factor": 3,
+                                 "image_side": 4000}), "image_side 4000"),
 ], ids=["degraded-hash-mismatch", "alpha-missing", "side-missing", "rows-too-short",
-        "degradation-unknown", "size_or_factor-string", "size_or_factor-float"])
-def test_degraded_dir_rejects_bad_datasets(tmp_path, capsys, mutate, named):
+        "degradation-unknown", "size_or_factor-string", "size_or_factor-float",
+        "image_side-4000"])
+def test_degraded_dir_rejects_bad_datasets(tmp_path, capsys, monkeypatch, mutate, named):
     path, cfg = write_config(tmp_path, output_dir=str(tmp_path / "stage1"))
     assert cli.main(["degrade", "--config", path]) == 0
     root = cfg["output_dir"]
@@ -548,7 +586,9 @@ def test_degraded_dir_rejects_bad_datasets(tmp_path, capsys, mutate, named):
         tmp_path, name="c2.json", output_dir=str(tmp_path / "stage2"),
         data={"source": "degraded-dir", "path": root}, degradation=None)
     capsys.readouterr()
+    built = _record_blur_sides(monkeypatch)
     assert cli.main(["solve", "--config", path2]) == 1
+    assert set(built) <= {8}  # no blur of a side the hashed arrays do not have
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert named in err
@@ -811,11 +851,11 @@ def test_solve_matches_per_image_solves(tmp_path):
     lines = ["image,iterations,final_residual,converged,psnr"]
     expected = str(tmp_path / "expected.pgm")
     for i in range(len(subset)):
-        rep = pdhg_solve(a_op, l_op, subset.degraded[i], 1.0, sigma, tol=1e-6,
-                         max_iter=20000)
-        lines.append(f"{i},{rep.iterations},{rep.final_residual!r},{int(rep.converged)},"
-                     f"{datamod.psnr(rep.x_hat, subset.clean[i])!r}")
-        datamod.save_pgm(expected, rep.x_hat.reshape(subset.side, subset.side))
+        x_hat, iterations, residual, converged = pdhg_solve(
+            a_op, l_op, subset.degraded[i:i + 1], 1.0, sigma, tol=1e-6, max_iter=20000)
+        lines.append(f"{i},{iterations[0]},{float(residual[0])!r},{int(converged[0])},"
+                     f"{datamod.psnr(x_hat[0], subset.clean[i])!r}")
+        datamod.save_pgm(expected, x_hat[0].reshape(subset.side, subset.side))
         assert sha(expected) == sha(os.path.join(out, f"restored_{i:04d}.pgm"))
     assert len({line.split(",")[1] for line in lines[1:]}) > 1
     assert open(os.path.join(out, "solve_report.csv")).read() == "\n".join(lines) + "\n"

@@ -65,12 +65,12 @@ def test_init_rejects_zero_stddev():
 def test_unrolled_equivalence(side, depth):
     a = ops.UniformBlur(3, side)
     params = _shared_params(a, depth, p=6, seed=13)
-    z = Stream(derive(0xE0, side, depth)).uniform(side * side) * 255
+    z = Stream(derive(0xE0, side, depth)).uniform(side * side)[None] * 255
     out, _ = net.forward(params, z)
     lp = params.layers[0]
-    rep = pdhg.pdhg_solve(a, lp.analysis, z, lp.tau, lp.sigma,
-                          tol=0.0, max_iter=depth)
-    assert np.abs(out - rep.x_hat).max() <= 1e-12
+    x_hat = pdhg.pdhg_solve(a, lp.analysis, z, lp.tau, lp.sigma,
+                            tol=0.0, max_iter=depth)[0]
+    assert np.abs(out - x_hat).max() <= 1e-12
 
 
 def test_forward_zero_analysis_is_gradient_descent():
@@ -79,7 +79,7 @@ def test_forward_zero_analysis_is_gradient_descent():
     layers = [net.LayerParams(0.7, 0.3, ops.DenseAnalysis(np.zeros((3, 16))))
               for _ in range(2)]
     params = net.NetworkParams(a, layers, mode="full")
-    z = Stream(21).uniform(16) * 255
+    z = Stream(21).uniform(16)[None] * 255
     out, _ = net.forward(params, z)
     x = a.apply_adjoint(z)
     for _ in range(2):
@@ -92,7 +92,7 @@ def test_forward_zero_tau_returns_measurement():
     layers = [net.LayerParams(0.0, 0.5, ops.make_dense_analysis(4, 9, seed=2))
               for _ in range(3)]
     params = net.NetworkParams(ident, layers, mode="full")
-    z = Stream(33).normal(9) * 50
+    z = Stream(33).normal(9)[None] * 50
     out, _ = net.forward(params, z)
     assert np.array_equal(out, z)
 
@@ -103,8 +103,8 @@ def test_forward_batch_matches_single():
     zb = Stream(8).uniform(4 * 36).reshape(4, 36) * 255
     batch_out, _ = net.forward(params, zb)
     for i in range(4):
-        single, _ = net.forward(params, zb[i])
-        assert np.abs(batch_out[i] - single).max() <= 1e-9 * 255
+        single, _ = net.forward(params, zb[i:i + 1])
+        assert np.abs(batch_out[i] - single[0]).max() <= 1e-9 * 255
 
 
 def test_trace_consistency():
@@ -184,7 +184,7 @@ def test_distance_report_monotone_in_sigma():
 
 def test_forward_cost_linear_in_nnz_and_depth():
     a = ops.UniformBlur(3, 12)
-    z = Stream(4).uniform(144) * 255
+    z = Stream(4).uniform(144)[None] * 255
 
     def macs(depth, filters):
         params = net.init_network(

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from pdnet import data as dm
+from pdnet import network as net
 from pdnet import operators as ops
 from pdnet import pdhg
 from pdnet.rng import Stream, derive
@@ -42,27 +44,28 @@ def test_solve_rejects_stepsizes_not_positive_and_finite(tau, sigma):
     ident = ops.IdentityOperator(4)
     l_id = ops.make_scaled_identity_analysis(4, 1.0)
     with pytest.raises(ValueError, match="positive and finite"):
-        pdhg.pdhg_solve(ident, l_id, np.ones(4), tau, sigma, tol=1e-5, max_iter=10_000)
+        pdhg.pdhg_solve(ident, l_id, np.ones((1, 4)), tau, sigma, tol=1e-5, max_iter=10_000)
 
 
 def test_solve_identity_no_prior_returns_measurement():
     ident = ops.IdentityOperator(9)
     l_zero = ops.DenseAnalysis(np.zeros((4, 9)))
     z = Stream(5).normal(9) * 10
-    rep = pdhg.pdhg_solve(ident, l_zero, z, 1.0, 0.3, tol=1e-9, max_iter=10_000)
-    assert rep.converged
-    assert np.abs(rep.x_hat - z).max() < 1e-12
-    assert pdhg.objective(ident, l_zero, z, rep.x_hat) == pytest.approx(0.0, abs=1e-20)
+    x_hat, _, _, converged = pdhg.pdhg_solve(ident, l_zero, z[None], 1.0, 0.3, tol=1e-9,
+                                             max_iter=10_000)
+    assert converged[0]
+    assert np.abs(x_hat[0] - z).max() < 1e-12
+    assert pdhg.objective(ident, l_zero, z, x_hat[0]) == pytest.approx(0.0, abs=1e-20)
 
 
 def test_solve_denoising_matches_soft_threshold():
     ident = ops.IdentityOperator(3)
     l_id = ops.make_scaled_identity_analysis(3, 1.0)
     z = np.array([3.0, -0.5, 0.2])
-    rep = pdhg.pdhg_solve(ident, l_id, z, 1.0, 0.45,
-                          tol=1e-10, max_iter=int(1e5))
-    assert rep.converged
-    assert np.abs(rep.x_hat - np.array([2.0, 0.0, 0.0])).max() < 1e-8
+    x_hat, _, _, converged = pdhg.pdhg_solve(ident, l_id, z[None], 1.0, 0.45,
+                                             tol=1e-10, max_iter=int(1e5))
+    assert converged[0]
+    assert np.abs(x_hat[0] - np.array([2.0, 0.0, 0.0])).max() < 1e-8
 
 
 @pytest.mark.parametrize("lam", [0.1, 1.0, 5.0])
@@ -72,10 +75,10 @@ def test_denoising_oracle_over_lambda(lam):
     worst = 0.0
     for t in range(20):
         z = Stream(derive(0x7E57, t)).normal(25) * 4
-        rep = pdhg.pdhg_solve(ident, l_id, z,
-                              1.0, 0.9 * 0.5 / lam**2,
-                              tol=1e-10, max_iter=int(1e5))
-        worst = max(worst, float(np.abs(rep.x_hat - prox_l1(z, lam)).max()))
+        x_hat = pdhg.pdhg_solve(ident, l_id, z[None],
+                                1.0, 0.9 * 0.5 / lam**2,
+                                tol=1e-10, max_iter=int(1e5))[0][0]
+        worst = max(worst, float(np.abs(x_hat - prox_l1(z, lam)).max()))
     assert worst <= 1e-6
 
 
@@ -94,28 +97,28 @@ def test_blur_first_difference_fixed_point():
     z = a.apply(_piecewise_image()) + Stream(3).normal(64) * 5
     sigma = 0.9 * (1.0 - 0.5) / l_fd.norm() ** 2
     steps = 1.0, sigma
-    rep = pdhg.pdhg_solve(a, l_fd, z, *steps, tol=1e-10, max_iter=int(2e5))
-    assert rep.converged
+    x_hat, iterations, _, converged = pdhg.pdhg_solve(a, l_fd, z[None], *steps, tol=1e-10,
+                                                      max_iter=int(2e5))
+    x_hat, iterations = x_hat[0], int(iterations[0])
+    assert converged[0]
     # objective settled: the iterate before the last is a rerun one iteration shorter
-    before = pdhg.pdhg_solve(a, l_fd, z, *steps, tol=1e-10, max_iter=rep.iterations - 1)
-    objective = pdhg.objective(a, l_fd, z, rep.x_hat)
-    previous_objective = pdhg.objective(a, l_fd, z, before.x_hat)
+    before = pdhg.pdhg_solve(a, l_fd, z[None], *steps, tol=1e-10, max_iter=iterations - 1)[0]
+    objective = pdhg.objective(a, l_fd, z, x_hat)
+    previous_objective = pdhg.objective(a, l_fd, z, before[0])
     assert abs(objective - previous_objective) <= 1e-8 * abs(objective)
     # one extra iteration moves the solution by at most 10*tol
-    w = a.apply_adjoint(rep.x_hat[None, :])  # reuse internal formulation
-    x = rep.x_hat[None, :]
-    rep2 = pdhg.pdhg_solve(a, l_fd, z, *steps, tol=1e-10, max_iter=rep.iterations + 1)
-    assert np.abs(rep2.x_hat - rep.x_hat).max() <= 10 * 1e-10 * max(1.0, np.linalg.norm(rep.x_hat))
+    after = pdhg.pdhg_solve(a, l_fd, z[None], *steps, tol=1e-10, max_iter=iterations + 1)[0]
+    assert np.abs(after[0] - x_hat).max() <= 10 * 1e-10 * max(1.0, np.linalg.norm(x_hat))
 
 
 def test_solver_flags_non_convergence():
     a = ops.UniformBlur(3, 8)
     l_fd = ops.make_first_difference(8)
     z = a.apply(_piecewise_image())
-    rep = pdhg.pdhg_solve(a, l_fd, z, 1.0, 0.4 / l_fd.norm() ** 2,
-                          tol=1e-12, max_iter=3)
-    assert not rep.converged
-    assert rep.iterations == 3
+    _, iterations, _, converged = pdhg.pdhg_solve(a, l_fd, z[None], 1.0, 0.4 / l_fd.norm() ** 2,
+                                                  tol=1e-12, max_iter=3)
+    assert not converged[0]
+    assert iterations[0] == 3
 
 
 def test_tightening_tol_changes_objective_little():
@@ -123,12 +126,12 @@ def test_tightening_tol_changes_objective_little():
     l_fd = ops.make_first_difference(8, scale=1.5)
     z = a.apply(_piecewise_image()) + Stream(9).normal(64) * 3
     sigma = 0.9 * 0.5 / l_fd.norm() ** 2
-    loose = pdhg.pdhg_solve(a, l_fd, z, 1.0, sigma, tol=1e-7,
-                            max_iter=int(2e5))
-    tight = pdhg.pdhg_solve(a, l_fd, z, 1.0, sigma, tol=1e-8,
-                            max_iter=int(2e5))
-    loose_objective = pdhg.objective(a, l_fd, z, loose.x_hat)
-    tight_objective = pdhg.objective(a, l_fd, z, tight.x_hat)
+    loose = pdhg.pdhg_solve(a, l_fd, z[None], 1.0, sigma, tol=1e-7,
+                            max_iter=int(2e5))[0][0]
+    tight = pdhg.pdhg_solve(a, l_fd, z[None], 1.0, sigma, tol=1e-8,
+                            max_iter=int(2e5))[0][0]
+    loose_objective = pdhg.objective(a, l_fd, z, loose)
+    tight_objective = pdhg.objective(a, l_fd, z, tight)
     rel = abs(loose_objective - tight_objective) / abs(tight_objective)
     assert rel <= 1e-6
 
@@ -142,21 +145,26 @@ def _blurred_batch(count=6):
     return a, l_fd, z, (1.0, 0.9 * 0.5 / l_fd.norm() ** 2)
 
 
-def _assert_reports_equal(a, l_op, z, r, batched, steps, tol, max_iter):
-    """``batched``, row r's report from a batch solve of z, against a solve of
+def _row(solved, r):
+    """Row r of ``pdhg_solve``'s (x_hat, iterations, residual, converged)."""
+    return tuple(v[r] for v in solved)
+
+
+def _assert_rows_equal(a, l_op, z, r, batched, steps, tol, max_iter):
+    """``batched``, row r's results from a batch solve of z, against a solve of
     z[r] alone; the iterates before the last come from reruns one shorter."""
-    single = pdhg.pdhg_solve(a, l_op, z[r], *steps, tol=tol, max_iter=max_iter)
-    assert np.array_equal(batched.x_hat, single.x_hat)
-    assert batched.iterations == single.iterations
-    assert batched.converged == single.converged
-    assert batched.final_residual == single.final_residual
-    assert (pdhg.objective(a, l_op, z[r], batched.x_hat)
-            == pdhg.objective(a, l_op, z[r], single.x_hat))
-    shorter = batched.iterations - 1
-    batched_before = pdhg.pdhg_solve(a, l_op, z, *steps, tol=tol, max_iter=shorter)[r]
-    single_before = pdhg.pdhg_solve(a, l_op, z[r], *steps, tol=tol, max_iter=shorter)
-    assert (pdhg.objective(a, l_op, z[r], batched_before.x_hat)
-            == pdhg.objective(a, l_op, z[r], single_before.x_hat))
+    single = _row(pdhg.pdhg_solve(a, l_op, z[r:r + 1], *steps, tol=tol, max_iter=max_iter), 0)
+    assert np.array_equal(batched[0], single[0])
+    assert batched[1] == single[1]  # iterations
+    assert batched[3] == single[3]  # converged
+    assert batched[2] == single[2]  # residual
+    assert (pdhg.objective(a, l_op, z[r], batched[0])
+            == pdhg.objective(a, l_op, z[r], single[0]))
+    shorter = int(batched[1]) - 1
+    batched_before = pdhg.pdhg_solve(a, l_op, z, *steps, tol=tol, max_iter=shorter)[0][r]
+    single_before = pdhg.pdhg_solve(a, l_op, z[r:r + 1], *steps, tol=tol, max_iter=shorter)[0][0]
+    assert (pdhg.objective(a, l_op, z[r], batched_before)
+            == pdhg.objective(a, l_op, z[r], single_before))
 
 
 def test_row_norms_match_single_vector_norms():
@@ -167,12 +175,12 @@ def test_row_norms_match_single_vector_norms():
 
 def test_batched_solve_matches_row_by_row():
     a, l_fd, z, steps = _blurred_batch()
-    reports = pdhg.pdhg_solve(a, l_fd, z, *steps, tol=1e-8, max_iter=int(2e5))
-    assert len(reports) == len(z)
-    assert all(rep.converged for rep in reports)
-    assert len({rep.iterations for rep in reports}) > 1  # rows leave at different times
-    for r, rep in enumerate(reports):
-        _assert_reports_equal(a, l_fd, z, r, rep, steps, 1e-8, int(2e5))
+    solved = pdhg.pdhg_solve(a, l_fd, z, *steps, tol=1e-8, max_iter=int(2e5))
+    assert len(solved[0]) == len(z)
+    assert solved[3].all()
+    assert len(set(solved[1].tolist())) > 1  # rows leave at different times
+    for r in range(len(z)):
+        _assert_rows_equal(a, l_fd, z, r, _row(solved, r), steps, 1e-8, int(2e5))
 
 
 def test_batched_solve_with_block_prior_matches_row_by_row():
@@ -181,10 +189,10 @@ def test_batched_solve_with_block_prior_matches_row_by_row():
     a, _, z, _ = _blurred_batch()
     l_block = ops.make_block_sparse_analysis(3, 1, 4, 8, seed=5, site_rule="fit", stddev=0.3)
     steps = 1.0, 0.9 * 0.5 / l_block.norm() ** 2
-    reports = pdhg.pdhg_solve(a, l_block, z, *steps, tol=1e-6, max_iter=2000)
-    assert len({rep.iterations for rep in reports}) > 1
-    for r, rep in enumerate(reports):
-        _assert_reports_equal(a, l_block, z, r, rep, steps, 1e-6, 2000)
+    solved = pdhg.pdhg_solve(a, l_block, z, *steps, tol=1e-6, max_iter=2000)
+    assert len(set(solved[1].tolist())) > 1
+    for r in range(len(z)):
+        _assert_rows_equal(a, l_block, z, r, _row(solved, r), steps, 1e-6, 2000)
 
 
 def test_batched_solve_with_dense_prior_is_within_tol_of_row_by_row():
@@ -194,34 +202,47 @@ def test_batched_solve_with_dense_prior_is_within_tol_of_row_by_row():
     l_dense = ops.DenseAnalysis(Stream(derive(0xDE45, 1)).normal(12 * 64).reshape(12, 64) * 0.3)
     steps = 1.0, 0.9 * 0.5 / l_dense.norm() ** 2
     tol = 1e-6
-    reports = pdhg.pdhg_solve(a, l_dense, z, *steps, tol=tol, max_iter=20_000)
-    assert all(rep.converged for rep in reports)
-    for r, rep in enumerate(reports):
-        single = pdhg.pdhg_solve(a, l_dense, z[r], *steps, tol=tol, max_iter=20_000)
-        assert single.converged
-        gap = np.linalg.norm(rep.x_hat - single.x_hat)
-        assert gap <= tol * max(1.0, np.linalg.norm(single.x_hat))
+    x_hat, _, _, converged = pdhg.pdhg_solve(a, l_dense, z, *steps, tol=tol, max_iter=20_000)
+    assert converged.all()
+    for r in range(len(z)):
+        single = _row(pdhg.pdhg_solve(a, l_dense, z[r:r + 1], *steps, tol=tol,
+                                      max_iter=20_000), 0)
+        assert single[3]
+        gap = np.linalg.norm(x_hat[r] - single[0])
+        assert gap <= tol * max(1.0, np.linalg.norm(single[0]))
 
 
 def test_batched_solve_cut_off_by_max_iter():
     a, l_fd, z, steps = _blurred_batch()
-    counts = sorted(rep.iterations for rep in
-                    pdhg.pdhg_solve(a, l_fd, z, *steps, tol=1e-8, max_iter=int(2e5)))
+    counts = sorted(pdhg.pdhg_solve(a, l_fd, z, *steps, tol=1e-8, max_iter=int(2e5))[1].tolist())
     max_iter = counts[len(counts) // 2]
-    reports = pdhg.pdhg_solve(a, l_fd, z, *steps, tol=1e-8, max_iter=max_iter)
-    assert {rep.converged for rep in reports} == {True, False}
-    for r, rep in enumerate(reports):
-        assert rep.iterations <= max_iter
-        _assert_reports_equal(a, l_fd, z, r, rep, steps, 1e-8, max_iter)
+    solved = pdhg.pdhg_solve(a, l_fd, z, *steps, tol=1e-8, max_iter=max_iter)
+    assert set(solved[3].tolist()) == {True, False}
+    for r in range(len(z)):
+        assert solved[1][r] <= max_iter
+        _assert_rows_equal(a, l_fd, z, r, _row(solved, r), steps, 1e-8, max_iter)
 
 
 def test_solve_return_shapes_and_max_iter_check():
     a, l_fd, z, steps = _blurred_batch(2)
-    assert isinstance(pdhg.pdhg_solve(a, l_fd, z[0], *steps, tol=1e-5, max_iter=3),
-                      pdhg.SolveReport)
-    assert len(pdhg.pdhg_solve(a, l_fd, z[:1], *steps, tol=1e-5, max_iter=3)) == 1
-    assert pdhg.pdhg_solve(a, l_fd, z[:0], *steps, tol=1e-5, max_iter=3) == []
+    assert [v.shape for v in pdhg.pdhg_solve(a, l_fd, z[:1], *steps, tol=1e-5,
+                                             max_iter=3)] == [(1, 64), (1,), (1,), (1,)]
+    assert [(v.shape, v.dtype) for v in pdhg.pdhg_solve(a, l_fd, z[:0], *steps, tol=1e-5,
+                                                        max_iter=3)] == [
+        ((0, 64), np.float64), ((0,), np.int64), ((0,), np.float64), ((0,), bool)]
     with pytest.raises(ValueError, match="max_iter"):
         pdhg.pdhg_solve(a, l_fd, z, *steps, tol=1e-5, max_iter=0)
     with pytest.raises(ValueError, match="measurement"):
         pdhg.pdhg_solve(a, l_fd, z[None], *steps, tol=1e-5, max_iter=10_000)
+
+
+@pytest.mark.parametrize("call", ["forward", "pdhg_solve", "ssim"])
+def test_numeric_core_refuses_a_single_1d_image(call):
+    # one image goes in as a (1, M) batch; a bare (M,) vector is refused
+    a, l_fd, z, steps = _blurred_batch(1)
+    params = net.init_network(a, 2, [net.DenseSpec(4)], "full", seed=3)
+    run = {"forward": lambda: net.forward(params, z[0]),
+           "pdhg_solve": lambda: pdhg.pdhg_solve(a, l_fd, z[0], *steps, tol=1e-5, max_iter=3),
+           "ssim": lambda: dm.ssim(z[0], z[0], side=8)}[call]
+    with pytest.raises(ValueError, match=r"\(B, [MN]\)"):
+        run()

@@ -10,7 +10,9 @@ super-resolution in partial mode, the first-difference solve) and one is a
 fused ``dense:6`` + ``f3s2n2`` network in partial mode.  Each training
 workload runs ``degrade``, ``train``, ``eval --beta 2,5``, ``eval``
 without ``--beta`` (into ``eval-plain/``), ``export-filters`` and
-``gradcheck``; the solve workload runs ``degrade`` and ``solve``.  Two more
+``gradcheck``; the solve workload runs ``degrade`` and ``solve``, then
+``solve -v`` once more with ``max_iter`` 500 (into ``out-cutoff/``), where
+half the images stop unconverged at the cap.  Two more
 ``degrade`` runs read the file sources: ``degrade-pgm-dir`` crops 8 x 8
 patches from two PGMs that ``pdnet.data.save_pgm`` writes, and
 ``degrade-idx`` reads an IDX image file and its label file, both written
@@ -134,6 +136,10 @@ def run() -> None:
             cfg["solve"] = {"prior": "first-diff", "lambda": 1.5, "tol": 1e-6,
                             "max_iter": 20000}
             _pdnet(path("solve.log"), "solve", "--config", _write(path("solve.json"), cfg))
+            cutoff = {**cfg, "output_dir": path("out-cutoff"),
+                      "solve": {**cfg["solve"], "max_iter": 500}}
+            _pdnet(path("solve-cutoff.log"), "solve", "-v", "--config",
+                   _write(path("solve-cutoff.json"), cutoff))
             continue
         config = _write(path("run.json"), {**cfg, "network": network, "train": TRAIN})
         _pdnet(path("train.log"), "train", "--config", config)
