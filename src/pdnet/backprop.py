@@ -132,7 +132,7 @@ def backward(params: NetworkParams, clean: np.ndarray,
         if lo < hi:
             d_weights[k] = l_op.grad_outer(left[lo:hi], right[lo:hi])
         else:  # a one-layer network: neither term
-            d_weights[k] = [np.zeros_like(w) for w in l_op.weight_arrays()]
+            d_weights[k] = [np.zeros_like(p.weights) for p in l_op.parts()]
         if k > 0:
             l_s2 = l_op.apply(s2)
             l_s2 *= lp.tau
@@ -175,9 +175,9 @@ def finite_diff_gradients(params: NetworkParams, clean: np.ndarray,
         d_tau[k] = central(functools.partial(setattr, lp, "tau"), lp.tau)
         d_sigma[k] = central(functools.partial(setattr, lp, "sigma"), lp.sigma)
         grads = []
-        for arr in lp.analysis.weight_arrays():
-            g = np.zeros_like(arr)
-            flat = arr.reshape(-1)
+        for part in lp.analysis.parts():
+            g = np.zeros_like(part.weights)
+            flat = part.weights.reshape(-1)
             gflat = g.reshape(-1)
             for i in range(flat.size):
                 gflat[i] = central(functools.partial(flat.__setitem__, i), flat[i])

@@ -180,9 +180,15 @@ def load_config(path: str, seed_override=None, output_override=None) -> dict:
     for key in _REQUIRED:
         if key not in cfg:
             raise ConfigError(f"missing required config key {key!r}")
-    return {key: _fill_section(key, value, _SCHEMA[key]) if isinstance(_SCHEMA[key], dict)
-            else _check_value(key, value, _SCHEMA[key][0])
-            for key, value in cfg.items()}
+    cfg = {key: _fill_section(key, value, _SCHEMA[key]) if isinstance(_SCHEMA[key], dict)
+           else _check_value(key, value, _SCHEMA[key][0])
+           for key, value in cfg.items()}
+    if "data" in cfg:
+        try:
+            datamod.check_fractions(cfg["data"]["train_frac"], cfg["data"]["val_frac"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    return cfg
 
 
 def _section(cfg: dict, name: str) -> dict:
@@ -208,11 +214,12 @@ def parse_l_spec(entry) -> DenseSpec | BlockSpec:
             raise ConfigError(f"bad dense spec {entry!r}") from exc
         if p < 1:
             raise ConfigError(f"dense spec needs P >= 1, got {p}")
-        return DenseSpec(p)
+        return DenseSpec(_check_value(f"network.L {entry!r} P", p, int))
     m = _LSPEC_RE.match(entry)
     if not m:
         raise ConfigError(f"bad L spec {entry!r} (want 'dense:P' or 'fQsSnF')")
-    q, stride, filters = (int(g) for g in m.groups())
+    q, stride, filters = (_check_value(f"network.L {entry!r} {name}", int(g), int)
+                          for name, g in zip("QSF", m.groups()))
     if min(q, stride, filters) < 1:
         raise ConfigError(f"L spec {entry!r} fields must be positive")
     return BlockSpec(q, stride, filters, site_rule=site_rule)
@@ -239,31 +246,30 @@ def _build_degradation(cfg: dict, side: int):
         raise ConfigError(str(exc)) from exc
 
 
-def _degrade_set(clean, side: int, a_op, alpha: float, seed: int) -> datamod.Dataset:
+def _degrade_set(clean, a_op, alpha: float, seed: int) -> datamod.Dataset:
     try:
-        return datamod.degrade_set(clean, side, a_op, alpha, seed)
+        return datamod.degrade_set(clean, a_op, alpha, seed)
     except OverflowError as exc:
         raise ConfigError(f"degradation.alpha {alpha!r} is too large: "
                           f"the noisy measurements overflow float64") from exc
 
 
 def _load_clean_images(cfg: dict):
-    """Clean image stack (n, side*side) plus side, from a raw image source."""
+    """Clean image stack (n, side*side) from a raw image source."""
     d = _section(cfg, "data")
     source, limit = d["source"], d["limit"] or None
     if source == "synthetic":
         side = 28 if d["image_side"] is None else d["image_side"]
         if side < 7:
             raise ConfigError("synthetic images need image_side >= 7")
-        return datamod.synthetic_digits(d["count"], side=side,
-                                        seed=derive(cfg["seed"], 1)), side
+        return datamod.synthetic_digits(d["count"], side=side, seed=derive(cfg["seed"], 1))
     if source == "idx":
         if d["images"] is None:
             raise ConfigError("idx source needs 'images'")
         images = datamod.load_idx(d["images"], d["labels"])[:limit]
         if not len(images):
             raise ConfigError("idx source produced no images")
-        return images.reshape(len(images), -1), images.shape[1]
+        return images.reshape(len(images), -1)
     if source == "pgm-dir":
         if d["path"] is None or d["patch_size"] is None:
             raise ConfigError("pgm-dir source needs 'path' and 'patch_size'")
@@ -279,7 +285,7 @@ def _load_clean_images(cfg: dict):
                                                        derive(cfg["seed"], 2, i)))
             except ValueError as exc:  # a raster smaller than the patch
                 raise ConfigError(f"data.patch_size: {exc} ({fname})") from exc
-        return np.concatenate(patches), q
+        return np.concatenate(patches)
     raise ConfigError(f"unknown data source {source!r}")
 
 
@@ -356,7 +362,7 @@ def _load_degraded_dir(root: str) -> datamod.Dataset:
                           f"degradation ({a_op.in_dim} -> {a_op.out_dim} pixels)")
     if len(clean) == 0:
         raise ConfigError(f"dataset dir {root} holds no images")
-    return datamod.Dataset(side=side, clean=clean, degraded=degraded, degradation=a_op,
+    return datamod.Dataset(clean=clean, degraded=degraded, degradation=a_op,
                            noise_alpha=float(alpha), seed=seed)
 
 
@@ -366,18 +372,14 @@ def _load_dataset(cfg: dict) -> datamod.Dataset:
         if not cfg["data"]["path"]:
             raise ConfigError("degraded-dir source needs 'path'")
         return _load_degraded_dir(cfg["data"]["path"])
-    clean, side = _load_clean_images(cfg)
-    a_op, alpha = _build_degradation(cfg, side)
-    return _degrade_set(clean, side, a_op, alpha, derive(cfg["seed"], 3))
+    clean = _load_clean_images(cfg)
+    a_op, alpha = _build_degradation(cfg, math.isqrt(clean.shape[1]))
+    return _degrade_set(clean, a_op, alpha, derive(cfg["seed"], 3))
 
 
 def _split_dataset(cfg: dict, dataset: datamod.Dataset):
-    d = cfg["data"]
-    try:
-        return datamod.split(dataset, d["train_frac"], d["val_frac"],
-                             derive(cfg["seed"], 4))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    d = cfg["data"]  # its fractions were checked at load
+    return datamod.split(dataset, d["train_frac"], d["val_frac"], derive(cfg["seed"], 4))
 
 
 def _eval_subset(cfg: dict, dataset: datamod.Dataset) -> datamod.Dataset:
@@ -478,7 +480,7 @@ def export_filter_grids(params: netmod.NetworkParams, out_dir: str) -> list[str]
     sqrt(N) for dense parts, Q x Q for block-sparse)."""
     written = []
     for i, part in enumerate(params.layers[-1].analysis.parts()):
-        weights = part.weight_arrays()[0]  # one row of N or Q^2 weights per filter
+        weights = part.weights  # one row of N or Q^2 weights per filter
         q = math.isqrt(weights.shape[1])
         if q * q != weights.shape[1]:
             continue
@@ -497,7 +499,7 @@ def cmd_train(cfg: dict, args: argparse.Namespace) -> int:
     recipe = _section(cfg, "train")
     out = _prepare_output(cfg, args.config)
     result = train(params, train_set.clean, train_set.degraded, val_set.clean,
-                   val_set.degraded, train_set.side, seed=derive(cfg["seed"], 6), **recipe)
+                   val_set.degraded, seed=derive(cfg["seed"], 6), **recipe)
     netmod.serialize(result.final_params, os.path.join(out, "model_final.json"))
     netmod.serialize(result.best_params, os.path.join(out, "model_best.json"))
     result.history.to_csv(os.path.join(out, "history.csv"))
@@ -609,7 +611,7 @@ def cmd_gradcheck(cfg: dict, args: argparse.Namespace) -> int:
     params = _build_network(cfg, a_op)
     stream = Stream(derive(cfg["seed"], 8))
     clean = (stream.uniform(3 * side * side) * 255.0).reshape(3, side * side)
-    degraded = _degrade_set(clean, side, a_op, alpha, derive(cfg["seed"], 9)).degraded
+    degraded = _degrade_set(clean, a_op, alpha, derive(cfg["seed"], 9)).degraded
     _, trace = netmod.forward(params, degraded, keep_trace=True)
     errors = compare_gradients(
         backward(params, clean, trace),

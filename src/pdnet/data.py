@@ -7,6 +7,7 @@ images are clipped only when exported to files.
 
 from __future__ import annotations
 
+import math
 import re
 import struct
 from dataclasses import dataclass
@@ -33,9 +34,8 @@ class PgmParseError(ValueError):
 
 @dataclass
 class Dataset:
-    """Aligned clean/degraded pairs plus the recipe that produced them."""
+    """Aligned pairs of square clean and degraded images plus their recipe."""
 
-    side: int
     clean: np.ndarray  # (n, N)
     degraded: np.ndarray  # (n, M)
     degradation: LinearOperator
@@ -44,6 +44,10 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.clean.shape[0]
+
+    @property
+    def side(self) -> int:
+        return math.isqrt(self.clean.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +184,8 @@ def _add_noise(z: np.ndarray, level: float, eta: np.ndarray) -> np.ndarray:
     return noisy
 
 
-def degrade_set(clean: np.ndarray, side: int, a_op: LinearOperator, alpha: float,
-                seed: int) -> Dataset:
-    """Degrade a stack of images, one derived noise stream per sample.
+def degrade_set(clean: np.ndarray, a_op: LinearOperator, alpha: float, seed: int) -> Dataset:
+    """Degrade a (n, N) stack of square images, one derived noise stream per sample.
 
     Row s is ``A clean[s] + alpha * eta`` (never clipped), with ``eta`` the
     standard normals of ``Stream(derive(seed, s, _TAG_NOISE))``, formed in the
@@ -198,16 +201,21 @@ def degrade_set(clean: np.ndarray, side: int, a_op: LinearOperator, alpha: float
             rows = np.arange(part.start, part.stop)
             z = _add_noise(z, alpha, Stream(derive(seed, rows, _TAG_NOISE)).normal(z.shape[1]))
         degraded[part] = z
-    return Dataset(side=side, clean=clean, degraded=degraded,
-                   degradation=a_op, noise_alpha=float(alpha), seed=int(seed))
+    return Dataset(clean=clean, degraded=degraded, degradation=a_op,
+                   noise_alpha=float(alpha), seed=int(seed))
+
+
+def check_fractions(train_frac: float, val_frac: float) -> None:
+    """``ValueError`` unless both split fractions are nonnegative, summing to at most 1."""
+    if not (0 <= train_frac and 0 <= val_frac  # NaN fails this test too
+            and train_frac + val_frac <= 1 + 1e-12):
+        raise ValueError("train_frac and val_frac must be nonnegative and sum to at most 1")
 
 
 def split(dataset: Dataset, train_frac: float, val_frac: float,
           seed: int) -> tuple[Dataset, Dataset, Dataset]:
     """Seeded permutation, then contiguous train/val/test slices."""
-    if not (0 <= train_frac and 0 <= val_frac  # NaN fails this test too
-            and train_frac + val_frac <= 1 + 1e-12):
-        raise ValueError("train_frac and val_frac must be nonnegative and sum to at most 1")
+    check_fractions(train_frac, val_frac)
     n = len(dataset)
     perm = Stream(derive(seed, 0x59117)).permutation(n)
     n_train = int(round(train_frac * n))
@@ -216,8 +224,7 @@ def split(dataset: Dataset, train_frac: float, val_frac: float,
     cuts = [perm[:n_train], perm[n_train:n_train + n_val], perm[n_train + n_val:]]
 
     def take(idx):
-        return Dataset(side=dataset.side, clean=dataset.clean[idx],
-                       degraded=dataset.degraded[idx],
+        return Dataset(clean=dataset.clean[idx], degraded=dataset.degraded[idx],
                        degradation=dataset.degradation,
                        noise_alpha=dataset.noise_alpha, seed=dataset.seed)
 
@@ -273,9 +280,10 @@ def _ssim_band(side: int) -> np.ndarray:
     return m
 
 
-def ssim(x_hat: np.ndarray, x_ref: np.ndarray, side: int) -> np.ndarray:
-    """Single-scale SSIM of each row of a ``(B, side*side)`` stack of images
-    against its reference (``B`` scores): 11x11 Gaussian window (sigma 1.5),
+def ssim(x_hat: np.ndarray, x_ref: np.ndarray) -> np.ndarray:
+    """Single-scale SSIM of each row of a ``(B, N)`` stack of square images,
+    side x side with N = side^2, against its reference (``B`` scores);
+    ``ValueError`` if N is not a square.  11x11 Gaussian window (sigma 1.5),
     K1=0.01, K2=0.03, dynamic range 255, averaged over valid window
     positions.  Images smaller than the window fall back to one uniform
     global window.
@@ -284,8 +292,9 @@ def ssim(x_hat: np.ndarray, x_ref: np.ndarray, side: int) -> np.ndarray:
     c2 = (0.03 * _PEAK) ** 2
 
     def ssim_rows(a, b):
-        if a.shape[1] != side * side:
-            raise ValueError(f"ssim needs {side}x{side} images, got {a.shape[1]} pixels")
+        side = math.isqrt(a.shape[1])
+        if side * side != a.shape[1]:
+            raise ValueError(f"ssim needs square images, got {a.shape[1]} pixels")
         if side < 11:
             mx, my = a.mean(axis=1), b.mean(axis=1)
             vx, vy = a.var(axis=1), b.var(axis=1)
@@ -341,7 +350,7 @@ def robustness_eval(params: NetworkParams, dataset: Dataset, beta_list: list[flo
         out, _ = forward(params, _add_noise(dataset.degraded, beta, eta) if beta
                          else dataset.degraded)
         psnrs = psnr(out, dataset.clean)
-        ssims = ssim(out, dataset.clean, side=dataset.side)
+        ssims = ssim(out, dataset.clean)
         rows.append({"beta": beta, "psnr": float(np.mean(psnrs)),
                      "ssim": float(np.mean(ssims)),
                      "psnrs": psnrs.tolist(), "ssims": ssims.tolist()})

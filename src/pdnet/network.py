@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -137,10 +138,7 @@ def init_network(degradation: LinearOperator, depth: int, l_specs: list,
     if depth < 1:
         raise ValueError("depth must be >= 1")
     n = degradation.in_dim
-    side = getattr(degradation, "side", None)
-    if side is None:
-        root = int(round(np.sqrt(n)))
-        side = root if root * root == n else None
+    side = math.isqrt(n) if math.isqrt(n) ** 2 == n else None
     norm_a = degradation.cached_norm
     layers = []
     for k in range(depth):
@@ -274,7 +272,7 @@ def serialize(params: NetworkParams, path: str) -> None:
             for i, part in enumerate(lp.analysis.parts()):
                 f.write(b"," * (i > 0) + dumps(_part_record(part)) + b',"weights":"')
                 f.write(base64.b64encode(
-                    np.ascontiguousarray(part.weight_arrays()[0], dtype="<f8")))
+                    np.ascontiguousarray(part.weights, dtype="<f8")))
                 f.write(b'"}')
             f.write(b"]}")
         f.write(b"]}\n")

@@ -231,34 +231,32 @@ class AnalysisOperator(LinearOperator):
         self._norm_step = 0  # the Lanczos step at which the last bound converged
 
     def parts(self) -> list["AnalysisOperator"]:
+        """The atomic parts, top to bottom; each holds its unmasked weights
+        in one array ``weights``: (P, N) for a dense part, (P, k) for a
+        masked one."""
         return [self]
 
     @property
     def nnz(self) -> int:
-        raise NotImplementedError
+        return sum(p.weights.size for p in self.parts())
 
     def clone(self) -> "AnalysisOperator":
         raise NotImplementedError
 
-    # -- weights as a flat list of arrays, one per atomic part --------------
-
-    def weight_arrays(self) -> list[np.ndarray]:
-        raise NotImplementedError
-
     def grad_outer(self, left: np.ndarray, right: np.ndarray) -> list[np.ndarray]:
         """sum_b left[b] (x) right[b] restricted to the mask: the weight
-        gradient in the layout of :meth:`weight_arrays`, as new arrays.
+        gradient as one new array per part, each in its ``weights`` layout.
 
         left is (R, P), right is (R, N); the rows are summed in one product.
         """
         raise NotImplementedError
 
     def update_weights(self, deltas: list[np.ndarray], scale: float) -> None:
-        """weights += scale * deltas.  Consumes ``deltas``: each is scaled in
-        place, so a caller that reuses them passes copies."""
-        for w, d in zip(self.weight_arrays(), deltas):
+        """Each part's weights += scale * its delta.  Consumes ``deltas``:
+        each is scaled in place, so a caller that reuses them passes copies."""
+        for p, d in zip(self.parts(), deltas):
             d *= scale
-            w += d
+            p.weights += d
         self.invalidate_norm()
 
     def invalidate_norm(self):
@@ -316,28 +314,21 @@ class DenseAnalysis(AnalysisOperator):
         w = np.ascontiguousarray(weights, dtype=np.float64)
         if w.ndim != 2:
             raise ValueError("dense analysis weights must be 2-D")
-        self._weights = w
+        self.weights = w
         self.out_dim, self.in_dim = w.shape
-
-    @property
-    def nnz(self) -> int:
-        return self._weights.size
 
     def apply(self, v):
         v = _check_dim(v, self.in_dim, "analysis apply")
-        ANALYSIS_MACS.count += self.nnz * max(1, v.size // self.in_dim)
-        return v @ self._weights.T
+        ANALYSIS_MACS.count += self.weights.size * max(1, v.size // self.in_dim)
+        return v @ self.weights.T
 
     def apply_adjoint(self, w):
         w = _check_dim(w, self.out_dim, "analysis adjoint")
-        ANALYSIS_MACS.count += self.nnz * max(1, w.size // self.out_dim)
-        return w @ self._weights
+        ANALYSIS_MACS.count += self.weights.size * max(1, w.size // self.out_dim)
+        return w @ self.weights
 
     def clone(self):
-        return DenseAnalysis(self._weights.copy())
-
-    def weight_arrays(self):
-        return [self._weights]
+        return DenseAnalysis(self.weights.copy())
 
     def grad_outer(self, left, right):
         return [left.T @ right]
@@ -352,7 +343,7 @@ class DenseAnalysis(AnalysisOperator):
         Van Loan, ch. 8).  The eigenvalue is raised by both, so the result is
         a certain upper bound.
         """
-        w = self._weights
+        w = self.weights
         m, n = sorted(w.shape)
         with np.errstate(over="ignore", invalid="ignore"):
             gram = w @ w.T if w.shape[0] <= w.shape[1] else w.T @ w
@@ -457,7 +448,7 @@ class MaskedRowAnalysis(AnalysisOperator):
     """Analysis operator whose rows each carry a fixed set of active columns.
 
     ``layout.cols[p]`` lists the unmasked columns of row p (sorted, the same
-    count k for every row); ``values`` holds the matching weights.
+    count k for every row); ``weights`` holds the matching (P, k) values.
 
     Runs of F consecutive rows that share one column set form a window: a
     block-sparse part has F = ``filters_per_site``, first differences and
@@ -495,16 +486,12 @@ class MaskedRowAnalysis(AnalysisOperator):
             vals = self._csr.data.reshape(self.out_dim, k)
             # the CSC transpose shares that buffer, so weight updates reach it too
             self._csr_t = self._csr.T
-        self._vals = vals
+        self.weights = vals
         self._site_w = vals.reshape(-1, layout.f, k)  # (S, F, k) view: updates reach it
-
-    @property
-    def nnz(self) -> int:
-        return self._vals.size
 
     def apply(self, v):
         v = _check_dim(v, self.in_dim, "analysis apply")
-        ANALYSIS_MACS.count += self.nnz * max(1, v.size // self.in_dim)
+        ANALYSIS_MACS.count += self.weights.size * max(1, v.size // self.in_dim)
         vb = v.reshape(-1, self.in_dim)
         if self._site_w.shape[1] > 1:
             out = _window_matmul(self._site_w, vb.T[self._layout.site_cols], v.ndim > 1)
@@ -516,7 +503,7 @@ class MaskedRowAnalysis(AnalysisOperator):
 
     def apply_adjoint(self, w):
         w = _check_dim(w, self.out_dim, "analysis adjoint")
-        ANALYSIS_MACS.count += self.nnz * max(1, w.size // self.out_dim)
+        ANALYSIS_MACS.count += self.weights.size * max(1, w.size // self.out_dim)
         s, f, k = self._site_w.shape
         wb = w.reshape(-1, self.out_dim)
         if f > 1:
@@ -530,12 +517,8 @@ class MaskedRowAnalysis(AnalysisOperator):
         return out.T.reshape(w.shape[:-1] + (self.in_dim,))
 
     def clone(self):
-        """A copy of the weights on the same (shared) layout."""
-        return MaskedRowAnalysis(self._layout, self._vals.copy(),
-                                 None if self.block_spec is None else dict(self.block_spec))
-
-    def weight_arrays(self):
-        return [self._vals]
+        """A copy of the weights on the same (shared) layout and block spec."""
+        return MaskedRowAnalysis(self._layout, self.weights.copy(), self.block_spec)
 
     def grad_outer(self, left, right):
         # out[p, j] = sum_b left[b, p] * right[b, cols[p, j]]: one gather of
@@ -566,7 +549,7 @@ class MaskedRowAnalysis(AnalysisOperator):
             blocks = np.matmul(np.ascontiguousarray(self._site_w.transpose(0, 2, 1)),
                                self._site_w)
             values = assembly @ blocks.ravel()
-            slack = _gamma(f + c) * float(np.vdot(self._vals, self._vals))
+            slack = _gamma(f + c) * float(np.vdot(self.weights, self.weights))
         ANALYSIS_MACS.count += s * f * k * k + assembly.nnz
         gram = sp.csr_matrix((values, indices, indptr), shape=(self.in_dim, self.in_dim))
         nnz = values.size
@@ -603,10 +586,6 @@ class FusedAnalysis(AnalysisOperator):
     def parts(self):
         return list(self._parts)
 
-    @property
-    def nnz(self) -> int:
-        return sum(p.nnz for p in self._parts)
-
     def apply(self, v):
         return np.concatenate([p.apply(v) for p in self._parts], axis=-1)
 
@@ -620,9 +599,6 @@ class FusedAnalysis(AnalysisOperator):
 
     def clone(self):
         return FusedAnalysis([p.clone() for p in self._parts])
-
-    def weight_arrays(self):
-        return [w for p in self._parts for w in p.weight_arrays()]
 
     def grad_outer(self, left, right):
         return [g for p, s, e in zip(self._parts, self._offsets[:-1], self._offsets[1:])

@@ -41,11 +41,10 @@ class History:
 
     losses: np.ndarray
     records: list  # dicts: iter, loss, val_psnr, val_ssim, dc (list per layer)
-    depth: int
 
     def to_csv(self, path: str) -> None:
         save_csv(path, ["iter", "loss", "val_psnr", "val_ssim"]
-                 + [f"dc_layer_{k + 1}" for k in range(self.depth)],
+                 + [f"dc_layer_{k + 1}" for k in range(len(self.records[0]["dc"]))],
                  ([r["iter"], r["loss"], r["val_psnr"], r["val_ssim"], *r["dc"]]
                   for r in self.records))
 
@@ -87,7 +86,7 @@ def sgd_step(params: NetworkParams, grads: Gradients, gamma: float) -> None:
 
 
 def train(params: NetworkParams, train_clean: np.ndarray, train_degraded: np.ndarray,
-          val_clean: np.ndarray, val_degraded: np.ndarray, side: int, *,
+          val_clean: np.ndarray, val_degraded: np.ndarray, *,
           gamma: float, batch_size: int, max_iter: int, val_cadence: int,
           lr_decay_every: int | None, lr_decay_factor: float, seed: int) -> TrainResult:
     """Run mini-batch SGD and track the best-validation-PSNR checkpoint.
@@ -95,8 +94,9 @@ def train(params: NetworkParams, train_clean: np.ndarray, train_degraded: np.nda
     The keyword arguments are the ``train`` section of a config plus the
     batch-order seed; the config schema holds their defaults and ranges, and
     ``lr_decay_every=None`` means gamma never decays.
-    ``params`` is trained in place (and also returned as ``final_params``);
-    ``side`` is the images' side length, which validation SSIM needs.  Aborts with :class:`TrainingDivergedError` when the loss exceeds 10x its
+    The images are (n, N) stacks of square images, as validation SSIM needs.
+    ``params`` is trained in place (and also returned as ``final_params``).
+    Aborts with :class:`TrainingDivergedError` when the loss exceeds 10x its
     initial value for 100 consecutive iterations.
     """
     n_train = train_clean.shape[0]
@@ -117,7 +117,7 @@ def train(params: NetworkParams, train_clean: np.ndarray, train_degraded: np.nda
         nonlocal best_psnr, best_params, best_iter
         out, _ = forward(params, val_degraded)
         vp = float(np.mean(psnr(out, val_clean)))
-        vs = float(np.mean(ssim(out, val_clean, side=side)))
+        vs = float(np.mean(ssim(out, val_clean)))
         records.append({"iter": it, "loss": batch_loss, "val_psnr": vp,
                         "val_ssim": vs, "dc": distance_report(params).tolist()})
         if vp > best_psnr:
@@ -160,7 +160,7 @@ def train(params: NetworkParams, train_clean: np.ndarray, train_degraded: np.nda
             gamma *= lr_decay_factor
 
     record(max_iter, float(losses[-1]))
-    history = History(losses=losses, records=records, depth=params.depth)
+    history = History(losses=losses, records=records)
     return TrainResult(final_params=params, best_params=best_params,
                        best_iter=best_iter, best_psnr=best_psnr, history=history,
                        seconds=time.monotonic() - t0)

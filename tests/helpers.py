@@ -50,15 +50,15 @@ def mask_dense(op) -> np.ndarray:
     """The (P, N) 0/1 sparsity mask of ``op``: the matrix of a clone whose
     weights are all 1."""
     ones = op.clone()
-    for w in ones.weight_arrays():
-        w[...] = 1.0
+    for part in ones.parts():
+        part.weights[...] = 1.0
     return to_dense(ones)
 
 
 def grad_zeros(op) -> list[np.ndarray]:
-    """Zero weight gradients of analysis operator ``op``, in the layout of
-    its ``weight_arrays``."""
-    return [np.zeros_like(w) for w in op.weight_arrays()]
+    """Zero weight gradients of analysis operator ``op``, one per part in
+    the layout of its ``weights``."""
+    return [np.zeros_like(part.weights) for part in op.parts()]
 
 
 def dense_d_l(grads, params, k: int) -> np.ndarray:

@@ -42,12 +42,12 @@ def _report(criterion: int, ok: bool, detail: str):
 def desk_data():
     a_op = ops.UniformBlur(3, SIDE)
     clean = dm.synthetic_digits(600, side=SIDE, seed=derive(DESK_SEED, 1))
-    ds = dm.degrade_set(clean, SIDE, a_op, 20.0, derive(DESK_SEED, 2))
+    ds = dm.degrade_set(clean, a_op, 20.0, derive(DESK_SEED, 2))
     split = {
         "a_op": a_op,
         "train_clean": ds.clean[:500], "train_z": ds.degraded[:500],
         "val_clean": ds.clean[500:], "val_z": ds.degraded[500:],
-        "val_set": dm.Dataset(side=SIDE, clean=ds.clean[500:],
+        "val_set": dm.Dataset(clean=ds.clean[500:],
                               degraded=ds.degraded[500:],
                               degradation=ds.degradation,
                               noise_alpha=20.0, seed=ds.seed),
@@ -62,7 +62,7 @@ def _desk_run(desk_data, mode, depth=6, p=100, max_iter=3000):
     params = net.init_network(desk_data["a_op"], depth, [net.DenseSpec(p)],
                               mode, seed=derive(DESK_SEED, 3))
     return tr.train(params, desk_data["train_clean"], desk_data["train_z"],
-                    desk_data["val_clean"], desk_data["val_z"], SIDE,
+                    desk_data["val_clean"], desk_data["val_z"],
                     gamma=DESK_GAMMA, batch_size=50, max_iter=max_iter,
                     seed=derive(DESK_SEED, 4), val_cadence=100,
                     lr_decay_every=None, lr_decay_factor=0.5)

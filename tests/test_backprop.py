@@ -109,7 +109,7 @@ def test_directional_derivative_single_weight():
     params, clean, degraded = small_instance(13)
     out, trace = net.forward(params, degraded, keep_trace=True)
     grads = bp.backward(params, clean, trace)
-    arr = params.layers[0].analysis.weight_arrays()[0]
+    arr = params.layers[0].analysis.weights
     g = grads.d_weights[0][0]
     i, j = 1, arr.shape[1] - 1
     base_loss = bp.loss(params, clean, degraded)

@@ -13,7 +13,7 @@ import pytest
 
 from pdnet import cli
 from pdnet import operators as ops
-from pdnet.rng import Stream
+from pdnet.rng import Stream, derive
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -486,7 +486,7 @@ def test_filter_grid_tile_content(tmp_path):
 
     params = net.init_network(ops.Decimation(2, 12), 1, [net.BlockSpec(3, 2, 3, "fit")],
                               "full", seed=4)
-    (weights,) = params.layers[-1].analysis.weight_arrays()
+    weights = params.layers[-1].analysis.weights
     weights[4] = 0.25  # a constant tile
     (path,) = cli.export_filter_grids(params, str(tmp_path))
     grid = load_pgm(path)
@@ -752,6 +752,17 @@ def test_eval_refuses_a_degraded_dir_with_no_rows(tmp_path, capsys):
     ("degrade", {"seed": -10**400}, 1, "seed: must be at least -2**63 (int64)"),
     ("degrade", {"degradation": {"size": -10**400}}, 1,
      "degradation.size: must be at least -2**63 (int64)"),
+    # split fractions are checked at load, also where no split is taken
+    ("degrade", {"data": {"train_frac": -1}}, 1, "train_frac and val_frac must be nonnegative"),
+    ("degrade", {"data": {"train_frac": float("nan")}}, 1, "train_frac and val_frac"),
+    ("solve", {"data": {"train_frac": -1, "val_frac": 1}}, 1, "train_frac and val_frac"),
+    # the integers of an L spec hold 64 bits, refused naming the key
+    ("train", {"network": {"L": ["f3s99999999999999999999n1"]}}, 1,
+     "network.L 'f3s99999999999999999999n1' S: must be at most 2**63 - 1"),
+    ("train", {"network": {"L": ["dense:99999999999999999999"]}}, 1,
+     "network.L 'dense:99999999999999999999' P: must be at most 2**63 - 1"),
+    ("train", {"network": {"L": ["f3s1n99999999999999999999"]}}, 1,
+     "network.L 'f3s1n99999999999999999999' F: must be at most 2**63 - 1"),
 ], ids=["beta-not-a-number", "tau-0", "sigma-0", "train_frac-2", "K-null",
         "gamma-null", "size-null", "count-null", "image_side-null", "lambda-null",
         "count-0", "patches_per_image-0", "limit-negative", "max_iter-0",
@@ -761,7 +772,9 @@ def test_eval_refuses_a_degraded_dir_with_no_rows(tmp_path, capsys):
         "sigma-too-large", "alpha-nan", "gamma-inf", "lr_decay_factor-negative",
         "init_stddev-inf", "lambda-inf", "train_frac-nan", "init_stddev-huge",
         "init_stddev-1e150", "degrade-gamma-0", "lambda-1e-300", "lambda-1e300",
-        "count-1e400", "max_iter-1e400", "seed-1e400", "seed-neg1e400", "size-neg1e400"])
+        "count-1e400", "max_iter-1e400", "seed-1e400", "seed-neg1e400", "size-neg1e400",
+        "degrade-train_frac-negative", "degrade-train_frac-nan", "solve-fractions-sum-0",
+        "L-stride-1e20", "L-dense-1e20", "L-filters-1e20"])
 def test_config_values_exit_cleanly(tmp_path, capsys, command, edit, code, named):
     path, cfg = write_config(tmp_path, **edit)
     argv = [command, "--config", path]
@@ -777,6 +790,71 @@ def test_config_values_exit_cleanly(tmp_path, capsys, command, edit, code, named
         assert named in err
     else:
         assert err == ""
+
+
+# The values a fuzzed leaf takes: each JSON type, small integers about the
+# least values, integers past int64, and floats at the edges of float64.
+_FUZZ_POOL = [None, True, -1, 0, 1, 2, 3, 7, 2**70, -2**70, 1e308, -1e308, float("nan"),
+              float("inf"), 0.5, 1e-300, "", "x", "identity", "degraded-dir", [], {}]
+
+
+def _fuzzed(doc: dict, paths: list, seed: int) -> dict:
+    """A copy of ``doc`` with 1-2 of its ``paths`` (key tuples) set from the
+    pool; a path under a key that is no longer an object is left out."""
+    doc = json.loads(json.dumps(doc))
+    picks = Stream(seed).integers(3, len(paths) * len(_FUZZ_POOL))
+    for pick in picks[:1 + picks[2] % 2]:
+        path, value = paths[pick % len(paths)], _FUZZ_POOL[pick // len(paths)]
+        parent = doc if len(path) == 1 else doc.get(path[0])
+        if isinstance(parent, dict):
+            parent[path[-1]] = value
+    return doc
+
+
+def _clean_exit(argv, capsys) -> str:
+    """"" when ``cli.main(argv)`` exits 0 with empty stderr or 1 with one
+    ``error:`` line; else what happened."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning escapes as an exception
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # any escape is a finding
+            return f"{type(exc).__name__}: {exc}"
+    err = capsys.readouterr().err
+    if code == 0 and err == "" or (code == 1 and len(err.splitlines()) == 1
+                                   and err.startswith("error: ")):
+        return ""
+    return f"exit {code}: {err!r}"
+
+
+def test_fuzzed_configs_and_manifests_exit_cleanly(tmp_path, capsys, monkeypatch):
+    # seeded: 400 configs through degrade and solve, 300 degraded-dir
+    # manifests through solve, each with 1-2 leaves set from the pool
+    monkeypatch.chdir(tmp_path)  # a fuzzed output_dir or path is relative
+    path, cfg = write_config(tmp_path, data={"count": 6}, solve={"max_iter": 30})
+    paths = [(key,) for key in cli._SCHEMA] + [
+        (section, key) for section, leaves in cli._SCHEMA.items()
+        if isinstance(leaves, dict) for key in leaves]
+    failures = []
+    for t in range(400):
+        with open(path, "w") as f:
+            json.dump(_fuzzed(cfg, paths, derive(0xF022, t)), f)
+        for command in ("degrade", "solve"):
+            failures.append((t, command, _clean_exit([command, "--config", path], capsys)))
+    root = str(tmp_path / "stage1")
+    assert cli.main(["degrade", "--config", write_config(tmp_path, output_dir=root,
+                                                         data={"count": 6})[0]]) == 0
+    manifest = json.load(open(os.path.join(root, "manifest.json")))
+    paths = [(key,) for key in manifest] + [(key, sub) for key in ("degradation", "files")
+                                            for sub in manifest[key]]
+    path2, _ = write_config(tmp_path, name="c2.json", output_dir=str(tmp_path / "stage2"),
+                            data={"source": "degraded-dir", "path": root},
+                            degradation=None, solve={"max_iter": 30})
+    for t in range(300):
+        with open(os.path.join(root, "manifest.json"), "w") as f:
+            json.dump(_fuzzed(manifest, paths, derive(0xF023, t)), f)
+        failures.append((t, "manifest", _clean_exit(["solve", "--config", path2], capsys)))
+    assert [f for f in failures if f[2]] == []
 
 
 def test_out_of_memory_is_one_runtime_failure_line(tmp_path, capsys, monkeypatch):

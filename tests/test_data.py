@@ -205,8 +205,8 @@ def test_degrade_noise_variance():
 def test_degrade_set_reproducible():
     a = ops.UniformBlur(3, 4)
     clean = (Stream(8).uniform(5 * 16) * 255).reshape(5, 16)
-    d1 = dm.degrade_set(clean, 4, a, 20.0, seed=3)
-    d2 = dm.degrade_set(clean, 4, a, 20.0, seed=3)
+    d1 = dm.degrade_set(clean, a, 20.0, seed=3)
+    d2 = dm.degrade_set(clean, a, 20.0, seed=3)
     assert np.array_equal(d1.degraded, d2.degraded)
     assert d1.degradation.spec() == {"kind": "uniform-blur", "size_or_factor": 3,
                               "image_side": 4}
@@ -222,7 +222,7 @@ def test_degrade_set_rows_equal_degrade_bitwise(kind, alpha):
     # 150 rows: three of network.row_pieces' 50-row pieces
     a = _DEGRADE_OPS[kind]()
     clean = (Stream(derive(0xDE6, 1)).uniform(150 * 64) * 255).reshape(150, 64)
-    ds = dm.degrade_set(clean, 8, a, alpha, seed=derive(0xDE6, 2))
+    ds = dm.degrade_set(clean, a, alpha, seed=derive(0xDE6, 2))
     assert len(net.row_pieces(len(ds))) == 3
     want = np.stack([degrade(clean[s], a, alpha, derive(derive(0xDE6, 2), s))
                      for s in range(len(clean))])
@@ -232,18 +232,18 @@ def test_degrade_set_rows_equal_degrade_bitwise(kind, alpha):
 def test_degrade_set_overflow_raises_overflow_error():
     a = ops.IdentityOperator(16)
     with pytest.raises(OverflowError, match="noise level 1e\\+308 overflows float64"):
-        dm.degrade_set(np.full((70, 16), 1e308), 4, a, 1e308, seed=1)
+        dm.degrade_set(np.full((70, 16), 1e308), a, 1e308, seed=1)
 
 
 def test_split_all_train():
-    ds = dm.degrade_set(np.ones((6, 16)), 4, ops.IdentityOperator(16), 0.0, seed=1)
+    ds = dm.degrade_set(np.ones((6, 16)), ops.IdentityOperator(16), 0.0, seed=1)
     tr, va, te = dm.split(ds, 1.0, 0.0, seed=2)
     assert len(tr) == 6 and len(va) == 0 and len(te) == 0
 
 
 def test_split_disjoint_exhaustive_deterministic():
     clean = (Stream(9).uniform(10 * 4) * 255).reshape(10, 4)
-    ds = dm.degrade_set(clean, 2, ops.IdentityOperator(4), 5.0, seed=1)
+    ds = dm.degrade_set(clean, ops.IdentityOperator(4), 5.0, seed=1)
     tr1, va1, te1 = dm.split(ds, 0.5, 0.3, seed=5)
     tr2, va2, te2 = dm.split(ds, 0.5, 0.3, seed=5)
     assert np.array_equal(tr1.clean, tr2.clean)
@@ -253,7 +253,7 @@ def test_split_disjoint_exhaustive_deterministic():
 
 
 def test_split_rejects_bad_fractions():
-    ds = dm.degrade_set(np.ones((4, 4)), 2, ops.IdentityOperator(4), 0.0, seed=1)
+    ds = dm.degrade_set(np.ones((4, 4)), ops.IdentityOperator(4), 0.0, seed=1)
     with pytest.raises(ValueError):
         dm.split(ds, 0.8, 0.4, seed=1)
 
@@ -283,14 +283,14 @@ def test_psnr_symmetric_and_identical_sentinel():
 
 def test_ssim_identical_is_one():
     x = Stream(8).uniform(28 * 28) * 255
-    assert dm.ssim(x[None], x[None], side=28)[0] == pytest.approx(1.0, abs=1e-12)
+    assert dm.ssim(x[None], x[None])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ssim_inversion_is_low_on_checkerboard():
     side = 16
     grid = np.indices((side, side)).sum(axis=0) % 2 * 255.0
     x = grid.ravel()
-    assert dm.ssim(x[None], 255.0 - x[None], side=side)[0] < 0.2
+    assert dm.ssim(x[None], 255.0 - x[None])[0] < 0.2
 
 
 def test_ssim_constant_images_reduce_to_luminance_term():
@@ -299,21 +299,21 @@ def test_ssim_constant_images_reduce_to_luminance_term():
         x = np.full(16 * 16, base)
         y = np.full(16 * 16, base + shift)
         lum = (2 * base * (base + shift) + c1) / (base**2 + (base + shift) ** 2 + c1)
-        assert dm.ssim(x[None], y[None], side=16)[0] == pytest.approx(lum, rel=1e-12)
+        assert dm.ssim(x[None], y[None])[0] == pytest.approx(lum, rel=1e-12)
 
 
 def test_ssim_small_image_fallback():
     x = Stream(9).uniform(36) * 255
     y = x + Stream(10).normal(36) * 10
-    val = dm.ssim(x[None], y[None], side=6)[0]
+    val = dm.ssim(x[None], y[None])[0]
     assert -1.0 <= val <= 1.0
-    assert dm.ssim(x[None], x[None], side=6)[0] == pytest.approx(1.0)
+    assert dm.ssim(x[None], x[None])[0] == pytest.approx(1.0)
 
 
 def test_ssim_range():
     x = Stream(11).uniform(28 * 28) * 255
     y = Stream(12).uniform(28 * 28) * 255
-    assert -1.0 <= dm.ssim(x[None], y[None], side=28)[0] <= 1.0
+    assert -1.0 <= dm.ssim(x[None], y[None])[0] <= 1.0
 
 
 def _stack_pair(side, rows, seed):
@@ -334,10 +334,10 @@ def test_stacked_metrics_equal_per_row_calls_bitwise(side, rows):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the identical row's 255^2 / 0 stays quiet
         ps = dm.psnr(y, x)
-        ss = dm.ssim(y, x, side=side)
+        ss = dm.ssim(y, x)
     assert ps.shape == ss.shape == (rows,)
     assert ps.tolist() == [dm.psnr(y[i], x[i]) for i in range(rows)]
-    assert ss.tolist() == [dm.ssim(y[i:i + 1], x[i:i + 1], side=side)[0] for i in range(rows)]
+    assert ss.tolist() == [dm.ssim(y[i:i + 1], x[i:i + 1])[0] for i in range(rows)]
     assert ps[3] == np.inf and np.isfinite(np.delete(ps, 3)).all()
     # the global window squares its means by pow: 1 to the last bit there
     assert ss[3] == pytest.approx(1.0, abs=1e-15)
@@ -349,11 +349,11 @@ def test_metrics_one_pair_is_a_float_and_shapes_must_match():
     with pytest.raises(ValueError, match="shape mismatch"):
         dm.psnr(y, x[:, :-1])
     with pytest.raises(ValueError, match="shape mismatch"):
-        dm.ssim(y[:3], x, side=6)
+        dm.ssim(y[:3], x)
     with pytest.raises(ValueError, match="shape mismatch"):
         dm.psnr(y[0], x)
-    with pytest.raises(ValueError, match="6x6"):
-        dm.ssim(y[:, :-1], x[:, :-1], side=6)
+    with pytest.raises(ValueError, match="square images"):
+        dm.ssim(y[:, :-1], x[:, :-1])
     with pytest.raises(ValueError, match="stack"):
         dm.psnr(y.reshape(4, 6, 6), x.reshape(4, 6, 6))
 
@@ -368,7 +368,7 @@ def _trained_stub():
     a = ops.UniformBlur(3, side)
     params = net.init_network(a, 2, [net.DenseSpec(6)], "full", seed=3)
     clean = synthetic_strokes(6, side=side, seed=21)
-    return params, dm.degrade_set(clean, side, a, 10.0, seed=22)
+    return params, dm.degrade_set(clean, a, 10.0, seed=22)
 
 
 def test_robustness_beta_zero_drop_is_zero():
@@ -409,14 +409,14 @@ def test_robustness_without_betas_is_the_plain_pass(monkeypatch):
     rows = dm.robustness_eval(params, ds, [], seed=1)
     assert len(rows) == 1 and rows[0]["beta"] == 0.0
     assert rows[0]["psnrs"] == dm.psnr(out, ds.clean).tolist()
-    assert rows[0]["ssims"] == dm.ssim(out, ds.clean, side=ds.side).tolist()
+    assert rows[0]["ssims"] == dm.ssim(out, ds.clean).tolist()
 
 
 def test_robustness_noise_is_one_stream_per_row():
     side = 8
     a = ops.UniformBlur(3, side)
     params = net.init_network(a, 2, [net.DenseSpec(6)], "full", seed=3)
-    ds = dm.degrade_set(synthetic_strokes(70, side=side, seed=23), side, a, 10.0, seed=24)
+    ds = dm.degrade_set(synthetic_strokes(70, side=side, seed=23), a, 10.0, seed=24)
     eta = np.stack([Stream(derive(9, dm._TAG_EXTRA, s)).normal(side * side)
                     for s in range(len(ds))])
     out, _ = dm.forward(params, ds.degraded + 2.0 * eta)

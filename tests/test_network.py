@@ -305,7 +305,7 @@ def _whole_document_bytes(params):
             "sigma": float(lp.sigma),
             "parts": [{**net._part_record(part),
                        "weights": base64.b64encode(
-                           part.weight_arrays()[0].astype("<f8").tobytes()).decode()}
+                           part.weights.astype("<f8").tobytes()).decode()}
                       for part in lp.analysis.parts()],
         } for lp in params.layers],
     }
@@ -338,7 +338,7 @@ def test_deserialize_block_sparse_draws_no_random_numbers(tmp_path, monkeypatch)
     monkeypatch.setattr(Stream, "normal", refuse)
     again = net.deserialize(path)
     for lp, lq in zip(params.layers, again.layers):
-        assert np.array_equal(lp.analysis.weight_arrays()[0], lq.analysis.weight_arrays()[0])
+        assert np.array_equal(lp.analysis.weights, lq.analysis.weights)
 
 
 @pytest.mark.parametrize("mode", ["full", "partial"])
@@ -351,14 +351,14 @@ def test_deserialize_restores_weights_exactly(tmp_path, specs, mode):
     params = net.init_network(ops.UniformBlur(3, 6), 2, specs, mode, seed=17)
     extremes = [-0.0, 5e-324, -1.7976931348623157e308, 0.1, 1.0 / 3.0]
     for part in params.layers[0].analysis.parts():
-        part.weight_arrays()[0].flat[:len(extremes)] = extremes
+        part.weights.flat[:len(extremes)] = extremes
     path = os.path.join(tmp_path, "m.json")
     net.serialize(params, path)
     again = net.deserialize(path)
     assert again.mode == mode
     for lp, lq in zip(params.layers, again.layers):
         for a, b in zip(lp.analysis.parts(), lq.analysis.parts()):
-            wa, wb = a.weight_arrays()[0], b.weight_arrays()[0]
+            wa, wb = a.weights, b.weights
             assert wb.dtype == np.float64 and wb.flags.writeable
             assert np.array_equal(wa, wb)
             assert np.array_equal(np.signbit(wa), np.signbit(wb))

@@ -254,7 +254,7 @@ def test_lanczos_norm_bound_is_at_most_1e7_above_svd(build, tmp_path):
     op = build(tmp_path)
     svd = np.linalg.svd(to_dense(op), compute_uv=False)[0]
     assert svd <= op.norm() <= svd * (1 + 1e-7)
-    (w,) = op.weight_arrays()
+    w = op.weights
     op.update_weights([0.1 * np.abs(w).max() * Stream(24).normal(w.size).reshape(w.shape)], 1.0)
     svd = np.linalg.svd(to_dense(op), compute_uv=False)[0]
     assert svd <= op.norm() <= svd * (1 + 1e-7)
@@ -397,7 +397,7 @@ def test_first_difference_tables_match_the_pixel_loop(side, scale):
     op = ops.make_first_difference(side, scale=scale)
     cols, vals = first_difference_tables(side, scale)
     assert _bitwise_equal(op._layout.cols, cols)
-    assert _bitwise_equal(op._vals, vals)
+    assert _bitwise_equal(op.weights, vals)
 
 
 @pytest.mark.parametrize("q,stride,filters,side,rule", [
@@ -499,7 +499,7 @@ def _oracle(op):
     weights, never from a product."""
     blocks = []
     for part in op.parts():
-        (w,) = part.weight_arrays()
+        w = part.weights
         if isinstance(part, ops.DenseAnalysis):
             blocks.append(w.copy())
             continue
@@ -510,7 +510,7 @@ def _oracle(op):
 
 
 def _oracle_grad(op, left, right, coeff):
-    """coeff * left^T right on each part's mask, in the layout of weight_arrays."""
+    """coeff * left^T right on each part's mask, in the layout of its weights."""
     full, out, row = coeff * (left.T @ right), [], 0
     for part in op.parts():
         rows = full[row:row + part.out_dim]
@@ -562,7 +562,7 @@ def test_masked_products_match_oracle(case, batch):
     _close(op.apply_adjoint(y), y @ dense)
     if batch is not None:
         grads = op.grad_outer(-0.3 * y, x)
-        assert len(grads) == len(op.weight_arrays())
+        assert len(grads) == len(op.parts())
         for got, want in zip(grads, _oracle_grad(op, y, x, -0.3)):
             _close(got, want)
 
@@ -587,6 +587,12 @@ def test_in_place_updates_reach_products_and_clones_are_independent(case):
     twin_dense = _oracle(twin)
     _close(twin.apply(x), x @ twin_dense.T)
     _close(twin.apply_adjoint(y), y @ twin_dense)
+    # a write through each part's ``weights`` reaches both products
+    for part in twin.parts():
+        part.weights *= -2.0
+    _close(twin.apply(x), x @ (-2.0 * twin_dense).T)
+    _close(twin.apply_adjoint(y), y @ (-2.0 * twin_dense))
+    assert twin.nnz == sum(part.nnz for part in twin.parts()) == np.count_nonzero(mask_dense(twin))
 
 
 def test_mac_counter_tracks_nnz_exactly():
@@ -626,7 +632,7 @@ def test_window_layouts_are_shared_by_layers_clones_and_read_back_models(tmp_pat
     analyses += [lp.analysis for lp in params.clone().layers]
     analyses += [lp.analysis for lp in net.deserialize(path).layers]
     assert len({id(op._layout) for op in analyses}) == 1
-    assert len({id(op._vals) for op in analyses}) == len(analyses)
+    assert len({id(op.weights) for op in analyses}) == len(analyses)
 
 
 def test_first_difference_on_constant_is_zero():

@@ -243,6 +243,6 @@ def test_numeric_core_refuses_a_single_1d_image(call):
     params = net.init_network(a, 2, [net.DenseSpec(4)], "full", seed=3)
     run = {"forward": lambda: net.forward(params, z[0]),
            "pdhg_solve": lambda: pdhg.pdhg_solve(a, l_fd, z[0], *steps, tol=1e-5, max_iter=3),
-           "ssim": lambda: dm.ssim(z[0], z[0], side=8)}[call]
+           "ssim": lambda: dm.ssim(z[0], z[0])}[call]
     with pytest.raises(ValueError, match=r"\(B, [MN]\)"):
         run()

@@ -19,7 +19,7 @@ N = SIDE * SIDE
 def tiny_setup(mode="full", depth=2, p=6, n_train=24, n_val=8, seed=101):
     a_op = ops.UniformBlur(3, SIDE)
     clean = synthetic_strokes(n_train + n_val, side=SIDE, seed=derive(seed, 1))
-    ds = degrade_set(clean, SIDE, a_op, 10.0, derive(seed, 2))
+    ds = degrade_set(clean, a_op, 10.0, derive(seed, 2))
     params = net.init_network(a_op, depth, [net.DenseSpec(p)], mode,
                               seed=derive(seed, 3))
     return (params, ds.clean[:n_train], ds.degraded[:n_train],
@@ -95,7 +95,7 @@ def test_partial_margin_nonnegative_against_svd(specs):
     # the true norm is >= 0 at init and after every partial step
     a_op = ops.UniformBlur(3, SIDE)
     clean = synthetic_strokes(16, side=SIDE, seed=derive(0x5BD, 1))
-    ds = degrade_set(clean, SIDE, a_op, 10.0, derive(0x5BD, 2))
+    ds = degrade_set(clean, a_op, 10.0, derive(0x5BD, 2))
     params = net.init_network(a_op, 2, specs, "partial", seed=derive(0x5BD, 3))
     norm_a = a_op.cached_norm
 
@@ -117,9 +117,9 @@ def test_mask_invariance_under_training():
     params = net.init_network(a_op, 2, [net.BlockSpec(3, 3, 2, "fit")], "full", seed=5)
     masks = [mask_dense(lp.analysis) for lp in params.layers]
     clean = synthetic_strokes(16, side=SIDE, seed=1)
-    ds = degrade_set(clean, SIDE, a_op, 10.0, 2)
+    ds = degrade_set(clean, a_op, 10.0, 2)
     tr.train(params, ds.clean[:12], ds.degraded[:12], ds.clean[12:],
-             ds.degraded[12:], SIDE,
+             ds.degraded[12:],
              gamma=1e-8, batch_size=4, max_iter=12, seed=3,
              val_cadence=100, lr_decay_every=None, lr_decay_factor=0.5)
     for lp, mask in zip(params.layers, masks):
@@ -129,7 +129,7 @@ def test_mask_invariance_under_training():
 def test_history_iteration_zero_is_initial_loss():
     params, xtr, ztr, xv, zv = tiny_setup()
     init = params.clone()
-    result = tr.train(params, xtr, ztr, xv, zv, SIDE,
+    result = tr.train(params, xtr, ztr, xv, zv,
                       gamma=1e-9, batch_size=8, max_iter=6, seed=7,
                       val_cadence=2, lr_decay_every=None, lr_decay_factor=0.5)
     first = result.history.records[0]
@@ -144,7 +144,7 @@ def test_training_determinism_byte_identical(tmp_path):
     outputs = []
     for run in range(2):
         params, xtr, ztr, xv, zv = tiny_setup(seed=55)
-        result = tr.train(params, xtr, ztr, xv, zv, SIDE,
+        result = tr.train(params, xtr, ztr, xv, zv,
                           gamma=1e-9, batch_size=6, max_iter=10, seed=9,
                           val_cadence=5, lr_decay_every=None, lr_decay_factor=0.5)
         model = tmp_path / f"model_{run}.json"
@@ -157,7 +157,7 @@ def test_training_determinism_byte_identical(tmp_path):
 
 def test_best_checkpoint_tracks_val_psnr():
     params, xtr, ztr, xv, zv = tiny_setup()
-    result = tr.train(params, xtr, ztr, xv, zv, SIDE,
+    result = tr.train(params, xtr, ztr, xv, zv,
                       gamma=1e-9, batch_size=8, max_iter=8, seed=3,
                       val_cadence=2, lr_decay_every=None, lr_decay_factor=0.5)
     best_logged = max(r["val_psnr"] for r in result.history.records)
@@ -168,14 +168,14 @@ def test_best_checkpoint_tracks_val_psnr():
 def test_divergence_guard_aborts():
     params, xtr, ztr, xv, zv = tiny_setup()
     with pytest.raises((tr.TrainingDivergedError, tr.NonFiniteGradientError)):
-        tr.train(params, xtr, ztr, xv, zv, SIDE,
+        tr.train(params, xtr, ztr, xv, zv,
                  gamma=1e2, batch_size=8, max_iter=400, seed=3,
                  val_cadence=100, lr_decay_every=None, lr_decay_factor=0.5)
 
 
 def test_lr_decay_applies():
     params, xtr, ztr, xv, zv = tiny_setup()
-    result = tr.train(params, xtr, ztr, xv, zv, SIDE,  # smoke: no blowup
+    result = tr.train(params, xtr, ztr, xv, zv,  # smoke: no blowup
                       gamma=1e-9, batch_size=8, max_iter=4, seed=3,
                       val_cadence=2, lr_decay_every=2, lr_decay_factor=0.5)
     assert result.history.losses.shape == (4,)
@@ -192,7 +192,7 @@ def test_lr_decay_schedule(monkeypatch):
 
     monkeypatch.setattr(tr, "sgd_step", recording_step)
     g = 1e-9
-    tr.train(params, xtr, ztr, xv, zv, SIDE,
+    tr.train(params, xtr, ztr, xv, zv,
              gamma=g, batch_size=8, max_iter=5, seed=3,
              val_cadence=2, lr_decay_every=2, lr_decay_factor=0.5)
     assert gammas == [g, g, g / 2, g / 2, g / 4]
@@ -200,7 +200,7 @@ def test_lr_decay_schedule(monkeypatch):
 
 def test_history_csv_layout(tmp_path):
     params, xtr, ztr, xv, zv = tiny_setup(depth=3)
-    result = tr.train(params, xtr, ztr, xv, zv, SIDE,
+    result = tr.train(params, xtr, ztr, xv, zv,
                       gamma=1e-9, batch_size=8, max_iter=4, seed=3,
                       val_cadence=2, lr_decay_every=None, lr_decay_factor=0.5)
     path = tmp_path / "h.csv"
