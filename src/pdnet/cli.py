@@ -37,6 +37,7 @@ from .network import BlockSpec, DenseSpec, ModelFormatError
 from .operators import (
     INIT_STDDEV,
     NonFiniteNormError,
+    block_sites,
     degradation_from_spec,
     make_first_difference,
     make_scaled_identity_analysis,
@@ -439,7 +440,18 @@ def _build_network(cfg: dict, a_op):
         raise ConfigError("network section needs 'K' and a nonempty 'L' list")
     specs = [parse_l_spec(e) for e in net["L"]]
     stddev = net["init_stddev"]
+    n = a_op.in_dim
     try:
+        # the weights are counted, not drawn: float64 ones past physical memory are refused
+        per_layer = sum(spec.p * n if isinstance(spec, DenseSpec) else
+                        len(block_sites(math.isqrt(n), spec.q, spec.stride, spec.site_rule))
+                        * spec.filters_per_site * spec.q**2 for spec in specs)
+        size = 8 * net["K"] * per_layer
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if size > memory:
+            raise ConfigError(f"network.L {net['L']!r}: K = {net['K']} layers of {per_layer} "
+                              f"float64 weights take {size} bytes, more than the {memory} "
+                              f"bytes of physical memory")
         return netmod.init_network(a_op, net["K"], specs, net["mode"],
                                    derive(cfg["seed"], 5), stddev=stddev)
     except netmod.ZeroNormError as exc:  # weights so small that ||L|| underflows

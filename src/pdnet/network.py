@@ -209,13 +209,13 @@ def _unroll(params: NetworkParams, zb: np.ndarray, keep_trace: bool,
     trace = LayerTrace(xs=[x], ys=[np.zeros((zb.shape[0], params.feature_dim))],
                        vs=[]) if keep_trace else None
     for lp in params.layers[:-1]:
-        x, y, v = pdhg.pd_step(a_op, lp.analysis, lp.tau, lp.sigma, w, x, y, work)
+        x, y, v = pdhg.pd_step(a_op, lp.analysis, lp.tau, lp.sigma, w, x, y, work, keep_trace)
         if trace is not None:
             trace.xs.append(x)
             trace.ys.append(y)
             trace.vs.append(v)
     last = params.layers[-1]
-    out, v = pdhg.pd_primal(a_op, last.analysis, last.tau, w, x, y, work)
+    out, v = pdhg.pd_primal(a_op, last.analysis, last.tau, w, x, y, work, keep_trace)
     if trace is not None:
         trace.xs.append(out)
         trace.vs.append(v)

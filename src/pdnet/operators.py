@@ -236,9 +236,10 @@ class AnalysisOperator(LinearOperator):
         masked one."""
         return [self]
 
-    @property
-    def nnz(self) -> int:
-        return sum(p.weights.size for p in self.parts())
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """L v.  Always a new array, which the caller may overwrite:
+        ``pdhg.pd_step`` clips the dual in place in it."""
+        raise NotImplementedError
 
     def clone(self) -> "AnalysisOperator":
         raise NotImplementedError
@@ -367,6 +368,20 @@ def _window_matmul(a: np.ndarray, b: np.ndarray, batch: bool) -> np.ndarray:
     return np.matmul(a, np.concatenate([b, np.zeros_like(b)], axis=-1))[..., :1]
 
 
+def _matvecs(kernel, m, vb: np.ndarray) -> np.ndarray:
+    """``m @ vb.T`` for a sparse ``m`` and a (B, n) batch ``vb``, by the
+    compiled ``kernel`` of ``m``'s format (``csr_matvecs``, ``csc_matvecs``).
+
+    These are the calls ``m @`` makes once its Python dispatch has chosen
+    the kernel, so the bits are the same, without that dispatch on every
+    product of the solver's loop.
+    """
+    rows, cols = m.shape
+    out = np.zeros((rows, len(vb)))
+    kernel(rows, cols, len(vb), m.indptr, m.indices, m.data, vb.T.ravel(), out.ravel())
+    return out
+
+
 class MaskLayout:
     """The columns of a :class:`MaskedRowAnalysis` and the index structure
     derived from them: the window size F, each window's columns, and the
@@ -458,7 +473,8 @@ class MaskedRowAnalysis(AnalysisOperator):
     lowering of a convolution layer).  The adjoint scatters the (S * k, B)
     window results back with a fixed 0/1 matrix.  With F = 1 a window is a
     single row, and a CSR matrix sharing the value buffer is 2-3x faster at
-    the solver's batch sizes, so ``apply`` and ``apply_adjoint`` stay on it.
+    the solver's batch sizes, so ``apply`` and ``apply_adjoint`` stay on it;
+    a batch goes straight to scipy's compiled kernels (:func:`_matvecs`).
     With F > 1 the norm bound runs on the explicit N x N Gram instead of a
     product pair (:meth:`_lanczos_product`).
 
@@ -479,6 +495,7 @@ class MaskedRowAnalysis(AnalysisOperator):
         self.block_spec = block_spec
         if layout.f == 1:
             import scipy.sparse as sp
+            from scipy.sparse import _sparsetools
 
             self._csr = sp.csr_matrix((vals.ravel(), *layout.csr_pattern),
                                       shape=(self.out_dim, self.in_dim))
@@ -486,6 +503,8 @@ class MaskedRowAnalysis(AnalysisOperator):
             vals = self._csr.data.reshape(self.out_dim, k)
             # the CSC transpose shares that buffer, so weight updates reach it too
             self._csr_t = self._csr.T
+            # the compiled kernels of ``self._csr @`` and ``self._csr_t @`` on a batch
+            self._kernels = _sparsetools.csr_matvecs, _sparsetools.csc_matvecs
         self.weights = vals
         self._site_w = vals.reshape(-1, layout.f, k)  # (S, F, k) view: updates reach it
 
@@ -498,7 +517,7 @@ class MaskedRowAnalysis(AnalysisOperator):
         elif v.ndim == 1:
             return self._csr @ v
         else:
-            out = self._csr @ vb.T
+            out = _matvecs(self._kernels[0], self._csr, vb)
         return out.reshape(self.out_dim, -1).T.reshape(v.shape[:-1] + (self.out_dim,))
 
     def apply_adjoint(self, w):
@@ -513,7 +532,7 @@ class MaskedRowAnalysis(AnalysisOperator):
         elif w.ndim == 1:
             return self._csr_t @ w
         else:
-            out = self._csr_t @ wb.T
+            out = _matvecs(self._kernels[1], self._csr_t, wb)
         return out.T.reshape(w.shape[:-1] + (self.in_dim,))
 
     def clone(self):

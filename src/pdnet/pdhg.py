@@ -48,20 +48,26 @@ def saturating_sigma(tau: float, norm_a: float, norm_l: float) -> float:
                      f"(tau {tau!r}, ||A|| {norm_a!r}, ||L|| {norm_l!r})")
 
 
-def prox_conj_l1(v: np.ndarray) -> np.ndarray:
+def prox_conj_l1(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Prox of the conjugate of the l1 norm, for any step sigma > 0:
-    componentwise clip to [-1, 1] (projection onto the l-inf ball)."""
-    return np.clip(np.asarray(v, dtype=np.float64), -1.0, 1.0)
+    componentwise clip to [-1, 1] (projection onto the l-inf ball).
+
+    The clip goes into ``out`` when given, which may be ``v`` itself, and
+    ``out`` is returned; without it the result is a new array.
+    """
+    return np.clip(np.asarray(v, dtype=np.float64), -1.0, 1.0, out=out)
 
 
 def pd_primal(a_op: LinearOperator, l_op: AnalysisOperator, tau: float,
               w: np.ndarray, x: np.ndarray, y: np.ndarray | None,
-              work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+              work: np.ndarray, keep_v: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """x - tau (A*A x - A*z) - tau L* y.
 
     Returns (x_new, V) with V = w - A*A x - L* y, formed in the buffer of the
-    new array ``a_op.gram(x)``.  ``work`` is scratch of x's shape.  ``y``
-    None is the zero dual of the first iteration: L* y is then not formed.
+    new array ``a_op.gram(x)``, when ``keep_v``; only backprop reads V, so
+    without it the last pass over that buffer is skipped and V is None.
+    ``work`` is scratch of x's shape.  ``y`` None is the zero dual of the
+    first iteration: L* y is then not formed.
     """
     v = a_op.gram(x)
     np.subtract(w, v, out=v)
@@ -70,27 +76,31 @@ def pd_primal(a_op: LinearOperator, l_op: AnalysisOperator, tau: float,
     if y is not None:
         lt_y = l_op.apply_adjoint(y)
         x_new -= np.multiply(lt_y, tau, out=work)
-        v -= lt_y
-    return x_new, v
+        if keep_v:
+            v -= lt_y
+    return x_new, v if keep_v else None
 
 
 def pd_step(a_op: LinearOperator, l_op: AnalysisOperator, tau: float, sigma: float,
-            w: np.ndarray, x: np.ndarray, y: np.ndarray | None, work: np.ndarray):
+            w: np.ndarray, x: np.ndarray, y: np.ndarray | None, work: np.ndarray,
+            keep_v: bool):
     """One full primal-dual iteration.
 
     Returns (x_new, y_new, V): y_new = clip(y + sigma L (2 x_new - x)), inside
-    (-1, 1) where the clip is inactive, and V = w - A*A x - L* y.  ``y`` None
-    is the zero dual: the step then takes one L product, not two.  ``work``
-    is scratch of x's shape; a caller reuses it across iterations.
+    (-1, 1) where the clip is inactive, and V = w - A*A x - L* y when
+    ``keep_v`` (else None; see :func:`pd_primal`).  ``y`` None is the zero
+    dual: the step then takes one L product, not two.  The clip runs in
+    place on the new array of that product.  ``work`` is scratch of x's
+    shape; a caller reuses it across iterations.
     """
-    x_new, v = pd_primal(a_op, l_op, tau, w, x, y, work)
+    x_new, v = pd_primal(a_op, l_op, tau, w, x, y, work, keep_v)
     np.multiply(x_new, 2.0, out=work)
     work -= x
     c = l_op.apply(work)
     c *= sigma
     if y is not None:
         c += y
-    return x_new, prox_conj_l1(c), v
+    return x_new, prox_conj_l1(c, out=c), v
 
 
 def objective(a_op: LinearOperator, l_op: AnalysisOperator, z: np.ndarray,
@@ -126,6 +136,8 @@ def pdhg_solve(a_op: LinearOperator, l_op: AnalysisOperator, z: np.ndarray,
     row's ``x_hat`` is within ``tol * max(1, ||x_hat||)`` of a solo solve's.
     Step sizes must be positive and finite.  As in ``network.forward``, the
     step-size margin is not checked: ``pdnet solve`` refuses steps that break it.
+    The steps form no V (:func:`pd_step`), and one (B, N) scratch buffer
+    serves each step and then holds its primal change.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != a_op.out_dim:
@@ -150,8 +162,10 @@ def pdhg_solve(a_op: LinearOperator, l_op: AnalysisOperator, z: np.ndarray,
     it = 0
     while len(rows):
         it += 1
-        x_new, y = pd_step(a_op, l_op, tau, sigma, w, x, y, work[:len(rows)])[:2]
-        rel = _row_norms(x_new - x) / np.maximum(1.0, _row_norms(x))
+        scratch = work[:len(rows)]
+        x_new, y, _ = pd_step(a_op, l_op, tau, sigma, w, x, y, scratch, False)
+        # the step is done with its scratch: the change goes there
+        rel = _row_norms(np.subtract(x_new, x, out=scratch)) / np.maximum(1.0, _row_norms(x))
         # the first primal update from x = A*z is stationary while y is still
         # zero, so the change test only starts once the dual has acted
         done = (rel < tol) & (it >= 2)

@@ -154,7 +154,9 @@ def train(params: NetworkParams, train_clean: np.ndarray, train_degraded: np.nda
             diverged_streak = 0
 
         grads = backward(params, xb, trace)
+        del out, trace, diff  # so the next traced forward does not run beside them
         sgd_step(params, grads, gamma)
+        del grads  # nor the next backward beside these gradients
 
         if lr_decay_every and (it + 1) % lr_decay_every == 0:
             gamma *= lr_decay_factor

@@ -1,8 +1,8 @@
 """Helpers that only the tests use: an l1 prox oracle, the one-image
 degradation that ``data.degrade_set`` is checked against, stroke images,
 dense views of analysis operators and of their weight gradients, zero weight
-gradients, a loss moving average, loop-built reference index tables for the
-first-difference and block-sparse constructors, and the image-by-image
+gradients, the stored weight count, a loss moving average, loop-built
+reference index tables for the first-difference and block-sparse constructors, and the image-by-image
 digits and byte-by-byte PGM header tokens that ``data.synthetic_digits`` and
 ``data._pgm_tokens`` are checked against.  The library itself never calls
 them.
@@ -53,6 +53,11 @@ def mask_dense(op) -> np.ndarray:
     for part in ones.parts():
         part.weights[...] = 1.0
     return to_dense(ones)
+
+
+def nnz(op) -> int:
+    """The stored (unmasked) weight count of analysis operator ``op``."""
+    return sum(part.weights.size for part in op.parts())
 
 
 def grad_zeros(op) -> list[np.ndarray]:

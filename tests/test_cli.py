@@ -763,6 +763,9 @@ def test_eval_refuses_a_degraded_dir_with_no_rows(tmp_path, capsys):
      "network.L 'dense:99999999999999999999' P: must be at most 2**63 - 1"),
     ("train", {"network": {"L": ["f3s1n99999999999999999999"]}}, 1,
      "network.L 'f3s1n99999999999999999999' F: must be at most 2**63 - 1"),
+    # integers that fit, but weights past physical memory: counted, never drawn
+    ("train", {"network": {"L": ["dense:1099511627776"]}}, 1, "network.L"),
+    ("train", {"network": {"L": ["f3s1n1099511627776"]}}, 1, "network.L"),
 ], ids=["beta-not-a-number", "tau-0", "sigma-0", "train_frac-2", "K-null",
         "gamma-null", "size-null", "count-null", "image_side-null", "lambda-null",
         "count-0", "patches_per_image-0", "limit-negative", "max_iter-0",
@@ -774,7 +777,8 @@ def test_eval_refuses_a_degraded_dir_with_no_rows(tmp_path, capsys):
         "init_stddev-1e150", "degrade-gamma-0", "lambda-1e-300", "lambda-1e300",
         "count-1e400", "max_iter-1e400", "seed-1e400", "seed-neg1e400", "size-neg1e400",
         "degrade-train_frac-negative", "degrade-train_frac-nan", "solve-fractions-sum-0",
-        "L-stride-1e20", "L-dense-1e20", "L-filters-1e20"])
+        "L-stride-1e20", "L-dense-1e20", "L-filters-1e20", "L-dense-past-memory",
+        "L-filters-past-memory"])
 def test_config_values_exit_cleanly(tmp_path, capsys, command, edit, code, named):
     path, cfg = write_config(tmp_path, **edit)
     argv = [command, "--config", path]
@@ -793,9 +797,11 @@ def test_config_values_exit_cleanly(tmp_path, capsys, command, edit, code, named
 
 
 # The values a fuzzed leaf takes: each JSON type, small integers about the
-# least values, integers past int64, and floats at the edges of float64.
+# least values, integers past int64, floats at the edges of float64, and L
+# specs whose weights would not fit in memory.
 _FUZZ_POOL = [None, True, -1, 0, 1, 2, 3, 7, 2**70, -2**70, 1e308, -1e308, float("nan"),
-              float("inf"), 0.5, 1e-300, "", "x", "identity", "degraded-dir", [], {}]
+              float("inf"), 0.5, 1e-300, "", "x", "identity", "degraded-dir", [], {},
+              "dense:1099511627776", "f3s1n1099511627776"]
 
 
 def _fuzzed(doc: dict, paths: list, seed: int) -> dict:

@@ -14,7 +14,7 @@ from pdnet import pdhg
 from pdnet.pdhg import prox_conj_l1
 from pdnet.rng import Stream, derive
 
-from helpers import to_dense
+from helpers import nnz, to_dense
 
 
 def _shared_params(a_op, depth, p=5, seed=77, mode="full"):
@@ -189,12 +189,11 @@ def test_forward_cost_linear_in_nnz_and_depth():
     def macs(depth, filters):
         params = net.init_network(
             a, depth, [net.BlockSpec(3, 3, filters, "fit")], "full", seed=2)
-        nnz = params.layers[0].analysis.nnz
         ops.ANALYSIS_MACS.count = 0
         net.forward(params, z)
         count = ops.ANALYSIS_MACS.count
         ops.ANALYSIS_MACS.count = 0
-        return count, nnz
+        return count, nnz(params.layers[0].analysis)
 
     c1, nnz1 = macs(3, 2)
     c2, nnz2 = macs(3, 4)

@@ -9,7 +9,8 @@ import pytest
 from pdnet import operators as ops
 from pdnet.rng import Stream, derive
 
-from helpers import block_columns, first_difference_tables, grad_zeros, mask_dense, to_dense
+from helpers import (block_columns, first_difference_tables, grad_zeros, mask_dense, nnz,
+                     to_dense)
 
 
 def rand(n, tag=0, scale=1.0):
@@ -210,7 +211,7 @@ def test_norm_stops_at_first_non_finite_estimate(weight):
     ops.ANALYSIS_MACS.count = 0
     with pytest.raises(ops.NonFiniteNormError, match="not finite"):
         op.norm()
-    assert ops.ANALYSIS_MACS.count <= 2 * op.nnz  # at most one product pair
+    assert ops.ANALYSIS_MACS.count <= 2 * nnz(op)  # at most one product pair
     ops.ANALYSIS_MACS.count = 0
 
 
@@ -473,7 +474,7 @@ def test_adjoint_follows_weight_updates():
     op = ops.make_first_difference(6)
     w = np.arange(3 * op.out_dim, dtype=np.float64).reshape(3, op.out_dim) % 7 - 3
     op.apply_adjoint(w)
-    op.update_weights([np.arange(op.nnz, dtype=np.float64).reshape(op.out_dim, 2) % 5], 1.0)
+    op.update_weights([np.arange(nnz(op), dtype=np.float64).reshape(op.out_dim, 2) % 5], 1.0)
     assert np.array_equal(op.apply_adjoint(w), w @ to_dense(op))
     assert np.array_equal(op.apply_adjoint(w[0]), w[0] @ to_dense(op))
 
@@ -592,16 +593,16 @@ def test_in_place_updates_reach_products_and_clones_are_independent(case):
         part.weights *= -2.0
     _close(twin.apply(x), x @ (-2.0 * twin_dense).T)
     _close(twin.apply_adjoint(y), y @ (-2.0 * twin_dense))
-    assert twin.nnz == sum(part.nnz for part in twin.parts()) == np.count_nonzero(mask_dense(twin))
+    assert nnz(twin) == np.count_nonzero(mask_dense(twin))
 
 
 def test_mac_counter_tracks_nnz_exactly():
     op = ops.make_block_sparse_analysis(3, 3, 2, 6, seed=7, site_rule="fit")
     ops.ANALYSIS_MACS.count = 0
     op.apply(np.zeros(36))
-    assert ops.ANALYSIS_MACS.count == op.nnz
+    assert ops.ANALYSIS_MACS.count == nnz(op)
     op.apply_adjoint(np.zeros((5, op.out_dim)))
-    assert ops.ANALYSIS_MACS.count == op.nnz + 5 * op.nnz
+    assert ops.ANALYSIS_MACS.count == nnz(op) + 5 * nnz(op)
     ops.ANALYSIS_MACS.count = 0
 
 
@@ -639,3 +640,21 @@ def test_first_difference_on_constant_is_zero():
     op = ops.make_first_difference(5, scale=2.0)
     assert not op.apply(np.full(25, 3.3)).any()
     assert op.out_dim == 50
+
+
+@pytest.mark.parametrize("build", [lambda: ops.make_first_difference(9, 1.5),
+                                   lambda: ops.make_scaled_identity_analysis(81, 0.7)],
+                         ids=["first-diff", "scaled-identity"])
+@pytest.mark.parametrize("batch", [1, 2, 7, 50, 99])
+def test_one_row_window_batches_match_scipy_products(build, batch):
+    # a batch runs scipy's private compiled kernels directly: pinned here
+    # against scipy's public ``@``, and row by row against a batch of one
+    op = build()
+    v = Stream(derive(0xB7, batch)).normal(batch * op.in_dim).reshape(batch, -1)
+    w = Stream(derive(0xB8, batch)).normal(batch * op.out_dim).reshape(batch, -1)
+    lv, ltw = op.apply(v), op.apply_adjoint(w)
+    assert np.array_equal(lv, (op._csr @ v.T).T)
+    assert np.array_equal(ltw, (op._csr_t @ w.T).T)
+    for b in range(batch):
+        assert np.array_equal(lv[b], op.apply(v[b:b + 1])[0])
+        assert np.array_equal(ltw[b], op.apply_adjoint(w[b:b + 1])[0])

@@ -246,3 +246,27 @@ def test_numeric_core_refuses_a_single_1d_image(call):
            "ssim": lambda: dm.ssim(z[0], z[0])}[call]
     with pytest.raises(ValueError, match=r"\(B, [MN]\)"):
         run()
+
+
+@pytest.mark.parametrize("part", ["dense", "first-diff", "block"])
+def test_step_without_v_has_the_same_iterates(part):
+    # V is formed for backprop only; skipping it changes no bit of x+ or y+
+    side = 8
+    a_op = ops.UniformBlur(3, side)
+    l_op = {"dense": lambda: ops.make_dense_analysis(10, side * side, seed=3, stddev=0.3),
+            "first-diff": lambda: ops.make_first_difference(side, 1.5),
+            "block": lambda: ops.make_block_sparse_analysis(3, 2, 2, side, seed=3,
+                                                            site_rule="fit", stddev=0.3)}[part]()
+    z = Stream(derive(0x7E, 1)).uniform(5 * side * side).reshape(5, -1) * 255
+    w = a_op.apply_adjoint(z)
+    y = np.clip(Stream(derive(0x7E, 2)).normal(5 * l_op.out_dim).reshape(5, -1), -1, 1)
+    work = np.empty_like(w)
+    for dual in (None, y):
+        x_v, y_v, v = pdhg.pd_step(a_op, l_op, 0.9, 0.2, w, w, dual, work, True)
+        x_n, y_n, none = pdhg.pd_step(a_op, l_op, 0.9, 0.2, w, w, dual, work, False)
+        assert v is not None and none is None
+        assert np.array_equal(x_v, x_n) and np.array_equal(y_v, y_n)
+        out_v, v = pdhg.pd_primal(a_op, l_op, 0.9, w, w, dual, work, True)
+        out_n, none = pdhg.pd_primal(a_op, l_op, 0.9, w, w, dual, work, False)
+        assert v is not None and none is None
+        assert np.array_equal(out_v, out_n)

@@ -61,3 +61,11 @@ def test_jacobian_matches_finite_differences():
     eps = 1e-7
     fd = (prox_conj_l1(c + eps) - prox_conj_l1(c - eps)) / (2 * eps)
     assert np.abs(fd - prox_conj_l1_diag_jacobian(c)).max() <= 1e-7
+
+
+def test_clip_in_place_writes_the_same_bits():
+    c = Stream(derive(0xC1, 1)).normal(200).reshape(8, 25) * 2
+    want = prox_conj_l1(c)
+    got = prox_conj_l1(c, out=c)
+    assert got is c
+    assert np.array_equal(c, want)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -209,3 +211,31 @@ def test_history_csv_layout(tmp_path):
     assert lines[0] == "iter,loss,val_psnr,val_ssim,dc_layer_1,dc_layer_2,dc_layer_3"
     assert len(lines) == 1 + len(result.history.records)
     assert lines[1].split(",")[0] == "0"
+
+
+def test_train_releases_each_iterations_arrays(monkeypatch):
+    # the trace of one iteration is dead before the next traced forward, and
+    # its gradients before the next backward: neither peak holds two
+    params, xtr, ztr, xv, zv = tiny_setup(depth=3)
+    traces, grads = [], []
+    real_forward, real_backward = tr.forward, tr.backward
+
+    def forward(params, z, keep_trace=False):
+        if keep_trace:
+            assert all(ref() is None for ref in traces)
+        out, trace = real_forward(params, z, keep_trace)
+        if keep_trace:
+            traces.append(weakref.ref(trace))
+        return out, trace
+
+    def backward(*args):
+        assert all(ref() is None for ref in grads)
+        g = real_backward(*args)
+        grads.append(weakref.ref(g))
+        return g
+
+    monkeypatch.setattr(tr, "forward", forward)
+    monkeypatch.setattr(tr, "backward", backward)
+    tr.train(params, xtr, ztr, xv, zv, gamma=1e-9, batch_size=8, max_iter=4, seed=3,
+             val_cadence=2, lr_decay_every=None, lr_decay_factor=0.5)
+    assert len(traces) == len(grads) == 4

@@ -4,15 +4,18 @@ Usage::
 
     OPENBLAS_NUM_THREADS=1 python tools/artifact_hashes.py [WORK_DIR]
 
-Four small workloads run in-process through ``pdnet.cli.main``.  Three are
+Five small workloads run in-process through ``pdnet.cli.main``.  Four are
 shaped like the benchmark's (dense deblurring in full mode, block-sparse
-super-resolution in partial mode, the first-difference solve) and one is a
-fused ``dense:6`` + ``f3s2n2`` network in partial mode.  Each training
+super-resolution in partial mode, the first-difference solve on 6 images of
+side 12 and on the benchmark's 24 of side 28) and one is a fused
+``dense:6`` + ``f3s2n2`` network in partial mode.  Each training
 workload runs ``degrade``, ``train``, ``eval --beta 2,5``, ``eval``
 without ``--beta`` (into ``eval-plain/``), ``export-filters`` and
-``gradcheck``; the solve workload runs ``degrade`` and ``solve``, then
+``gradcheck``; each solve workload runs ``degrade`` and ``solve``, then
 ``solve -v`` once more with ``max_iter`` 500 (into ``out-cutoff/``), where
-half the images stop unconverged at the cap.  Two more
+half the images of side 12 and 16 of the 24 of side 28 stop unconverged at
+the cap.  At side 28 the rows converge after 428 to 721 iterations, so
+``solve`` drops them from its batch one or two at a time.  Two more
 ``degrade`` runs read the file sources: ``degrade-pgm-dir`` crops 8 x 8
 patches from two PGMs that ``pdnet.data.save_pgm`` writes, and
 ``degrade-idx`` reads an IDX image file and its label file, both written
@@ -62,6 +65,7 @@ WORKLOADS = {
     "fused-partial": ("deblur", BLUR, 8, 40, {"K": 3, "mode": "partial",
                                               "L": ["dense:6", "f3s2n2"]}),
     "solve-firstdiff-blur": ("deblur", BLUR, 12, 6, None),
+    "solve-firstdiff-blur-28": ("deblur", BLUR, 28, 24, None),
 }
 
 # gradcheck needs image_side^2 <= 64: the same networks on smaller images
