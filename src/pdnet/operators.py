@@ -9,7 +9,7 @@ Two families live here:
   fusions of both) whose nonzero weights are the learnable parameters.  A
   block-sparse part multiplies window by window: one gather of each Q x Q
   window's inputs and one small GEMM over its filters, while first
-  differences and lambda * Id, one row per window, stay on CSR products.
+  differences and lambda * Id, one row per window, run compiled CSR kernels.
 
 Operators act on the last axis of an array, so a single vector ``(n,)`` and a
 batch ``(B, n)`` both work.  ``AnalysisOperator.norm`` returns an upper
@@ -368,24 +368,28 @@ def _window_matmul(a: np.ndarray, b: np.ndarray, batch: bool) -> np.ndarray:
     return np.matmul(a, np.concatenate([b, np.zeros_like(b)], axis=-1))[..., :1]
 
 
-def _matvecs(kernel, m, vb: np.ndarray) -> np.ndarray:
-    """``m @ vb.T`` for a sparse ``m`` and a (B, n) batch ``vb``, by the
-    compiled ``kernel`` of ``m``'s format (``csr_matvecs``, ``csc_matvecs``).
+def _matvecs(kernel, shape, pattern, values, vb: np.ndarray) -> np.ndarray:
+    """``m @ vb.T`` for a (B, n) batch ``vb`` by scipy's compiled ``kernel``,
+    with ``m`` of ``shape`` held in the compressed arrays ``pattern``
+    (indices, indptr) and ``values``.  L's CSR arrays are L^T's CSC arrays,
+    so ``csr_matvecs`` on them multiplies by L and ``csc_matvecs`` by L^T.
 
-    These are the calls ``m @`` makes once its Python dispatch has chosen
-    the kernel, so the bits are the same, without that dispatch on every
-    product of the solver's loop.
+    ``m @`` calls these kernels on a batch, and at B = 1 they add in the
+    order of its single-vector kernels, so a vector and a batch alike get
+    the bits of ``m @``, with no scipy matrix and no dispatch per product.
     """
-    rows, cols = m.shape
+    rows, cols = shape
+    indices, indptr = pattern
     out = np.zeros((rows, len(vb)))
-    kernel(rows, cols, len(vb), m.indptr, m.indices, m.data, vb.T.ravel(), out.ravel())
+    kernel(rows, cols, len(vb), indptr, indices, values, vb.T.ravel(), out.ravel())
     return out
 
 
 class MaskLayout:
     """The columns of a :class:`MaskedRowAnalysis` and the index structure
     derived from them: the window size F, each window's columns, and the
-    CSR pattern (F = 1) or the adjoint's scatter matrix (F > 1).
+    CSR index arrays and their kernels (F = 1, :func:`_matvecs`) or the
+    adjoint's scatter matrix (F > 1).
 
     A layout never changes after construction, so operators with one column
     set share one: the K layers of a network, their clones and the models
@@ -394,6 +398,7 @@ class MaskLayout:
 
     def __init__(self, col_index: np.ndarray, n: int):
         import scipy.sparse as sp  # here, not at module top: see MaskedRowAnalysis
+        from scipy.sparse import _sparsetools
 
         cols = np.ascontiguousarray(col_index, dtype=np.int64)
         if cols.ndim != 2:
@@ -410,9 +415,10 @@ class MaskLayout:
         self.f = int(np.gcd.reduce(np.diff(np.r_[starts, p]))) if p else 1
         self.site_cols = cols[::self.f]  # (S, k): each window's columns
         if self.f == 1:
-            # int32 as scipy stores them, so every operator's CSR shares them
+            # L's CSR (indices, indptr), int32 as the kernels take them
             self.csr_pattern = (cols.ravel().astype(np.int32),
                                 np.arange(0, (p + 1) * k, k, dtype=np.int32))
+            self.matvecs = _sparsetools.csr_matvecs, _sparsetools.csc_matvecs
         else:
             m = self.site_cols.size
             self.scatter = sp.csr_matrix((np.ones(m), (self.site_cols.ravel(), np.arange(m))),
@@ -472,10 +478,10 @@ class MaskedRowAnalysis(AnalysisOperator):
     window's k inputs once and runs one small GEMM per window (the im2col
     lowering of a convolution layer).  The adjoint scatters the (S * k, B)
     window results back with a fixed 0/1 matrix.  With F = 1 a window is a
-    single row, and a CSR matrix sharing the value buffer is 2-3x faster at
-    the solver's batch sizes, so ``apply`` and ``apply_adjoint`` stay on it;
-    a batch goes straight to scipy's compiled kernels (:func:`_matvecs`).
-    With F > 1 the norm bound runs on the explicit N x N Gram instead of a
+    single row, and scipy's compiled CSR kernels on the layout's index arrays
+    and ``weights`` are 2-3x faster at the solver's batch sizes: every
+    product runs them (:func:`_matvecs`), of a vector or a batch.  With
+    F > 1 the norm bound runs on the explicit N x N Gram instead of a
     product pair (:meth:`_lanczos_product`).
 
     This class and its :class:`MaskLayout` are the only users of
@@ -493,18 +499,6 @@ class MaskedRowAnalysis(AnalysisOperator):
         self.out_dim, k = vals.shape
         self.in_dim = layout.n
         self.block_spec = block_spec
-        if layout.f == 1:
-            import scipy.sparse as sp
-            from scipy.sparse import _sparsetools
-
-            self._csr = sp.csr_matrix((vals.ravel(), *layout.csr_pattern),
-                                      shape=(self.out_dim, self.in_dim))
-            # keep the learnable buffer authoritative even if scipy copied it
-            vals = self._csr.data.reshape(self.out_dim, k)
-            # the CSC transpose shares that buffer, so weight updates reach it too
-            self._csr_t = self._csr.T
-            # the compiled kernels of ``self._csr @`` and ``self._csr_t @`` on a batch
-            self._kernels = _sparsetools.csr_matvecs, _sparsetools.csc_matvecs
         self.weights = vals
         self._site_w = vals.reshape(-1, layout.f, k)  # (S, F, k) view: updates reach it
 
@@ -514,10 +508,9 @@ class MaskedRowAnalysis(AnalysisOperator):
         vb = v.reshape(-1, self.in_dim)
         if self._site_w.shape[1] > 1:
             out = _window_matmul(self._site_w, vb.T[self._layout.site_cols], v.ndim > 1)
-        elif v.ndim == 1:
-            return self._csr @ v
         else:
-            out = _matvecs(self._kernels[0], self._csr, vb)
+            out = _matvecs(self._layout.matvecs[0], (self.out_dim, self.in_dim),
+                           self._layout.csr_pattern, self.weights, vb)
         return out.reshape(self.out_dim, -1).T.reshape(v.shape[:-1] + (self.out_dim,))
 
     def apply_adjoint(self, w):
@@ -529,10 +522,9 @@ class MaskedRowAnalysis(AnalysisOperator):
             windows = _window_matmul(self._site_w.transpose(0, 2, 1), wb.T.reshape(s, f, -1),
                                      w.ndim > 1)
             out = self._layout.scatter @ windows.reshape(s * k, -1)
-        elif w.ndim == 1:
-            return self._csr_t @ w
         else:
-            out = _matvecs(self._kernels[1], self._csr_t, wb)
+            out = _matvecs(self._layout.matvecs[1], (self.in_dim, self.out_dim),
+                           self._layout.csr_pattern, self.weights, wb)
         return out.T.reshape(w.shape[:-1] + (self.in_dim,))
 
     def clone(self):

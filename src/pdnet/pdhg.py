@@ -128,12 +128,13 @@ def pdhg_solve(a_op: LinearOperator, l_op: AnalysisOperator, z: np.ndarray,
     and per row the iteration it stopped at, its last relative primal change
     ||x+ - x|| / max(1, ||x||) and whether that fell below ``tol``.  Each row
     stops on its own, at ``tol`` or unconverged at ``max_iter``, and leaves
-    the batch.  With first differences or lambda * Id (CSR products) or
-    block-sparse parts (per-window GEMMs through ``_window_matmul``) as
-    ``l_op``, each row's results are a (1, M) solve's of that row, bit for
-    bit.  A ``DenseAnalysis`` part does not keep that, since BLAS rounds a
-    dense product's rows differently with the batch's row count; there each
-    row's ``x_hat`` is within ``tol * max(1, ||x_hat||)`` of a solo solve's.
+    the batch.  With a masked ``l_op`` (first differences, lambda * Id, and
+    block-sparse parts: compiled CSR kernels for one filter per site, else
+    per-window GEMMs through ``_window_matmul``), each row's results are a
+    (1, M) solve's of that row, bit for bit.  A ``DenseAnalysis`` part does
+    not keep that, since BLAS rounds a dense product's rows differently with
+    the batch's row count; there each row's ``x_hat`` is within
+    ``tol * max(1, ||x_hat||)`` of a solo solve's.
     Step sizes must be positive and finite.  As in ``network.forward``, the
     step-size margin is not checked: ``pdnet solve`` refuses steps that break it.
     The steps form no V (:func:`pd_step`), and one (B, N) scratch buffer

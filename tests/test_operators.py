@@ -588,11 +588,14 @@ def test_in_place_updates_reach_products_and_clones_are_independent(case):
     twin_dense = _oracle(twin)
     _close(twin.apply(x), x @ twin_dense.T)
     _close(twin.apply_adjoint(y), y @ twin_dense)
-    # a write through each part's ``weights`` reaches both products
+    # a write through each part's ``weights`` reaches both products, of a
+    # batch and of a single vector
     for part in twin.parts():
         part.weights *= -2.0
     _close(twin.apply(x), x @ (-2.0 * twin_dense).T)
     _close(twin.apply_adjoint(y), y @ (-2.0 * twin_dense))
+    _close(twin.apply(x[0]), x[0] @ (-2.0 * twin_dense).T)
+    _close(twin.apply_adjoint(y[0]), y[0] @ (-2.0 * twin_dense))
     assert nnz(twin) == np.count_nonzero(mask_dense(twin))
 
 
@@ -643,18 +646,30 @@ def test_first_difference_on_constant_is_zero():
 
 
 @pytest.mark.parametrize("build", [lambda: ops.make_first_difference(9, 1.5),
-                                   lambda: ops.make_scaled_identity_analysis(81, 0.7)],
-                         ids=["first-diff", "scaled-identity"])
+                                   lambda: ops.make_scaled_identity_analysis(81, 0.7),
+                                   lambda: ops.make_block_sparse_analysis(3, 2, 1, 9, seed=5,
+                                                                          site_rule="fit")],
+                         ids=["first-diff", "scaled-identity", "f3s2n1"])
 @pytest.mark.parametrize("batch", [1, 2, 7, 50, 99])
 def test_one_row_window_batches_match_scipy_products(build, batch):
-    # a batch runs scipy's private compiled kernels directly: pinned here
-    # against scipy's public ``@``, and row by row against a batch of one
+    # every product of a one-row-window part runs scipy's private compiled
+    # kernels directly: pinned here against scipy's public ``@`` on a CSR
+    # matrix of the same arrays, for a batch and for each of its rows, as a
+    # batch of one and as a single vector
+    import scipy.sparse as sp
+
     op = build()
+    assert op._layout.f == 1
+    assert not any(sp.issparse(value) for value in vars(op).values())
+    csr = sp.csr_matrix((op.weights.ravel(), *op._layout.csr_pattern),
+                        shape=(op.out_dim, op.in_dim))
     v = Stream(derive(0xB7, batch)).normal(batch * op.in_dim).reshape(batch, -1)
     w = Stream(derive(0xB8, batch)).normal(batch * op.out_dim).reshape(batch, -1)
     lv, ltw = op.apply(v), op.apply_adjoint(w)
-    assert np.array_equal(lv, (op._csr @ v.T).T)
-    assert np.array_equal(ltw, (op._csr_t @ w.T).T)
+    assert np.array_equal(lv, (csr @ v.T).T)
+    assert np.array_equal(ltw, (csr.T @ w.T).T)
     for b in range(batch):
         assert np.array_equal(lv[b], op.apply(v[b:b + 1])[0])
         assert np.array_equal(ltw[b], op.apply_adjoint(w[b:b + 1])[0])
+        assert np.array_equal(op.apply(v[b]), csr @ v[b])
+        assert np.array_equal(op.apply_adjoint(w[b]), csr.T @ w[b])

@@ -270,3 +270,32 @@ def test_step_without_v_has_the_same_iterates(part):
         out_n, none = pdhg.pd_primal(a_op, l_op, 0.9, w, w, dual, work, False)
         assert v is not None and none is None
         assert np.array_equal(out_v, out_n)
+
+
+# name: one layer's L on 12 x 12 images, for each kind of analysis part
+_UNROLL_PARTS = {
+    "first-diff": lambda: ops.make_first_difference(12, 1.5),
+    "scaled-identity": lambda: ops.make_scaled_identity_analysis(144, 0.7),
+    "f3s1n1": lambda: ops.make_block_sparse_analysis(3, 1, 1, 12, seed=4, site_rule="fit"),
+    "f2s1n2": lambda: ops.make_block_sparse_analysis(2, 1, 2, 12, seed=5, site_rule="fit"),
+    "f5s2n10": lambda: ops.make_block_sparse_analysis(5, 2, 10, 12, seed=6, site_rule="fit"),
+    "dense:20": lambda: ops.make_dense_analysis(20, 144, seed=7),
+}
+
+
+@pytest.mark.parametrize("depth", [1, 2, 6])
+@pytest.mark.parametrize("part", list(_UNROLL_PARTS))
+def test_shared_layers_unroll_the_solver_bit_for_bit(part, depth):
+    # K layers sharing one (tau, sigma, L) run the solver's K iterations:
+    # the same steps through the same products, so the same bits
+    a_op = ops.UniformBlur(3, 12)
+    l_op = _UNROLL_PARTS[part]()
+    sigma = pdhg.saturating_sigma(1.0, a_op.cached_norm, l_op.norm())
+    params = net.NetworkParams(
+        a_op, [net.LayerParams(1.0, sigma, l_op.clone()) for _ in range(depth)], "full")
+    z = Stream(derive(0xD2, depth)).uniform(7 * 144).reshape(7, -1) * 255
+    out, _ = net.forward(params, z)
+    x_hat, iterations, _, _ = pdhg.pdhg_solve(a_op, l_op, z, 1.0, sigma, tol=0.0,
+                                              max_iter=depth)
+    assert (iterations == depth).all()
+    assert np.array_equal(out, x_hat)

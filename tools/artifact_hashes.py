@@ -4,24 +4,28 @@ Usage::
 
     OPENBLAS_NUM_THREADS=1 python tools/artifact_hashes.py [WORK_DIR]
 
-Five small workloads run in-process through ``pdnet.cli.main``.  Four are
+Eight small workloads run in-process through ``pdnet.cli.main``.  Four are
 shaped like the benchmark's (dense deblurring in full mode, block-sparse
 super-resolution in partial mode, the first-difference solve on 6 images of
 side 12 and on the benchmark's 24 of side 28) and one is a fused
-``dense:6`` + ``f3s2n2`` network in partial mode.  Each training
-workload runs ``degrade``, ``train``, ``eval --beta 2,5``, ``eval``
-without ``--beta`` (into ``eval-plain/``), ``export-filters`` and
+``dense:6`` + ``f3s2n2`` network in partial mode.  Three cover what those
+leave out, with one row per window in each: an ``f3s2n1`` network in
+partial mode on super-resolution; an ``f3s1n1`` network on the
+``interior`` site rule in partial mode, on the identity degradation, with
+``lr_decay_every``; and a ``solve`` with the lambda * Id prior.  Each
+training workload runs ``degrade``, ``train``, ``eval --beta 2,5``,
+``eval`` without ``--beta`` (into ``eval-plain/``), ``export-filters`` and
 ``gradcheck``; each solve workload runs ``degrade`` and ``solve``, then
 ``solve -v`` once more with ``max_iter`` 500 (into ``out-cutoff/``), where
-half the images of side 12 and 16 of the 24 of side 28 stop unconverged at
-the cap.  At side 28 the rows converge after 428 to 721 iterations, so
-``solve`` drops them from its batch one or two at a time.  Two more
-``degrade`` runs read the file sources: ``degrade-pgm-dir`` crops 8 x 8
-patches from two PGMs that ``pdnet.data.save_pgm`` writes, and
-``degrade-idx`` reads an IDX image file and its label file, both written
-with ``struct``; their inputs are artifacts too.  Every command's stdout and
-exit code are kept as one more artifact; a command that exits 1 or 2 stops
-the run.
+half the first-difference images of side 12, 16 of the 24 of side 28 and
+every lambda * Id image stop unconverged at the cap.  At side 28 the rows
+converge after 428 to 721 iterations, so ``solve`` drops them from its
+batch one or two at a time.  Two more ``degrade`` runs read the file
+sources: ``degrade-pgm-dir`` crops 8 x 8 patches from two PGMs that
+``pdnet.data.save_pgm`` writes, and ``degrade-idx`` reads an IDX image file
+and its label file, both written with ``struct``; their inputs are artifacts
+too.  Every command's stdout and exit code are kept as one more artifact; a
+command that exits 1 or 2 stops the run.
 
 The output is one ``sha256  path`` line per file under the work directory,
 with paths relative to it and sorted, so two checkouts whose outputs are the
@@ -54,18 +58,29 @@ from pdnet.rng import Stream  # noqa: E402
 SEED = 1001
 BLUR = {"kind": "uniform-blur", "size": 3, "alpha": 20.0}
 DECIMATE = {"kind": "decimation", "factor": 2, "alpha": 20.0}
+IDENTITY = {"kind": "identity", "alpha": 20.0}
 TRAIN = {"gamma": 4e-7, "batch_size": 10, "max_iter": 6, "val_cadence": 3}
+SOLVE = {"prior": "first-diff", "lambda": 1.5, "tol": 1e-6, "max_iter": 20000}
 
-# name: (task, degradation, image side, image count, network or None for solve)
+# name: (task, degradation, image side, image count, config sections): a
+# training workload's sections hold its network and any keys that override
+# TRAIN, a solve workload's its solve section
 WORKLOADS = {
-    "deblur-dense-full": ("deblur", BLUR, 12, 60, {"K": 3, "mode": "full",
-                                                   "L": ["dense:20"]}),
-    "sr-blocksparse-partial": ("sr", DECIMATE, 16, 60, {"K": 3, "mode": "partial",
-                                                        "L": ["f5s2n10"]}),
-    "fused-partial": ("deblur", BLUR, 8, 40, {"K": 3, "mode": "partial",
-                                              "L": ["dense:6", "f3s2n2"]}),
-    "solve-firstdiff-blur": ("deblur", BLUR, 12, 6, None),
-    "solve-firstdiff-blur-28": ("deblur", BLUR, 28, 24, None),
+    "deblur-dense-full": ("deblur", BLUR, 12, 60, {"network": {
+        "K": 3, "mode": "full", "L": ["dense:20"]}}),
+    "sr-blocksparse-partial": ("sr", DECIMATE, 16, 60, {"network": {
+        "K": 3, "mode": "partial", "L": ["f5s2n10"]}}),
+    "fused-partial": ("deblur", BLUR, 8, 40, {"network": {
+        "K": 3, "mode": "partial", "L": ["dense:6", "f3s2n2"]}}),
+    "solve-firstdiff-blur": ("deblur", BLUR, 12, 6, {"solve": SOLVE}),
+    "solve-firstdiff-blur-28": ("deblur", BLUR, 28, 24, {"solve": SOLVE}),
+    "sr-onefilter-partial": ("sr", DECIMATE, 12, 40, {"network": {
+        "K": 3, "mode": "partial", "L": ["f3s2n1"]}}),
+    "identity-interior-partial": ("deblur", IDENTITY, 10, 40, {
+        "network": {"K": 3, "mode": "partial",
+                    "L": [{"spec": "f3s1n1", "site_rule": "interior"}]},
+        "train": {"lr_decay_every": 2}}),
+    "solve-identity-blur": ("deblur", BLUR, 12, 6, {"solve": {**SOLVE, "prior": "identity"}}),
 }
 
 # gradcheck needs image_side^2 <= 64: the same networks on smaller images
@@ -73,6 +88,9 @@ GRADCHECK = {
     "deblur-dense-full": (4, {"K": 2, "mode": "full", "L": ["dense:6"]}),
     "sr-blocksparse-partial": (8, {"K": 2, "mode": "partial", "L": ["f3s2n2"]}),
     "fused-partial": (6, {"K": 2, "mode": "partial", "L": ["dense:6", "f3s2n2"]}),
+    "sr-onefilter-partial": (8, {"K": 2, "mode": "partial", "L": ["f3s2n1"]}),
+    "identity-interior-partial": (6, {"K": 2, "mode": "partial", "L": [
+        {"spec": "f3s1n1", "site_rule": "interior"}]}),
 }
 
 
@@ -121,7 +139,7 @@ def run() -> None:
     """Every workload's commands, each writing under ``<workload>/`` of the
     current directory; configs hold relative paths, so their bytes do not
     depend on where the run happens."""
-    for name, (task, degradation, side, count, network) in WORKLOADS.items():
+    for name, (task, degradation, side, count, sections) in WORKLOADS.items():
         os.makedirs(name)
 
         def path(*parts):
@@ -135,17 +153,17 @@ def run() -> None:
                "degradation": degradation,
                "data": {"source": "degraded-dir", "path": data,
                         "train_frac": 0.6, "val_frac": 0.2}}
-        if network is None:
+        if "solve" in sections:
             cfg["data"].update(train_frac=0.0, val_frac=0.0)
-            cfg["solve"] = {"prior": "first-diff", "lambda": 1.5, "tol": 1e-6,
-                            "max_iter": 20000}
+            cfg["solve"] = sections["solve"]
             _pdnet(path("solve.log"), "solve", "--config", _write(path("solve.json"), cfg))
             cutoff = {**cfg, "output_dir": path("out-cutoff"),
                       "solve": {**cfg["solve"], "max_iter": 500}}
             _pdnet(path("solve-cutoff.log"), "solve", "-v", "--config",
                    _write(path("solve-cutoff.json"), cutoff))
             continue
-        config = _write(path("run.json"), {**cfg, "network": network, "train": TRAIN})
+        config = _write(path("run.json"), {**cfg, "network": sections["network"],
+                                           "train": {**TRAIN, **sections.get("train", {})}})
         _pdnet(path("train.log"), "train", "--config", config)
         _pdnet(path("eval.log"), "eval", "--config", config, "--output", path("eval"),
                "--model", path("out", "model_final.json"), "--beta", "2,5")
