@@ -8,8 +8,9 @@ Two families live here:
 * analysis operators ``L`` (dense, block-sparse with an explicit mask,
   fusions of both) whose nonzero weights are the learnable parameters.  A
   block-sparse part multiplies window by window: one gather of each Q x Q
-  window's inputs and one small GEMM over its filters, while first
-  differences and lambda * Id, one row per window, run compiled CSR kernels.
+  window's inputs and one small GEMM over its filters; every sparse product
+  (one-row windows such as first differences, the scatter into pixels, the
+  window Gram) is one call to a compiled scipy.sparse kernel.
 
 Operators act on the last axis of an array, so a single vector ``(n,)`` and a
 batch ``(B, n)`` both work.  ``AnalysisOperator.norm`` returns an upper
@@ -368,28 +369,29 @@ def _window_matmul(a: np.ndarray, b: np.ndarray, batch: bool) -> np.ndarray:
     return np.matmul(a, np.concatenate([b, np.zeros_like(b)], axis=-1))[..., :1]
 
 
-def _matvecs(kernel, shape, pattern, values, vb: np.ndarray) -> np.ndarray:
+def _matvecs(kernel, rows: int, pattern, values, vb: np.ndarray) -> np.ndarray:
     """``m @ vb.T`` for a (B, n) batch ``vb`` by scipy's compiled ``kernel``,
-    with ``m`` of ``shape`` held in the compressed arrays ``pattern``
+    with ``m`` (``rows`` x n) held in the compressed arrays ``pattern``
     (indices, indptr) and ``values``.  L's CSR arrays are L^T's CSC arrays,
-    so ``csr_matvecs`` on them multiplies by L and ``csc_matvecs`` by L^T.
+    so ``csr_matvecs`` on them multiplies by L and ``csc_matvecs`` by L^T,
+    as it does by a window scatter on the scatter's CSC arrays.
 
     ``m @`` calls these kernels on a batch, and at B = 1 they add in the
     order of its single-vector kernels, so a vector and a batch alike get
     the bits of ``m @``, with no scipy matrix and no dispatch per product.
     """
-    rows, cols = shape
     indices, indptr = pattern
     out = np.zeros((rows, len(vb)))
-    kernel(rows, cols, len(vb), indptr, indices, values, vb.T.ravel(), out.ravel())
+    kernel(rows, vb.shape[1], len(vb), indptr, indices, values, vb.T.ravel(), out.ravel())
     return out
 
 
 class MaskLayout:
     """The columns of a :class:`MaskedRowAnalysis` and the index structure
-    derived from them: the window size F, each window's columns, and the
-    CSR index arrays and their kernels (F = 1, :func:`_matvecs`) or the
-    adjoint's scatter matrix (F > 1).
+    derived from them: the window size F, each window's columns, the
+    compressed index arrays of L (F = 1) or of the adjoint's 0/1 scatter
+    (F > 1), the window Gram's pattern (:meth:`gram_pattern`) and scipy's
+    compiled kernels that run on them (:func:`_matvecs`).
 
     A layout never changes after construction, so operators with one column
     set share one: the K layers of a network, their clones and the models
@@ -397,8 +399,7 @@ class MaskLayout:
     """
 
     def __init__(self, col_index: np.ndarray, n: int):
-        import scipy.sparse as sp  # here, not at module top: see MaskedRowAnalysis
-        from scipy.sparse import _sparsetools
+        from scipy.sparse import _sparsetools  # here, not at module top: see MaskedRowAnalysis
 
         cols = np.ascontiguousarray(col_index, dtype=np.int64)
         if cols.ndim != 2:
@@ -414,37 +415,32 @@ class MaskLayout:
         starts = np.flatnonzero(np.r_[True, np.any(cols[1:] != cols[:-1], axis=1)])
         self.f = int(np.gcd.reduce(np.diff(np.r_[starts, p]))) if p else 1
         self.site_cols = cols[::self.f]  # (S, k): each window's columns
-        if self.f == 1:
-            # L's CSR (indices, indptr), int32 as the kernels take them
-            self.csr_pattern = (cols.ravel().astype(np.int32),
-                                np.arange(0, (p + 1) * k, k, dtype=np.int32))
-            self.matvecs = _sparsetools.csr_matvecs, _sparsetools.csc_matvecs
-        else:
-            m = self.site_cols.size
-            self.scatter = sp.csr_matrix((np.ones(m), (self.site_cols.ravel(), np.arange(m))),
-                                         shape=(n, m))
+        # int32 (indices, indptr) of L's CSR (F = 1: a row of k columns per
+        # window) or the adjoint's 0/1 (N, S k) scatter's CSC (F > 1: a pixel per slot)
+        self.csr_pattern = (self.site_cols.ravel().astype(np.int32),
+                            np.arange(0, self.site_cols.size + 1, k if self.f == 1 else 1,
+                                      dtype=np.int32))
+        self.ones = np.ones(self.site_cols.size) if self.f > 1 else None  # scatter values
+        self.kernels = _sparsetools
         self._gram = None
 
     def gram_pattern(self):
-        """(indices, indptr, assembly, c) of the window Gram ``L* L`` (F > 1).
+        """(indices, indptr, slot, c) of the window Gram ``L* L`` (F > 1).
 
         ``L* L = sum_s P_s^T (W_s^T W_s) P_s`` has a nonzero where two pixels
-        share a window.  ``indices``/``indptr`` are its CSR pattern, and the
-        0/1 ``assembly`` matrix sums the (S, k, k) window blocks, raveled,
-        into the CSR values; ``c`` is the most windows sharing one pixel
-        pair.  Built on first use: ``np.unique`` over the S k^2 pixel pairs.
+        share a window.  ``indices``/``indptr`` are its CSR pattern, and
+        ``slot`` names the CSR value that each entry of the (S, k, k) window
+        blocks, raveled, adds into; ``c`` is the most windows sharing one
+        pixel pair.  Built on first use: ``np.unique`` over the S k^2 pixel
+        pairs.
         """
         if self._gram is None:
-            import scipy.sparse as sp
-
             n, (s, k) = self.n, self.site_cols.shape
             keys = (np.repeat(self.site_cols, k, axis=1) * n
                     + np.tile(self.site_cols, (1, k))).ravel()  # block entry (s, a, b)
             pairs, slot, counts = np.unique(keys, return_inverse=True, return_counts=True)
             indptr = np.r_[0, np.cumsum(np.bincount(pairs // n, minlength=n))]
-            assembly = sp.csr_matrix((np.ones(keys.size), (slot.ravel(), np.arange(keys.size))),
-                                     shape=(pairs.size, keys.size))
-            self._gram = ((pairs % n).astype(np.int32), indptr.astype(np.int32), assembly,
+            self._gram = ((pairs % n).astype(np.int32), indptr.astype(np.int32), slot,
                           int(counts.max()))
         return self._gram
 
@@ -476,17 +472,18 @@ class MaskedRowAnalysis(AnalysisOperator):
     lambda * Id have F = 1.  With F > 1 the (P, k) weights are viewed as
     (S, F, k), one (F, k) matrix per window, and every product gathers each
     window's k inputs once and runs one small GEMM per window (the im2col
-    lowering of a convolution layer).  The adjoint scatters the (S * k, B)
-    window results back with a fixed 0/1 matrix.  With F = 1 a window is a
-    single row, and scipy's compiled CSR kernels on the layout's index arrays
-    and ``weights`` are 2-3x faster at the solver's batch sizes: every
-    product runs them (:func:`_matvecs`), of a vector or a batch.  With
-    F > 1 the norm bound runs on the explicit N x N Gram instead of a
-    product pair (:meth:`_lanczos_product`).
+    lowering of a convolution layer).  The adjoint adds the (S * k, B)
+    window results into their pixels with the layout's 0/1 scatter arrays.
+    With F = 1 a window is a single row, and scipy's compiled CSR kernels on
+    the layout's index arrays and ``weights`` are 2-3x faster at the
+    solver's batch sizes: every product runs them (:func:`_matvecs`), of a
+    vector or a batch.  With F > 1 the norm bound runs on the explicit N x N
+    Gram instead of a product pair (:meth:`_lanczos_product`).
 
     This class and its :class:`MaskLayout` are the only users of
-    ``scipy.sparse`` and import it on first construction, so a process with
-    dense parts only never loads it.
+    ``scipy.sparse``, whose compiled kernels they call on their own arrays
+    (no scipy matrix), and import it on first construction, so a process
+    with dense parts only never loads it.
     """
 
     def __init__(self, layout: MaskLayout, values: np.ndarray,
@@ -509,7 +506,7 @@ class MaskedRowAnalysis(AnalysisOperator):
         if self._site_w.shape[1] > 1:
             out = _window_matmul(self._site_w, vb.T[self._layout.site_cols], v.ndim > 1)
         else:
-            out = _matvecs(self._layout.matvecs[0], (self.out_dim, self.in_dim),
+            out = _matvecs(self._layout.kernels.csr_matvecs, self.out_dim,
                            self._layout.csr_pattern, self.weights, vb)
         return out.reshape(self.out_dim, -1).T.reshape(v.shape[:-1] + (self.out_dim,))
 
@@ -517,14 +514,12 @@ class MaskedRowAnalysis(AnalysisOperator):
         w = _check_dim(w, self.out_dim, "analysis adjoint")
         ANALYSIS_MACS.count += self.weights.size * max(1, w.size // self.out_dim)
         s, f, k = self._site_w.shape
-        wb = w.reshape(-1, self.out_dim)
-        if f > 1:
+        layout, wb, values = self._layout, w.reshape(-1, self.out_dim), self.weights
+        if f > 1:  # each window's k sums, which the 0/1 scatter adds into pixels
             windows = _window_matmul(self._site_w.transpose(0, 2, 1), wb.T.reshape(s, f, -1),
                                      w.ndim > 1)
-            out = self._layout.scatter @ windows.reshape(s * k, -1)
-        else:
-            out = _matvecs(self._layout.matvecs[1], (self.in_dim, self.out_dim),
-                           self._layout.csr_pattern, self.weights, wb)
+            wb, values = windows.reshape(s * k, -1).T, layout.ones
+        out = _matvecs(layout.kernels.csc_matvecs, self.in_dim, layout.csr_pattern, values, wb)
         return out.T.reshape(w.shape[:-1] + (self.in_dim,))
 
     def clone(self):
@@ -543,8 +538,8 @@ class MaskedRowAnalysis(AnalysisOperator):
         """With F > 1, ``G v`` for the explicit Gram G = L* L, refreshed here.
 
         The (S, k, k) blocks ``W_s^T W_s`` come from one batched product and
-        reach G's CSR values through one product with the layout's assembly
-        matrix; both count in ``ANALYSIS_MACS``, as does each ``G v``.  An
+        are summed into G's CSR values by one ``np.bincount`` over ``slot``;
+        both count in ``ANALYSIS_MACS``, as does each ``csr_matvec`` G v.  An
         entry of G sums at most F + c products, c the most windows sharing a
         pixel pair, so the computed G is off by at most gamma_{F+c} ||L||_F^2
         in 2-norm (Higham, Accuracy and Stability, sec. 3.5): the slack.
@@ -552,22 +547,21 @@ class MaskedRowAnalysis(AnalysisOperator):
         s, f, k = self._site_w.shape
         if f == 1:
             return super()._lanczos_product()
-        import scipy.sparse as sp
-
-        indices, indptr, assembly, c = self._layout.gram_pattern()
+        indices, indptr, slot, c = self._layout.gram_pattern()
+        n, matvec = self.in_dim, self._layout.kernels.csr_matvec
         with np.errstate(over="ignore", invalid="ignore"):  # checked by the bound
             # the contiguous copy takes numpy's faster batched kernel
             blocks = np.matmul(np.ascontiguousarray(self._site_w.transpose(0, 2, 1)),
                                self._site_w)
-            values = assembly @ blocks.ravel()
+            # each value adds its block entries in ascending order, as a 0/1 CSR row would
+            values = np.bincount(slot, weights=blocks.ravel(), minlength=indices.size)
             slack = _gamma(f + c) * float(np.vdot(self.weights, self.weights))
-        ANALYSIS_MACS.count += s * f * k * k + assembly.nnz
-        gram = sp.csr_matrix((values, indices, indptr), shape=(self.in_dim, self.in_dim))
-        nnz = values.size
+        ANALYSIS_MACS.count += s * f * k * k + slot.size
 
         def product(v):
-            ANALYSIS_MACS.count += nnz
-            w = gram @ v
+            ANALYSIS_MACS.count += values.size
+            w = np.zeros(n)
+            matvec(n, n, indptr, indices, values, v, w)
             return float(np.dot(v, w)), w
 
         return product, slack

@@ -129,9 +129,9 @@ def pdhg_solve(a_op: LinearOperator, l_op: AnalysisOperator, z: np.ndarray,
     ||x+ - x|| / max(1, ||x||) and whether that fell below ``tol``.  Each row
     stops on its own, at ``tol`` or unconverged at ``max_iter``, and leaves
     the batch.  With a masked ``l_op`` (first differences, lambda * Id, and
-    block-sparse parts: compiled CSR kernels for one filter per site, else
-    per-window GEMMs through ``_window_matmul``), each row's results are a
-    (1, M) solve's of that row, bit for bit.  A ``DenseAnalysis`` part does
+    block-sparse parts: compiled sparse kernels, plus per-window GEMMs
+    through ``_window_matmul`` for more than one filter per site), each
+    row's results are a (1, M) solve's of that row, bit for bit.  A ``DenseAnalysis`` part does
     not keep that, since BLAS rounds a dense product's rows differently with
     the batch's row count; there each row's ``x_hat`` is within
     ``tol * max(1, ||x_hat||)`` of a solo solve's.

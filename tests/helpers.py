@@ -1,11 +1,12 @@
 """Helpers that only the tests use: an l1 prox oracle, the one-image
 degradation that ``data.degrade_set`` is checked against, stroke images,
 dense views of analysis operators and of their weight gradients, zero weight
-gradients, the stored weight count, a loss moving average, loop-built
-reference index tables for the first-difference and block-sparse constructors, and the image-by-image
-digits and byte-by-byte PGM header tokens that ``data.synthetic_digits`` and
-``data._pgm_tokens`` are checked against.  The library itself never calls
-them.
+gradients, the stored weight count, a loss moving average, the scipy
+matrices of a window scatter and of a window Gram's assembly, loop-built
+reference index tables for the first-difference and block-sparse
+constructors, and the image-by-image digits and byte-by-byte PGM header
+tokens that ``data.synthetic_digits`` and ``data._pgm_tokens`` are checked
+against.  The library itself never calls them.
 """
 
 import numpy as np
@@ -75,6 +76,32 @@ def dense_d_l(grads, params, k: int) -> np.ndarray:
         dense[mask == 1.0] = grad.ravel()
         out.append(dense)
     return np.vstack(out)
+
+
+def reference_scatter(layout):
+    """The 0/1 (N, S k) scipy CSR matrix that adds each window slot of a
+    ``MaskLayout`` with F > 1 into its pixel ``site_cols.ravel()[j]``."""
+    import scipy.sparse as sp
+
+    m = layout.site_cols.size
+    return sp.csr_matrix((np.ones(m), (layout.site_cols.ravel(), np.arange(m))),
+                         shape=(layout.n, m))
+
+
+def reference_window_gram(layout):
+    """(assembly, indices, indptr) of the window Gram of a ``MaskLayout`` with
+    F > 1: the 0/1 scipy CSR matrix that sums the raveled (S, k, k) window
+    blocks into the Gram's CSR values, and the Gram's CSR index arrays."""
+    import scipy.sparse as sp
+
+    n, (s, k) = layout.n, layout.site_cols.shape
+    keys = (np.repeat(layout.site_cols, k, axis=1) * n
+            + np.tile(layout.site_cols, (1, k))).ravel()
+    pairs, slot = np.unique(keys, return_inverse=True)
+    indptr = np.r_[0, np.cumsum(np.bincount(pairs // n, minlength=n))]
+    assembly = sp.csr_matrix((np.ones(keys.size), (slot.ravel(), np.arange(keys.size))),
+                             shape=(pairs.size, keys.size))
+    return assembly, pairs % n, indptr
 
 
 def first_difference_tables(side: int, scale: float) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,7 @@ from pdnet import operators as ops
 from pdnet.rng import Stream, derive
 
 from helpers import (block_columns, first_difference_tables, grad_zeros, mask_dense, nnz,
-                     to_dense)
+                     reference_scatter, reference_window_gram, to_dense)
 
 
 def rand(n, tag=0, scale=1.0):
@@ -660,7 +660,8 @@ def test_one_row_window_batches_match_scipy_products(build, batch):
 
     op = build()
     assert op._layout.f == 1
-    assert not any(sp.issparse(value) for value in vars(op).values())
+    assert not any(sp.issparse(value) for value in [*vars(op).values(),
+                                                     *vars(op._layout).values()])
     csr = sp.csr_matrix((op.weights.ravel(), *op._layout.csr_pattern),
                         shape=(op.out_dim, op.in_dim))
     v = Stream(derive(0xB7, batch)).normal(batch * op.in_dim).reshape(batch, -1)
@@ -673,3 +674,97 @@ def test_one_row_window_batches_match_scipy_products(build, batch):
         assert np.array_equal(ltw[b], op.apply_adjoint(w[b:b + 1])[0])
         assert np.array_equal(op.apply(v[b]), csr @ v[b])
         assert np.array_equal(op.apply_adjoint(w[b]), csr.T @ w[b])
+
+
+# F > 1 parts, each last in its operator: alone, on interior sites, and
+# after a dense part as in a fused prior's Lanczos bound
+_WINDOW_CASES = {
+    "f3s2n2": lambda: ops.make_block_sparse_analysis(3, 2, 2, 12, seed=21,
+                                                     site_rule="interior"),
+    "f5s2n10": lambda: ops.make_block_sparse_analysis(5, 2, 10, 12, seed=22,
+                                                      site_rule="interior"),
+    "f3s1n3": lambda: ops.make_block_sparse_analysis(3, 1, 3, 10, seed=23,
+                                                     site_rule="interior"),
+    "fused-dense-f3s2n2": lambda: ops.fuse_analysis([
+        ops.make_dense_analysis(6, 144, seed=24),
+        ops.make_block_sparse_analysis(3, 2, 2, 12, seed=25, site_rule="interior")]),
+}
+
+
+@pytest.mark.parametrize("batch", [None, 1, 2, 7, 50])
+@pytest.mark.parametrize("case", list(_WINDOW_CASES))
+def test_window_scatter_and_gram_match_scipy_products(case, batch):
+    # the F > 1 adjoint's scatter and the window Gram run scipy's private
+    # compiled kernels on the layout's arrays: pinned here against scipy's
+    # public ``@`` on the matrices they replace, for a batch and a vector
+    import scipy.sparse as sp
+
+    op = _WINDOW_CASES[case]()
+    *dense, part = op.parts()
+    layout, (s, f, k), n = part._layout, part._site_w.shape, op.in_dim
+    assert f > 1
+    shape = () if batch is None else (batch,)
+    y = Stream(derive(0xB9, batch or 0)).normal((batch or 1) * op.out_dim)
+    y = y.reshape(shape + (op.out_dim,))
+    windows = ops._window_matmul(part._site_w.transpose(0, 2, 1),
+                                 y[..., -part.out_dim:].reshape(-1, part.out_dim).T
+                                 .reshape(s, f, -1), batch is not None)
+    want = (reference_scatter(layout) @ windows.reshape(s * k, -1)).T.reshape(shape + (n,))
+    if dense:
+        want = dense[0].apply_adjoint(y[..., :dense[0].out_dim]) + want
+    assert np.array_equal(op.apply_adjoint(y), want)
+
+    assembly, indices, indptr = reference_window_gram(layout)
+    blocks = np.matmul(np.ascontiguousarray(part._site_w.transpose(0, 2, 1)), part._site_w)
+    gram = sp.csr_matrix((assembly @ blocks.ravel(), indices, indptr), shape=(n, n))
+    product, _ = part._lanczos_product()
+    # G times a unit vector is a column of G's values, exactly
+    assert np.array_equal(np.stack([product(e)[1] for e in np.eye(n)]), gram.toarray().T)
+    for v in Stream(derive(0xBA, batch or 0)).normal((batch or 1) * n).reshape(-1, n):
+        alpha, gv = product(v)
+        assert np.array_equal(gv, gram @ v)
+        assert alpha == float(np.dot(v, gram @ v))
+
+
+def test_masked_parts_build_no_scipy_matrix(monkeypatch):
+    # every masked product, scatter and window Gram calls scipy's compiled
+    # kernels on the layout's own arrays; none constructs a scipy matrix
+    import scipy.sparse as sp
+
+    from pdnet import backprop as bp
+    from pdnet import network as net
+    from pdnet import training as tr
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scipy.sparse matrix was constructed")
+
+    for name in ("csr_matrix", "csc_matrix", "coo_matrix"):
+        monkeypatch.setattr(sp, name, refuse)
+    builds = [lambda: ops.make_first_difference(11, 0.9),
+              lambda: ops.make_scaled_identity_analysis(121, 1.3),
+              lambda: ops.make_block_sparse_analysis(3, 2, 1, 11, seed=31, site_rule="fit"),
+              lambda: ops.make_block_sparse_analysis(3, 2, 2, 11, seed=32, site_rule="fit"),
+              lambda: ops.make_block_sparse_analysis(5, 2, 10, 11, seed=33,
+                                                     site_rule="interior"),
+              lambda: ops.fuse_analysis([ops.make_dense_analysis(6, 121, seed=34),
+                                         ops.make_block_sparse_analysis(
+                                             3, 2, 2, 11, seed=35, site_rule="fit")])]
+    for build in builds:
+        op = build()
+        masked = [p for p in op.parts() if isinstance(p, ops.MaskedRowAnalysis)]
+        assert not any(sp.issparse(value) for part in masked
+                       for value in [*vars(part).values(), *vars(part._layout).values()])
+        x = Stream(derive(0xBB, op.out_dim)).normal(3 * op.in_dim).reshape(3, -1)
+        y = op.apply(x)
+        op.apply(x[0])
+        op.apply_adjoint(y)
+        op.apply_adjoint(y[0])
+        cold = op.norm()
+        op.update_weights([np.full(g.shape, 1e-3) for g in grad_zeros(op)], 1.0)
+        assert op.norm() != cold  # a warm bound of the moved weights
+
+    a_op = ops.Decimation(2, 12)
+    params = net.init_network(a_op, 2, [net.BlockSpec(3, 2, 2, "fit")], "partial", seed=36)
+    clean = Stream(37).uniform(4 * 144).reshape(4, 144) * 255.0
+    _, trace = net.forward(params, a_op.apply(clean), keep_trace=True)
+    tr.sgd_step(params, bp.backward(params, clean, trace), 1e-9)
