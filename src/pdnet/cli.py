@@ -19,6 +19,7 @@ a byte-for-byte snapshot of the config that produced it.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import io
 import json
@@ -539,13 +540,13 @@ def _betas(text: str | None) -> list[float]:
 def cmd_eval(cfg: dict, args: argparse.Namespace) -> int:
     betas = _betas(args.beta)
     params = netmod.deserialize(args.model)
-    dataset = _load_dataset(cfg)
-    if dataset.degradation.spec() != params.degradation.spec():
+    # only the evaluation rows stay alive: robustness_eval reads no other
+    subset = _eval_subset(cfg, _load_dataset(cfg))
+    if subset.degradation.spec() != params.degradation.spec():
         raise ConfigError(
             f"model degradation {params.degradation.spec()} does not match "
-            f"dataset degradation {dataset.degradation.spec()}"
+            f"dataset degradation {subset.degradation.spec()}"
         )
-    subset = _eval_subset(cfg, dataset)
     try:
         table = datamod.robustness_eval(params, subset, betas, derive(cfg["seed"], 7))
     except OverflowError as exc:
@@ -677,7 +678,26 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's trim and mmap thresholds at 256 MiB and 32 MiB; where libc
+    has no ``mallopt``, do nothing.
+
+    By default glibc trims the heap top and mmaps blocks past a threshold
+    that moves with the process's own frees, so each step's 150-300 KB
+    temporaries can be unmapped and page-faulted afresh on every step; fixed
+    thresholds keep them in the heap for reuse.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, TypeError):  # no mallopt, or no C library to open
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _pin_malloc_thresholds()
     args = _parser().parse_args(argv)
     try:
         cfg = None if args.command == "export-filters" else load_config(

@@ -171,9 +171,11 @@ def forward(params: NetworkParams, z: np.ndarray, keep_trace: bool = False):
     """Run the unrolled network on a (B, M) batch of measurements; the (B, N)
     restored images come back.  With ``keep_trace`` the per-layer activations
     are returned too; without it the pass keeps no per-layer arrays, the
-    trace is None, and a batch runs in the pieces of :func:`row_pieces`: the
-    temporaries of a large batch then stay small enough to be reused instead
-    of being mapped and page-faulted afresh on every product.
+    trace is None, and a batch runs in the pieces of :func:`row_pieces`, so
+    its temporaries stay at most 99 rows at any batch size (``data`` draws
+    noise and scores in the same pieces).  That they are reused from one
+    product to the next, not mapped and page-faulted afresh, rests on
+    glibc's malloc thresholds, which ``cli.main`` pins.
     The dual starts at zero, so the first layer forms no L* y: a pass takes
     2K - 2 analysis products per piece, and every layer of every piece
     reuses one (B, N) scratch buffer.

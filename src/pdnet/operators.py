@@ -10,7 +10,9 @@ Two families live here:
   block-sparse part multiplies window by window: one gather of each Q x Q
   window's inputs and one small GEMM over its filters; every sparse product
   (one-row windows such as first differences, the scatter into pixels, the
-  window Gram) is one call to a compiled scipy.sparse kernel.
+  window Gram) is one call to a compiled scipy.sparse kernel, loaded from
+  its extension file alone (:func:`_sparse_kernels`): pdnet never imports
+  the ``scipy.sparse`` package.
 
 Operators act on the last axis of an array, so a single vector ``(n,)`` and a
 batch ``(B, n)`` both work.  ``AnalysisOperator.norm`` returns an upper
@@ -23,7 +25,11 @@ window Gram.  The bound is cached and invalidated whenever weights change.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import types
 import weakref
 
@@ -386,12 +392,39 @@ def _matvecs(kernel, rows: int, pattern, values, vb: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sparse_kernels() -> types.ModuleType:
+    """scipy's compiled sparse kernels, ``scipy.sparse._sparsetools``.
+
+    The loaded module if ``sys.modules`` holds one; else its extension file
+    in scipy's ``sparse`` directory, loaded and registered under its own
+    name without running ``scipy/sparse/__init__.py`` (325 modules, about
+    0.2 s and 22 MB), so a later ``import scipy.sparse`` finds and uses this
+    same module.  Where scipy keeps no such file there (an editable build
+    keeps its extensions elsewhere), a plain import.
+    """
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    for root in importlib.util.find_spec("scipy").submodule_search_locations:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "sparse", "_sparsetools" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                spec = importlib.util.spec_from_file_location(name, path, loader=loader)
+                module = importlib.util.module_from_spec(spec)
+                sys.modules[name] = module
+                loader.exec_module(module)
+                return module
+    return importlib.import_module(name)
+
+
 class MaskLayout:
     """The columns of a :class:`MaskedRowAnalysis` and the index structure
     derived from them: the window size F, each window's columns, the
     compressed index arrays of L (F = 1) or of the adjoint's 0/1 scatter
     (F > 1), the window Gram's pattern (:meth:`gram_pattern`) and scipy's
-    compiled kernels that run on them (:func:`_matvecs`).
+    compiled kernels that run on them (:func:`_matvecs`), as
+    :func:`_sparse_kernels` loads them.
 
     A layout never changes after construction, so operators with one column
     set share one: the K layers of a network, their clones and the models
@@ -399,8 +432,6 @@ class MaskLayout:
     """
 
     def __init__(self, col_index: np.ndarray, n: int):
-        from scipy.sparse import _sparsetools  # here, not at module top: see MaskedRowAnalysis
-
         cols = np.ascontiguousarray(col_index, dtype=np.int64)
         if cols.ndim != 2:
             raise ValueError("col_index must be a (P, nnz) array")
@@ -421,7 +452,7 @@ class MaskLayout:
                             np.arange(0, self.site_cols.size + 1, k if self.f == 1 else 1,
                                       dtype=np.int32))
         self.ones = np.ones(self.site_cols.size) if self.f > 1 else None  # scatter values
-        self.kernels = _sparsetools
+        self.kernels = _sparse_kernels()
         self._gram = None
 
     def gram_pattern(self):
@@ -480,10 +511,11 @@ class MaskedRowAnalysis(AnalysisOperator):
     vector or a batch.  With F > 1 the norm bound runs on the explicit N x N
     Gram instead of a product pair (:meth:`_lanczos_product`).
 
-    This class and its :class:`MaskLayout` are the only users of
-    ``scipy.sparse``, whose compiled kernels they call on their own arrays
-    (no scipy matrix), and import it on first construction, so a process
-    with dense parts only never loads it.
+    This class and its :class:`MaskLayout` are the only users of scipy's
+    compiled sparse kernels, which they call on their own arrays (no scipy
+    matrix).  The first layout loads the kernels' extension alone
+    (:func:`_sparse_kernels`), so pdnet never imports ``scipy.sparse``, and a
+    process with dense parts only loads no kernel either.
     """
 
     def __init__(self, layout: MaskLayout, values: np.ndarray,

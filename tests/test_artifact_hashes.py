@@ -57,7 +57,6 @@ def _print_golden():
 
     import numpy
     import scipy
-    import scipy.sparse  # noqa: F401  pdnet's only scipy import; it loads no other BLAS
 
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import envinfo

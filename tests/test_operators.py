@@ -297,6 +297,86 @@ def test_dense_prior_commands_leave_scipy_sparse_unloaded(tmp_path):
     assert _run_python(code, cwd=tmp_path) == "False"
 
 
+def test_masked_commands_leave_scipy_sparse_unloaded(tmp_path):
+    # a masked part loads scipy's compiled kernels alone: neither solve prior
+    # nor a block-sparse train and eval imports scipy.sparse, or scipy
+    base = {"task": "deblur", "seed": 7, "output_dir": "out",
+            "degradation": {"kind": "uniform-blur", "size": 3, "alpha": 10.0},
+            "data": {"source": "synthetic", "count": 20, "image_side": 8,
+                     "train_frac": 0.6, "val_frac": 0.2},
+            "network": {"K": 2, "mode": "partial", "L": ["f3s2n2"]},
+            "train": {"gamma": 1e-9, "batch_size": 4, "max_iter": 2, "val_cadence": 1}}
+    for prior in ("first-diff", "identity"):
+        cfg = dict(base, solve={"prior": prior, "lambda": 1.5, "max_iter": 50})
+        (tmp_path / f"{prior}.json").write_text(json.dumps(cfg))
+    code = ("import sys; from pdnet.cli import main\n"
+            "for argv in (['degrade', '--config', 'first-diff.json', '--output', 'data'],\n"
+            "             ['solve', '--config', 'first-diff.json'],\n"
+            "             ['solve', '--config', 'identity.json'],\n"
+            "             ['train', '--config', 'first-diff.json'],\n"
+            "             ['eval', '--config', 'first-diff.json',\n"
+            "              '--model', 'out/model_final.json', '--beta', '2']):\n"
+            "    assert main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _run_python(code, cwd=tmp_path) == "['scipy.sparse._sparsetools']"
+
+
+@pytest.mark.parametrize("first", ["pdnet", "scipy.sparse"])
+def test_sparse_kernels_are_one_module_in_either_import_order(first):
+    # pdnet's kernel-only load registers the module under its own name, so
+    # scipy.sparse imported after it uses the same one, and pdnet imported
+    # after scipy.sparse takes scipy's: the products keep the bits of ``@``
+    build = ("from pdnet import operators as ops\n"
+             "parts = [ops.make_first_difference(9, 1.5),\n"
+             "         ops.make_scaled_identity_analysis(81, 0.7),\n"
+             "         ops.make_block_sparse_analysis(3, 2, 1, 9, seed=5, site_rule='fit')]\n")
+    load = "import numpy as np, scipy.sparse as sp\nfrom scipy.sparse import _compressed\n"
+    code = ("import sys\n" + (build + load if first == "pdnet" else load + build) +
+            "kernels = sys.modules['scipy.sparse._sparsetools']\n"
+            "assert _compressed._sparsetools is kernels\n"
+            "v = np.linspace(-1.0, 1.0, 3 * 81).reshape(3, 81) ** 3\n"
+            "for op in parts:\n"
+            "    assert op._layout.kernels is kernels\n"
+            "    csr = sp.csr_matrix((op.weights.ravel(), *op._layout.csr_pattern),\n"
+            "                        shape=(op.out_dim, op.in_dim))\n"
+            "    w = op.apply(v)\n"
+            "    assert np.array_equal(w, (csr @ v.T).T)\n"
+            "    assert np.array_equal(op.apply_adjoint(w), (csr.T @ w.T).T)\n"
+            "print('ok')")
+    assert _run_python(code) == "ok"
+
+
+def test_warm_commands_take_no_minor_faults(tmp_path):
+    # with glibc's default thresholds each step's 150-300 KB temporaries are
+    # mapped and page-faulted afresh; main's pinned thresholds keep them in
+    # the heap, so a command's second run in one process faults next to never
+    ctypes = pytest.importorskip("ctypes")
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, TypeError):
+        pytest.skip("libc has no mallopt")
+    cfg = {"task": "deblur", "seed": 7, "output_dir": "out",
+           "degradation": {"kind": "uniform-blur", "size": 3, "alpha": 10.0},
+           "data": {"source": "synthetic", "count": 40, "image_side": 28,
+                    "train_frac": 0.2, "val_frac": 0.2},
+           "network": {"K": 3, "mode": "full", "L": ["dense:20"]},
+           "train": {"gamma": 1e-9, "batch_size": 8, "max_iter": 2, "val_cadence": 2},
+           "solve": {"prior": "first-diff", "lambda": 1.5}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    code = ("import resource; from pdnet.cli import main\n"
+            "def faults(argv):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    assert main(argv[:1] + ['--config', 'cfg.json'] + argv[1:]) == 0, argv\n"
+            "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+            "assert main(['train', '--config', 'cfg.json']) == 0\n"
+            "for argv in (['eval', '--model', 'out/model_final.json', '--beta', '2'],\n"
+            "             ['solve']):\n"
+            "    print(argv[0], [faults(argv) for _ in range(2)][1])")
+    counts = dict(line.split() for line in _run_python(code, cwd=tmp_path).splitlines())
+    assert {name: int(count) < 200 for name, count in counts.items()} == {
+        "eval": True, "solve": True}, counts
+
+
 def test_analysis_norm_cache_invalidated_by_update():
     op = ops.make_dense_analysis(6, 10, seed=9)
     before = op.norm()
