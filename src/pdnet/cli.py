@@ -379,19 +379,18 @@ def _load_dataset(cfg: dict) -> datamod.Dataset:
     return _degrade_set(clean, a_op, alpha, derive(cfg["seed"], 3))
 
 
-def _split_dataset(cfg: dict, dataset: datamod.Dataset):
+def _split_rows(cfg: dict, dataset: datamod.Dataset):
     d = cfg["data"]  # its fractions were checked at load
-    return datamod.split(dataset, d["train_frac"], d["val_frac"], derive(cfg["seed"], 4))
+    return datamod.split(len(dataset), d["train_frac"], d["val_frac"], derive(cfg["seed"], 4))
 
 
 def _eval_subset(cfg: dict, dataset: datamod.Dataset) -> datamod.Dataset:
     """Evaluation rows: the test split when nonempty, else val, else all."""
     if cfg["data"]["train_frac"] + cfg["data"]["val_frac"] == 0:
         return dataset
-    tr, va, te = _split_dataset(cfg, dataset)
-    if len(te):
-        return te
-    return va if len(va) else dataset
+    _, val, test = _split_rows(cfg, dataset)
+    rows = test if len(test) else val
+    return dataset.take(rows) if len(rows) else dataset
 
 
 def _prepare_output(cfg: dict, config_path: str) -> str:
@@ -504,8 +503,10 @@ def export_filter_grids(params: netmod.NetworkParams, out_dir: str) -> list[str]
 
 
 def cmd_train(cfg: dict, args: argparse.Namespace) -> int:
-    # only the train and val copies stay alive: no training step reads the rest
-    train_set, val_set = _split_dataset(cfg, _load_dataset(cfg))[:2]
+    # only the train and val rows are copied: no training step reads the rest
+    dataset = _load_dataset(cfg)
+    train_set, val_set = (dataset.take(rows) for rows in _split_rows(cfg, dataset)[:2])
+    del dataset
     if len(train_set) == 0 or len(val_set) == 0:
         raise ConfigError("train and val splits must both be nonempty")
     params = _build_network(cfg, train_set.degradation)

@@ -49,6 +49,12 @@ class Dataset:
     def side(self) -> int:
         return math.isqrt(self.clean.shape[1])
 
+    def take(self, rows: np.ndarray) -> "Dataset":
+        """A copy of the pairs at index array ``rows``, with the same recipe."""
+        return Dataset(clean=self.clean[rows], degraded=self.degraded[rows],
+                       degradation=self.degradation, noise_alpha=self.noise_alpha,
+                       seed=self.seed)
+
 
 # ---------------------------------------------------------------------------
 # File formats
@@ -212,23 +218,17 @@ def check_fractions(train_frac: float, val_frac: float) -> None:
         raise ValueError("train_frac and val_frac must be nonnegative and sum to at most 1")
 
 
-def split(dataset: Dataset, train_frac: float, val_frac: float,
-          seed: int) -> tuple[Dataset, Dataset, Dataset]:
-    """Seeded permutation, then contiguous train/val/test slices."""
+def split(n: int, train_frac: float, val_frac: float,
+          seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The train/val/test row indices of ``n`` rows: a seeded permutation cut
+    into contiguous runs.  A caller copies only the rows it keeps, with
+    :meth:`Dataset.take`."""
     check_fractions(train_frac, val_frac)
-    n = len(dataset)
     perm = Stream(derive(seed, 0x59117)).permutation(n)
     n_train = int(round(train_frac * n))
     n_val = int(round(val_frac * n))
     n_val = min(n_val, n - n_train)
-    cuts = [perm[:n_train], perm[n_train:n_train + n_val], perm[n_train + n_val:]]
-
-    def take(idx):
-        return Dataset(clean=dataset.clean[idx], degraded=dataset.degraded[idx],
-                       degradation=dataset.degradation,
-                       noise_alpha=dataset.noise_alpha, seed=dataset.seed)
-
-    return take(cuts[0]), take(cuts[1]), take(cuts[2])
+    return perm[:n_train], perm[n_train:n_train + n_val], perm[n_train + n_val:]
 
 
 # ---------------------------------------------------------------------------

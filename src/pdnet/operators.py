@@ -7,9 +7,11 @@ Two families live here:
   blur is two small circulant matrix products per image, with no FFT;
 * analysis operators ``L`` (dense, block-sparse with an explicit mask,
   fusions of both) whose nonzero weights are the learnable parameters.  A
-  block-sparse part multiplies window by window: one gather of each Q x Q
-  window's inputs and one small GEMM over its filters; every sparse product
-  (one-row windows such as first differences, the scatter into pixels, the
+  block-sparse part multiplies window by window: a gather of each Q x Q
+  window's inputs and one small GEMM over its filters, in blocks of
+  consecutive windows whose gathered inputs fit in a core's L2 cache, so no
+  product holds all windows' inputs at once; every sparse product (one-row
+  windows such as first differences, a block's scatter into pixels, the
   window Gram) is one call to a compiled scipy.sparse kernel, loaded from
   its extension file alone (:func:`_sparse_kernels`): pdnet never imports
   the ``scipy.sparse`` package.
@@ -51,6 +53,14 @@ _LANCZOS_BASIS = 40
 # A warm Lanczos call solves its tridiagonal first this many steps before the
 # step at which the operator's previous call converged.
 _WARM_LEAD = 2
+
+# Doubles that a block-sparse product gathers at a time: its windows run in
+# blocks whose gathered inputs (or adjoint window sums) fit in this many, so
+# a block stays in a core's L2 cache and the heap holds one block, not all S
+# windows.  2^15 and 2^16 (512 KiB) tied fastest in a sweep of 2^14 to 2^19
+# (f5s2n10 at side 28, B = 50 and R = 100, one BLAS thread on a Xeon core
+# with 2 MiB of L2), about 7% faster than one block of all windows.
+_BLOCK_DOUBLES = 1 << 16
 
 # Standard deviation of the Normal(0, stddev^2) initial analysis weights.
 INIT_STDDEV = 1e-2
@@ -361,35 +371,46 @@ class DenseAnalysis(AnalysisOperator):
         return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0) + slack)
 
 
-def _window_matmul(a: np.ndarray, b: np.ndarray, batch: bool) -> np.ndarray:
-    """``np.matmul`` of two window stacks, one GEMM per window.
+def _window_matmul(a: np.ndarray, b: np.ndarray, batch: bool, out: np.ndarray) -> None:
+    """``np.matmul`` of two window stacks into ``out``, one GEMM per window.
 
-    numpy hands a one-column ``b`` to GEMV, whose sums round differently.
-    For a batch that column is padded to two, so a row gets the same bits in
-    a batch of one as in a larger batch (``pdhg_solve`` drops finished
-    rows); a single vector, as in a fused operator's Lanczos bound, keeps
-    the faster GEMV.
+    A block-sparse product calls it once per block of windows (see
+    :func:`_window_blocks`); each window keeps its own call, so a block's
+    results have the bits of one product over all windows.  numpy hands a
+    one-column ``b`` to GEMV, whose sums round differently.  For a batch
+    that column is padded to two, so a row gets the same bits in a batch of
+    one as in a larger batch (``pdhg_solve`` drops finished rows); a single
+    vector, as in a fused operator's Lanczos bound, keeps the faster GEMV.
     """
     if b.shape[-1] > 1 or not batch:
-        return np.matmul(a, b)
-    return np.matmul(a, np.concatenate([b, np.zeros_like(b)], axis=-1))[..., :1]
+        np.matmul(a, b, out=out)
+    else:
+        out[...] = np.matmul(a, np.concatenate([b, np.zeros_like(b)], axis=-1))[..., :1]
 
 
-def _matvecs(kernel, rows: int, pattern, values, vb: np.ndarray) -> np.ndarray:
-    """``m @ vb.T`` for a (B, n) batch ``vb`` by scipy's compiled ``kernel``,
-    with ``m`` (``rows`` x n) held in the compressed arrays ``pattern``
-    (indices, indptr) and ``values``.  L's CSR arrays are L^T's CSC arrays,
-    so ``csr_matvecs`` on them multiplies by L and ``csc_matvecs`` by L^T,
-    as it does by a window scatter on the scatter's CSC arrays.
+def _window_blocks(s: int, per_window: int) -> list[slice]:
+    """``s`` windows as slices of consecutive ones, each holding at most
+    ``_BLOCK_DOUBLES`` doubles at ``per_window`` doubles a window; a slice
+    holds one window at least, and the first is the longest."""
+    step = max(1, _BLOCK_DOUBLES // max(1, per_window))  # an empty batch is one block
+    return [slice(i, min(i + step, s)) for i in range(0, s, step)]
+
+
+def _matvecs(kernel, pattern, values, vb: np.ndarray, out: np.ndarray) -> None:
+    """Adds ``m @ vb.T`` for a (B, n) batch ``vb`` into the C-ordered
+    (rows, B) ``out`` by scipy's compiled ``kernel``, with ``m`` (rows x n)
+    held in the compressed arrays ``pattern`` (indices, indptr) and
+    ``values``.  L's CSR arrays are L^T's CSC arrays, so ``csr_matvecs`` on
+    them multiplies by L and ``csc_matvecs`` by L^T, as it does by a window
+    scatter on the scatter's CSC arrays; a slice of that ``indptr``
+    multiplies by its run of columns, the slots of a block of windows.
 
     ``m @`` calls these kernels on a batch, and at B = 1 they add in the
     order of its single-vector kernels, so a vector and a batch alike get
     the bits of ``m @``, with no scipy matrix and no dispatch per product.
     """
     indices, indptr = pattern
-    out = np.zeros((rows, len(vb)))
-    kernel(rows, vb.shape[1], len(vb), indptr, indices, values, vb.T.ravel(), out.ravel())
-    return out
+    kernel(len(out), vb.shape[1], len(vb), indptr, indices, values, vb.T.ravel(), out.ravel())
 
 
 def _sparse_kernels() -> types.ModuleType:
@@ -503,8 +524,12 @@ class MaskedRowAnalysis(AnalysisOperator):
     lambda * Id have F = 1.  With F > 1 the (P, k) weights are viewed as
     (S, F, k), one (F, k) matrix per window, and every product gathers each
     window's k inputs once and runs one small GEMM per window (the im2col
-    lowering of a convolution layer).  The adjoint adds the (S * k, B)
-    window results into their pixels with the layout's 0/1 scatter arrays.
+    lowering of a convolution layer), in blocks of consecutive windows
+    (:func:`_window_blocks`) whose gathered inputs fit in L2 cache, so the
+    heap never holds all S windows' inputs, which grow with image area.
+    The adjoint adds each block's window sums into their pixels with the
+    layout's 0/1 scatter arrays.  Every window and pixel sums in the order
+    of one product over all windows: the block size changes no bit.
     With F = 1 a window is a single row, and scipy's compiled CSR kernels on
     the layout's index arrays and ``weights`` are 2-3x faster at the
     solver's batch sizes: every product runs them (:func:`_matvecs`), of a
@@ -535,23 +560,37 @@ class MaskedRowAnalysis(AnalysisOperator):
         v = _check_dim(v, self.in_dim, "analysis apply")
         ANALYSIS_MACS.count += self.weights.size * max(1, v.size // self.in_dim)
         vb = v.reshape(-1, self.in_dim)
-        if self._site_w.shape[1] > 1:
-            out = _window_matmul(self._site_w, vb.T[self._layout.site_cols], v.ndim > 1)
-        else:
-            out = _matvecs(self._layout.kernels.csr_matvecs, self.out_dim,
-                           self._layout.csr_pattern, self.weights, vb)
+        (s, f, k), layout = self._site_w.shape, self._layout
+        if f > 1:  # each block of windows gathers its inputs, then one GEMM per window
+            out = np.empty((s, f, len(vb)))
+            for blk in _window_blocks(s, k * len(vb)):
+                _window_matmul(self._site_w[blk], vb.T[layout.site_cols[blk]], v.ndim > 1,
+                               out[blk])
+        else:  # the kernel adds into its zeroed output
+            out = np.zeros((s, len(vb)))
+            _matvecs(layout.kernels.csr_matvecs, layout.csr_pattern, self.weights, vb, out)
         return out.reshape(self.out_dim, -1).T.reshape(v.shape[:-1] + (self.out_dim,))
 
     def apply_adjoint(self, w):
         w = _check_dim(w, self.out_dim, "analysis adjoint")
         ANALYSIS_MACS.count += self.weights.size * max(1, w.size // self.out_dim)
-        s, f, k = self._site_w.shape
-        layout, wb, values = self._layout, w.reshape(-1, self.out_dim), self.weights
-        if f > 1:  # each window's k sums, which the 0/1 scatter adds into pixels
-            windows = _window_matmul(self._site_w.transpose(0, 2, 1), wb.T.reshape(s, f, -1),
-                                     w.ndim > 1)
-            wb, values = windows.reshape(s * k, -1).T, layout.ones
-        out = _matvecs(layout.kernels.csc_matvecs, self.in_dim, layout.csr_pattern, values, wb)
+        (s, f, k), layout = self._site_w.shape, self._layout
+        wb = w.reshape(-1, self.out_dim)
+        out = np.zeros((self.in_dim, len(wb)))
+        if f > 1:  # each block's window sums, which the 0/1 scatter adds into pixels
+            indices, indptr = layout.csr_pattern
+            site_wt, wt = self._site_w.transpose(0, 2, 1), wb.T.reshape(s, f, -1)
+            blocks = _window_blocks(s, k * len(wb))
+            sums = np.empty((blocks[0].stop, k, len(wb)))  # the first block is the largest
+            for blk in blocks:
+                windows = sums[:blk.stop - blk.start]
+                _window_matmul(site_wt[blk], wt[blk], w.ndim > 1, windows)
+                # the block's slots are a run of scatter columns: pixels add them in order
+                _matvecs(layout.kernels.csc_matvecs,
+                         (indices, indptr[blk.start * k:blk.stop * k + 1]), layout.ones,
+                         windows.reshape(len(windows) * k, -1).T, out)
+        else:
+            _matvecs(layout.kernels.csc_matvecs, layout.csr_pattern, self.weights, wb, out)
         return out.T.reshape(w.shape[:-1] + (self.in_dim,))
 
     def clone(self):
@@ -559,11 +598,12 @@ class MaskedRowAnalysis(AnalysisOperator):
         return MaskedRowAnalysis(self._layout, self.weights.copy(), self.block_spec)
 
     def grad_outer(self, left, right):
-        # out[p, j] = sum_b left[b, p] * right[b, cols[p, j]]: one gather of
-        # every window's inputs over all R rows, one GEMM per window
-        s, f, k = self._site_w.shape
-        outer = np.matmul(left.T.reshape(s, f, -1),
-                          right.T[self._layout.site_cols].transpose(0, 2, 1))
+        # out[p, j] = sum_b left[b, p] * right[b, cols[p, j]]: each block of
+        # windows gathers its inputs over all R rows, then one GEMM per window
+        (s, f, k), cols = self._site_w.shape, self._layout.site_cols
+        lt, outer = left.T.reshape(s, f, -1), np.empty((s, f, k))
+        for blk in _window_blocks(s, k * len(right)):
+            np.matmul(lt[blk], right.T[cols[blk]].transpose(0, 2, 1), out=outer[blk])
         return [outer.reshape(self.out_dim, k)]
 
     def _lanczos_product(self):

@@ -2,7 +2,8 @@
 degradation that ``data.degrade_set`` is checked against, stroke images,
 dense views of analysis operators and of their weight gradients, zero weight
 gradients, the stored weight count, a loss moving average, the scipy
-matrices of a window scatter and of a window Gram's assembly, loop-built
+matrices of a window scatter and of a window Gram's assembly, block-sparse
+products over all windows in one stack, loop-built
 reference index tables for the first-difference and block-sparse
 constructors, and the image-by-image digits and byte-by-byte PGM header
 tokens that ``data.synthetic_digits`` and ``data._pgm_tokens`` are checked
@@ -86,6 +87,44 @@ def reference_scatter(layout):
     m = layout.site_cols.size
     return sp.csr_matrix((np.ones(m), (layout.site_cols.ravel(), np.arange(m))),
                          shape=(layout.n, m))
+
+
+def _reference_window_matmul(a, b, batch):
+    """``np.matmul`` of two window stacks, a one-column batch padded to two."""
+    if b.shape[-1] > 1 or not batch:
+        return np.matmul(a, b)
+    return np.matmul(a, np.concatenate([b, np.zeros_like(b)], axis=-1))[..., :1]
+
+
+def reference_apply(part, v):
+    """``part.apply(v)`` of a ``MaskedRowAnalysis`` with F > 1 over all S
+    windows in one stack: every window's inputs gathered at once into one
+    (S, k, B) array, then one GEMM per window."""
+    vb = v.reshape(-1, part.in_dim)
+    out = _reference_window_matmul(part._site_w, vb.T[part._layout.site_cols], v.ndim > 1)
+    return out.reshape(part.out_dim, -1).T.reshape(v.shape[:-1] + (part.out_dim,))
+
+
+def reference_apply_adjoint(part, w):
+    """``part.apply_adjoint(w)`` of a ``MaskedRowAnalysis`` with F > 1 over
+    all S windows in one stack: every window's k sums into one (S, k, B)
+    array, then :func:`reference_scatter` adds them into pixels."""
+    s, f, k = part._site_w.shape
+    windows = _reference_window_matmul(part._site_w.transpose(0, 2, 1),
+                                       w.reshape(-1, part.out_dim).T.reshape(s, f, -1),
+                                       w.ndim > 1)
+    out = reference_scatter(part._layout) @ windows.reshape(s * k, -1)
+    return out.T.reshape(w.shape[:-1] + (part.in_dim,))
+
+
+def reference_grad_outer(part, left, right):
+    """``part.grad_outer(left, right)[0]`` of a ``MaskedRowAnalysis`` over
+    all S windows in one stack: every window's inputs over all R rows
+    gathered at once into one (S, k, R) array, then one GEMM per window."""
+    s, f, k = part._site_w.shape
+    outer = np.matmul(left.T.reshape(s, f, -1),
+                      right.T[part._layout.site_cols].transpose(0, 2, 1))
+    return outer.reshape(part.out_dim, k)
 
 
 def reference_window_gram(layout):

@@ -237,15 +237,15 @@ def test_degrade_set_overflow_raises_overflow_error():
 
 def test_split_all_train():
     ds = dm.degrade_set(np.ones((6, 16)), ops.IdentityOperator(16), 0.0, seed=1)
-    tr, va, te = dm.split(ds, 1.0, 0.0, seed=2)
+    tr, va, te = (ds.take(rows) for rows in dm.split(len(ds), 1.0, 0.0, seed=2))
     assert len(tr) == 6 and len(va) == 0 and len(te) == 0
 
 
 def test_split_disjoint_exhaustive_deterministic():
     clean = (Stream(9).uniform(10 * 4) * 255).reshape(10, 4)
     ds = dm.degrade_set(clean, ops.IdentityOperator(4), 5.0, seed=1)
-    tr1, va1, te1 = dm.split(ds, 0.5, 0.3, seed=5)
-    tr2, va2, te2 = dm.split(ds, 0.5, 0.3, seed=5)
+    tr1, va1, te1 = (ds.take(rows) for rows in dm.split(len(ds), 0.5, 0.3, seed=5))
+    tr2, va2, te2 = (ds.take(rows) for rows in dm.split(len(ds), 0.5, 0.3, seed=5))
     assert np.array_equal(tr1.clean, tr2.clean)
     assert len(tr1) == 5 and len(va1) == 3 and len(te1) == 2
     stacked = np.vstack([tr1.clean, va1.clean, te1.clean])
@@ -255,7 +255,7 @@ def test_split_disjoint_exhaustive_deterministic():
 def test_split_rejects_bad_fractions():
     ds = dm.degrade_set(np.ones((4, 4)), ops.IdentityOperator(4), 0.0, seed=1)
     with pytest.raises(ValueError):
-        dm.split(ds, 0.8, 0.4, seed=1)
+        dm.split(len(ds), 0.8, 0.4, seed=1)
 
 
 # ---------------------------------------------------------------------------

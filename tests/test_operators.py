@@ -10,7 +10,8 @@ from pdnet import operators as ops
 from pdnet.rng import Stream, derive
 
 from helpers import (block_columns, first_difference_tables, grad_zeros, mask_dense, nnz,
-                     reference_scatter, reference_window_gram, to_dense)
+                     reference_apply, reference_apply_adjoint, reference_grad_outer,
+                     reference_window_gram, to_dense)
 
 
 def rand(n, tag=0, scale=1.0):
@@ -786,10 +787,7 @@ def test_window_scatter_and_gram_match_scipy_products(case, batch):
     shape = () if batch is None else (batch,)
     y = Stream(derive(0xB9, batch or 0)).normal((batch or 1) * op.out_dim)
     y = y.reshape(shape + (op.out_dim,))
-    windows = ops._window_matmul(part._site_w.transpose(0, 2, 1),
-                                 y[..., -part.out_dim:].reshape(-1, part.out_dim).T
-                                 .reshape(s, f, -1), batch is not None)
-    want = (reference_scatter(layout) @ windows.reshape(s * k, -1)).T.reshape(shape + (n,))
+    want = reference_apply_adjoint(part, y[..., -part.out_dim:])
     if dense:
         want = dense[0].apply_adjoint(y[..., :dense[0].out_dim]) + want
     assert np.array_equal(op.apply_adjoint(y), want)
@@ -804,6 +802,109 @@ def test_window_scatter_and_gram_match_scipy_products(case, batch):
         alpha, gv = product(v)
         assert np.array_equal(gv, gram @ v)
         assert alpha == float(np.dot(v, gram @ v))
+
+
+# block-sparse parts with F > 1 whose products run in blocks of windows
+_BLOCK_CASES = {
+    "f5s2n10-fit-28": lambda: ops.make_block_sparse_analysis(5, 2, 10, 28, seed=41,
+                                                             site_rule="fit"),
+    "f3s2n2-fit-16": lambda: ops.make_block_sparse_analysis(3, 2, 2, 16, seed=42,
+                                                            site_rule="fit"),
+    "f3s1n3-interior-12": lambda: ops.make_block_sparse_analysis(3, 1, 3, 12, seed=43,
+                                                                 site_rule="interior"),
+    "f5s1n4-fit-13": lambda: ops.make_block_sparse_analysis(5, 1, 4, 13, seed=44,
+                                                            site_rule="fit"),
+}
+
+
+@pytest.mark.parametrize("blocks", ["one", "two", "many"])
+@pytest.mark.parametrize("batch", [None, 1, 2, 7, 50, 100])
+@pytest.mark.parametrize("case", list(_BLOCK_CASES))
+def test_blocked_products_match_one_stack_bitwise(case, batch, blocks, monkeypatch):
+    # each window keeps its own GEMM and each pixel adds its slots in
+    # ascending order, so the bits cannot depend on the block size
+    part = _BLOCK_CASES[case]()
+    (s, f, k), rows = part._site_w.shape, batch or 1
+    windows = {"one": s, "two": s // 2 + 1, "many": 5}[blocks]
+    assert blocks == "one" or s % windows  # a partial last block
+    shape = () if batch is None else (batch,)
+    x = Stream(derive(0xBC, rows, 1)).normal(rows * part.in_dim).reshape(shape + (-1,))
+    y = Stream(derive(0xBC, rows, 2)).normal(rows * part.out_dim).reshape(shape + (-1,))
+    monkeypatch.setattr(ops, "_BLOCK_DOUBLES", windows * k * rows)
+    assert len(ops._window_blocks(s, k * rows)) == -(-s // windows)
+    assert np.array_equal(part.apply(x), reference_apply(part, x))
+    assert np.array_equal(part.apply_adjoint(y), reference_apply_adjoint(part, y))
+    if batch is not None:
+        left, right = y.reshape(rows, -1), x.reshape(rows, -1)
+        assert np.array_equal(part.grad_outer(left, right)[0],
+                              reference_grad_outer(part, left, right))
+
+
+@pytest.mark.parametrize("case", list(_BLOCK_CASES))
+def test_blocked_products_take_an_empty_batch(case):
+    part = _BLOCK_CASES[case]()
+    x, y = np.zeros((0, part.in_dim)), np.zeros((0, part.out_dim))
+    assert part.apply(x).shape == y.shape
+    assert part.apply_adjoint(y).shape == x.shape
+    assert np.array_equal(part.grad_outer(y, x)[0], np.zeros_like(part.weights))
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 5])
+def test_fused_products_and_bound_match_one_stack_bitwise(blocks, monkeypatch):
+    # a fused operator's Lanczos bound multiplies single vectors by its block part
+    def build():
+        return ops.fuse_analysis([ops.make_dense_analysis(6, 196, seed=45),
+                                  ops.make_block_sparse_analysis(3, 2, 2, 14, seed=46,
+                                                                 site_rule="fit")])
+
+    op = build()
+    dense, part = op.parts()
+    (s, f, k), n = part._site_w.shape, op.in_dim
+
+    def budget(windows, rows):
+        monkeypatch.setattr(ops, "_BLOCK_DOUBLES", windows * k * rows)
+
+    x = Stream(derive(0xBD, 1)).normal(7 * n).reshape(7, n)
+    y = Stream(derive(0xBD, 2)).normal(7 * op.out_dim).reshape(7, -1)
+    budget(-(-s // blocks), 7)
+    assert np.array_equal(op.apply(x), np.hstack([dense.apply(x), reference_apply(part, x)]))
+    assert np.array_equal(op.apply_adjoint(y), dense.apply_adjoint(y[:, :6])
+                          + reference_apply_adjoint(part, y[:, 6:]))
+    assert np.array_equal(op.grad_outer(y, x)[1], reference_grad_outer(part, y[:, 6:], x))
+    budget(-(-s // blocks), 1)
+    assert np.array_equal(op.apply(x[0]), np.hstack([dense.apply(x[0]),
+                                                     reference_apply(part, x[0])]))
+    assert np.array_equal(op.apply_adjoint(y[0]), dense.apply_adjoint(y[0, :6])
+                          + reference_apply_adjoint(part, y[0, 6:]))
+    blocked = op.norm()
+    budget(s, 1)
+    assert build().norm() == blocked
+
+
+def test_blocked_products_hold_one_block_of_gathered_inputs():
+    # the heap peak of a product, above its result, is one block's gathered
+    # inputs (at most 8 * _BLOCK_DOUBLES bytes) plus index views and numpy's
+    # call overhead; a gather over all 144 windows took 2.88 MB for
+    # grad_outer at R = 100 and 1.44 MB for apply and apply_adjoint at B = 50
+    import tracemalloc
+
+    part = ops.make_block_sparse_analysis(5, 2, 10, 28, seed=47, site_rule="fit")
+    (s, f, k), slack = part._site_w.shape, 64 << 10
+    x = Stream(derive(0xBE, 1)).normal(100 * part.in_dim).reshape(100, -1)
+    y = Stream(derive(0xBE, 2)).normal(100 * part.out_dim).reshape(100, -1)
+    calls = {"grad_outer R = 100": lambda: part.grad_outer(y, x)[0],
+             "apply B = 50": lambda: part.apply(x[:50]),
+             "apply_adjoint B = 50": lambda: part.apply_adjoint(y[:50])}
+    assert len(ops._window_blocks(s, k * 50)) >= 3
+    for name, call in calls.items():
+        call()  # warm
+        tracemalloc.start()
+        try:
+            result = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - result.nbytes <= 8 * ops._BLOCK_DOUBLES + slack, name
 
 
 def test_masked_parts_build_no_scipy_matrix(monkeypatch):

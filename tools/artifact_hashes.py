@@ -4,7 +4,7 @@ Usage::
 
     OPENBLAS_NUM_THREADS=1 python tools/artifact_hashes.py [WORK_DIR]
 
-Eight small workloads run in-process through ``pdnet.cli.main``.  Four are
+Nine small workloads run in-process through ``pdnet.cli.main``.  Four are
 shaped like the benchmark's (dense deblurring in full mode, block-sparse
 super-resolution in partial mode, the first-difference solve on 6 images of
 side 12 and on the benchmark's 24 of side 28) and one is a fused
@@ -12,9 +12,12 @@ side 12 and on the benchmark's 24 of side 28) and one is a fused
 leave out, with one row per window in each: an ``f3s2n1`` network in
 partial mode on super-resolution; an ``f3s1n1`` network on the
 ``interior`` site rule in partial mode, on the identity degradation, with
-``lr_decay_every``; and a ``solve`` with the lambda * Id prior.  Each
-training workload runs ``degrade``, ``train``, ``eval --beta 2,5``,
-``eval`` without ``--beta`` (into ``eval-plain/``), ``export-filters`` and
+``lr_decay_every``; and a ``solve`` with the lambda * Id prior.  One more,
+the benchmark's ``f5s2n10`` super-resolution at side 28 and batch 50, is
+large enough that its block-sparse products run in three to six blocks of
+windows, the last one partial.  Each training workload runs ``degrade``,
+``train``, ``eval --beta 2,5``, ``eval`` without ``--beta`` (into
+``eval-plain/``), ``export-filters`` and, but for that last one,
 ``gradcheck``; each solve workload runs ``degrade`` and ``solve``, then
 ``solve -v`` once more with ``max_iter`` 500 (into ``out-cutoff/``), where
 half the first-difference images of side 12, 16 of the 24 of side 28 and
@@ -81,6 +84,9 @@ WORKLOADS = {
                     "L": [{"spec": "f3s1n1", "site_rule": "interior"}]},
         "train": {"lr_decay_every": 2}}),
     "solve-identity-blur": ("deblur", BLUR, 12, 6, {"solve": {**SOLVE, "prior": "identity"}}),
+    "sr-blocksparse-blocks": ("sr", DECIMATE, 28, 200, {
+        "network": {"K": 3, "mode": "partial", "L": ["f5s2n10"]},
+        "train": {"batch_size": 50, "max_iter": 3}}),
 }
 
 # gradcheck needs image_side^2 <= 64: the same networks on smaller images
@@ -171,6 +177,8 @@ def run() -> None:
                path("eval-plain"), "--model", path("out", "model_final.json"))
         _pdnet(path("export.log"), "export-filters", "--model",
                path("out", "model_best.json"), "--output", path("filters"))
+        if name not in GRADCHECK:
+            continue
         gc_side, gc_network = GRADCHECK[name]
         _pdnet(path("gradcheck.log"), "gradcheck", "--config", _write(
             path("gradcheck.json"),
